@@ -36,6 +36,16 @@ class ContainerDigestError(ContainerError):
     pass
 
 
+def str_to_array(s: str) -> np.ndarray:
+    """UTF-8 bytes of ``s`` as a uint8 array, for storing text in a container."""
+    return np.frombuffer(s.encode("utf-8"), dtype=np.uint8).copy()
+
+
+def array_to_str(a: np.ndarray) -> str:
+    """Inverse of ``str_to_array``."""
+    return a.tobytes().decode("utf-8")
+
+
 def _pack_str(s: str) -> bytes:
     raw = s.encode("utf-8")
     return struct.pack("<I", len(raw)) + raw

@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
-from .binio import read_container, write_container
+from .binio import array_to_str, read_container, str_to_array, write_container
 from .mesh import Mesh, assemble_laplacian, compute_vertex_normals
 from .spectral import build_hierarchy, build_input_features, normalize_positions, solve_eigs
 
@@ -30,10 +30,6 @@ class PreprocessParams:
 
     n_eigenvectors: int = 16
     cluster_counts: tuple = (16, 8)
-    seed: int = 0
-    include_constant: bool = False
-    cluster_on_signed: bool = False
-    solver: str = "auto"
 
     def __post_init__(self):
         object.__setattr__(self, "cluster_counts", tuple(int(c) for c in self.cluster_counts))
@@ -63,20 +59,10 @@ def preprocess_mesh(mesh: Mesh, params: PreprocessParams) -> FeatureCache:
     """Run the full pipeline: normals, Laplacian, eigenpairs, clustering."""
     normals = compute_vertex_normals(mesh)
     op = assemble_laplacian(mesh)
-    basis = solve_eigs(op, params.n_eigenvectors, method=params.solver)
-    features = build_input_features(
-        mesh, normals, basis,
-        n_eigenvectors=params.n_eigenvectors,
-        include_constant=params.include_constant,
-    )
-    hierarchy = build_hierarchy(
-        basis, params.cluster_counts, params.seed,
-        n_eigenvectors=params.n_eigenvectors,
-        include_constant=params.include_constant,
-        embedding="signed" if params.cluster_on_signed else "spatial",
-        positions=normalize_positions(mesh.vertices),
-        areas=op.areas,
-    )
+    basis = solve_eigs(op, params.n_eigenvectors)
+    features = build_input_features(mesh, normals, basis, params.n_eigenvectors)
+    hierarchy = build_hierarchy(normalize_positions(mesh.vertices), params.cluster_counts,
+                                areas=op.areas)
     return FeatureCache(
         features=features,
         eigenvalues=basis.eigenvalues.copy(),
@@ -87,21 +73,13 @@ def preprocess_mesh(mesh: Mesh, params: PreprocessParams) -> FeatureCache:
     )
 
 
-def _str_array(s: str) -> np.ndarray:
-    return np.frombuffer(s.encode("utf-8"), dtype=np.uint8).copy()
-
-
-def _array_str(a: np.ndarray) -> str:
-    return a.tobytes().decode("utf-8")
-
-
 def save_cache(path, cache: FeatureCache) -> None:
     arrays = {
         "features": cache.features,
         "eigenvalues": cache.eigenvalues,
         "cluster_counts": np.asarray(cache.cluster_counts, dtype=np.int64),
-        "mesh_hash": _str_array(cache.mesh_hash),
-        "params_fingerprint": _str_array(cache.params_fingerprint),
+        "mesh_hash": str_to_array(cache.mesh_hash),
+        "params_fingerprint": str_to_array(cache.params_fingerprint),
     }
     for i, mask in enumerate(cache.level_masks):
         arrays[f"mask_{i}"] = np.asarray(mask, dtype=np.int64)
@@ -121,8 +99,8 @@ def load_cache(path, mesh: Mesh = None, params: PreprocessParams = None) -> Feat
         eigenvalues=arrays["eigenvalues"],
         level_masks=[arrays[f"mask_{i}"] for i in range(len(counts))],
         cluster_counts=counts,
-        mesh_hash=_array_str(arrays["mesh_hash"]),
-        params_fingerprint=_array_str(arrays["params_fingerprint"]),
+        mesh_hash=array_to_str(arrays["mesh_hash"]),
+        params_fingerprint=array_to_str(arrays["params_fingerprint"]),
     )
     if mesh is not None and cache.mesh_hash != mesh.content_hash():
         raise CacheMismatchError(f"{path}: cached features belong to a different mesh")

@@ -25,8 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .binio import ContainerError
-from .cache import (CacheMismatchError, PreprocessParams, get_features,
-                    preprocess_mesh, save_cache)
+from .cache import CacheMismatchError, PreprocessParams, get_features
 from .mesh import MeshError, load_obj, write_obj
 from .model import ModelConfig
 from .ply import label_colors, write_ply
@@ -55,20 +54,10 @@ def _add_preprocess_flags(p: argparse.ArgumentParser) -> None:
                    help="number of eigenvector feature columns")
     p.add_argument("--clusters", type=_parse_clusters, default=(16, 8),
                    help="comma separated cluster counts, e.g. 16,8")
-    p.add_argument("--include-constant-eig", action="store_true",
-                   help="keep the constant eigenvector as a feature column")
-    p.add_argument("--cluster-on-signed", action="store_true",
-                   help="cluster on signed eigenvectors instead of absolute values")
 
 
 def _params_from_args(args) -> PreprocessParams:
-    return PreprocessParams(
-        n_eigenvectors=args.eigs,
-        cluster_counts=args.clusters,
-        seed=args.seed,
-        include_constant=args.include_constant_eig,
-        cluster_on_signed=args.cluster_on_signed,
-    )
+    return PreprocessParams(n_eigenvectors=args.eigs, cluster_counts=args.clusters)
 
 
 def load_manifest(dataset_dir: Path) -> dict:
@@ -154,10 +143,8 @@ def _cmd_synth(args) -> int:
 
 
 def _preprocess_one(job) -> str:
-    obj_path, cache_path, params_dict = job
-    mesh = load_obj(obj_path)
-    cache = preprocess_mesh(mesh, PreprocessParams(**params_dict))
-    save_cache(cache_path, cache)
+    obj_path, cache_path, params = job
+    get_features(load_obj(obj_path), params, cache_path)
     return Path(obj_path).stem
 
 
@@ -167,8 +154,8 @@ def _cmd_preprocess(args) -> int:
     params = _params_from_args(args)
     cache_dir = Path(args.output) if args.output else dataset_dir / "cache"
     cache_dir.mkdir(parents=True, exist_ok=True)
-    jobs = [(str(dataset_dir / e["obj"]), str(cache_dir / f"{e['name']}.mpc"),
-             asdict(params)) for e in manifest["samples"]]
+    jobs = [(str(dataset_dir / e["obj"]), str(cache_dir / f"{e['name']}.mpc"), params)
+            for e in manifest["samples"]]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             for name in pool.map(_preprocess_one, jobs):
@@ -275,9 +262,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    mesh = load_obj(args.input)
-    params_pre = _params_from_args(args)
-    cache = preprocess_mesh(mesh, params_pre)
+    obj_path = Path(args.input)
+    mesh = load_obj(obj_path)
+    # reuse the dataset cache that `preprocess` writes beside a synth OBJ
+    cache_dir = obj_path.parent / "cache"
+    cache_path = cache_dir / f"{obj_path.stem}.mpc" if cache_dir.is_dir() else None
+    cache = get_features(mesh, _params_from_args(args), cache_path)
     if args.what == "clusters":
         if not 0 <= args.level < len(cache.level_masks):
             raise ValueError(f"level {args.level} outside the {len(cache.level_masks)}-level hierarchy")
@@ -286,7 +276,7 @@ def _cmd_export(args) -> int:
         if not args.model:
             raise ValueError("--model is required to export predicted labels")
         params, config, _, _ = load_checkpoint(args.model)
-        record = record_from_cache(Path(args.input).stem, cache, args.category)
+        record = record_from_cache(obj_path.stem, cache, args.category)
         logits = forward_logits(params, config, record)
         if config.task == "segmentation":
             ids = np.argmax(logits, axis=1)
@@ -320,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="compute feature caches for a dataset")
     p.add_argument("--input", required=True, help="dataset directory")
     p.add_argument("--output", default=None, help="cache directory (default INPUT/cache)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     _add_preprocess_flags(p)
     p.set_defaults(func=_cmd_preprocess)
@@ -348,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="dataset directory")
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--split", choices=("train", "test", "all"), default="test")
-    p.add_argument("--seed", type=int, default=0)
     _add_preprocess_flags(p)
     p.set_defaults(func=_cmd_eval)
 
@@ -360,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, default=0, help="hierarchy level for clusters")
     p.add_argument("--category", type=int, default=0,
                    help="shape category fed to the segmentation head")
-    p.add_argument("--seed", type=int, default=0)
     _add_preprocess_flags(p)
     p.set_defaults(func=_cmd_export)
     return parser

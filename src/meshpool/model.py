@@ -142,10 +142,7 @@ def pooling_block_forward(tape: Tape, params, config: ModelConfig, level: int,
     updated = _mlp_forward(tape, params, f"block{level}.update", x,
                            len(config.update_widths))
     pooled = _pool(tape, config, x, mask, p)
-    psi = _pool(tape, config,
-                _mlp_forward(tape, params, f"block{level}.corr", x, 1),
-                mask, p)
-    corr = tape.matmul(psi, tape.transpose(psi))
+    corr = correlation_matrix(tape, params, config, level, x, mask)
     mixed = tape.matmul(corr, pooled)
     return tape.concat([updated, tape.cluster_scatter(mixed, mask)], axis=1)
 

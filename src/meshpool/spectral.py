@@ -4,13 +4,12 @@ Solves the generalized symmetric eigenproblem ``(D - W) x = lam * A x`` for
 the smallest eigenpairs, assembles the per-vertex network input (normalized
 positions, normals, absolute low-frequency eigenvector values) and builds
 the pooling hierarchy by clustering vertices at a decreasing sequence of
-cluster counts. Hierarchy clustering defaults to deterministic divisive
-splits on normalized positions: eigenvector embeddings are unstable across
-retriangulations of the same surface (near-degenerate pairs rotate within
-their eigenspace), while median splits of the geometry depend only on
-integral quantities and survive a remesh nearly unchanged.
+cluster counts. The hierarchy comes from deterministic divisive splits on
+normalized positions, not from the eigenvectors: eigenvector embeddings are
+unstable across retriangulations of the same surface (near-degenerate pairs
+rotate within their eigenspace), while median splits of the geometry depend
+only on integral quantities and survive a remesh nearly unchanged.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -18,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
-from scipy.optimize import linear_sum_assignment
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .mesh import Mesh, LaplacianOperator
@@ -38,8 +36,6 @@ DENSE_CUTOFF = 50
 DENSE_LIMIT = 3000
 
 _V0_SEED = 8191  # fixed ARPACK start vector => reproducible solves
-
-KMEANS_MAX_ITER = 300
 
 
 class EigensolverError(RuntimeError):
@@ -141,19 +137,12 @@ def normalize_positions(vertices: np.ndarray) -> np.ndarray:
     return centered / np.linalg.norm(extent)
 
 
-def eigenvector_features(
-    basis: SpectralBasis, n_eigenvectors: int = 16, include_constant: bool = False
-) -> np.ndarray:
-    """Absolute values of the lowest-frequency eigenvector columns.
-
-    The constant mode is skipped by default; ``include_constant`` keeps it as
-    the first column instead.
-    """
-    first = 0 if include_constant else 1
-    needed = first + n_eigenvectors
+def eigenvector_features(basis: SpectralBasis, n_eigenvectors: int = 16) -> np.ndarray:
+    """Absolute values of the lowest-frequency nonconstant eigenvector columns."""
+    needed = 1 + n_eigenvectors
     if basis.n_modes < needed:
         raise ValueError(f"basis has {basis.n_modes} modes, need {needed}")
-    return np.abs(basis.eigenvectors[:, first:needed])
+    return np.abs(basis.eigenvectors[:, 1:needed])
 
 
 def build_input_features(
@@ -161,7 +150,6 @@ def build_input_features(
     normals: np.ndarray,
     basis: SpectralBasis,
     n_eigenvectors: int = 16,
-    include_constant: bool = False,
 ) -> np.ndarray:
     """Per-vertex input matrix: [xyz(3), normal(3), |eigenvector|(n_eig)].
 
@@ -172,95 +160,9 @@ def build_input_features(
     cols = [
         normalize_positions(mesh.vertices),
         np.asarray(normals, dtype=np.float64),
-        eigenvector_features(basis, n_eigenvectors, include_constant),
+        eigenvector_features(basis, n_eigenvectors),
     ]
     return np.ascontiguousarray(np.hstack(cols))
-
-
-def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d = points[:, None, :] - centers[None, :, :]
-    return np.einsum("ijk,ijk->ij", d, d)
-
-
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = len(points)
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
-    d2 = _squared_distances(points, centers[:1])[:, 0]
-    for t in range(1, k):
-        total = d2.sum()
-        if total > 0.0:
-            idx = rng.choice(n, p=d2 / total)
-        else:
-            idx = int(rng.integers(n))
-        centers[t] = points[idx]
-        d2 = np.minimum(d2, _squared_distances(points, centers[t : t + 1])[:, 0])
-    return centers
-
-
-def _repair_empty(labels: np.ndarray, own_d2: np.ndarray, k: int) -> np.ndarray:
-    """Give every empty cluster the point farthest from its own centroid.
-
-    Ties break to the lowest point index; a cluster is never emptied by the
-    repair itself.
-    """
-    counts = np.bincount(labels, minlength=k)
-    empties = np.flatnonzero(counts == 0)
-    if not len(empties):
-        return labels
-    labels = labels.copy()
-    d2 = own_d2.astype(np.float64, copy=True)
-    for j in empties:
-        cand = int(np.argmax(d2))
-        while counts[labels[cand]] <= 1:
-            d2[cand] = -np.inf
-            cand = int(np.argmax(d2))
-        counts[labels[cand]] -= 1
-        labels[cand] = j
-        counts[j] = 1
-        d2[cand] = -np.inf
-    return labels
-
-
-def kmeans(points: np.ndarray, k: int, seed) -> np.ndarray:
-    """Seeded k-means returning a length-N cluster id vector.
-
-    Lloyd iterations with k-means++ initialization. The rows are
-    canonicalized by lexicographic sort before any seeded sampling, so any
-    permutation of the input rows permutes the output identically. Ties in
-    the nearest-centroid assignment break to the lowest cluster id; empty
-    clusters are repaired by reassigning the point farthest from its
-    centroid. Deterministic for fixed (points, k, seed).
-    """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] < 1:
-        raise ValueError("points must be a 2-D array")
-    n = len(points)
-    if not 1 <= k <= n:
-        raise ValueError(f"cluster count {k} not in [1, {n}]")
-    if k == 1:
-        return np.zeros(n, dtype=np.int64)
-
-    order = np.lexsort(points.T[::-1])  # primary key: column 0
-    pts = points[order]
-    rng = np.random.default_rng(seed)
-    centers = _kmeans_pp_init(pts, k, rng)
-
-    labels = None
-    for _ in range(KMEANS_MAX_ITER):
-        d2 = _squared_distances(pts, centers)
-        new_labels = np.argmin(d2, axis=1)
-        new_labels = _repair_empty(new_labels, d2[np.arange(n), new_labels], k)
-        for j in range(k):
-            members = pts[new_labels == j]
-            centers[j] = members.mean(axis=0)
-        if labels is not None and np.array_equal(labels, new_labels):
-            break
-        labels = new_labels
-
-    out = np.empty(n, dtype=np.int64)
-    out[order] = labels
-    return out
 
 
 def _weighted_median_side(t: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -407,52 +309,25 @@ class PoolingHierarchy:
                 raise ValueError(f"mask does not cover all {level.cluster_count} cluster ids")
 
 
-def build_hierarchy(
-    basis: SpectralBasis,
-    cluster_counts,
-    seed=0,
-    n_eigenvectors: int = 16,
-    include_constant: bool = False,
-    embedding: str = "spatial",
-    positions: np.ndarray = None,
-    areas: np.ndarray = None,
-) -> PoolingHierarchy:
+def build_hierarchy(positions: np.ndarray, cluster_counts,
+                    areas: np.ndarray = None) -> PoolingHierarchy:
     """Cluster vertices once per level of the pooling hierarchy.
 
-    ``embedding`` selects the clustered representation. ``"spatial"`` (the
-    default) clusters on normalized vertex positions, which stays stable
-    when the same surface is retriangulated; ``"abs"`` uses the absolute
-    eigenvector feature block fed to the network and ``"signed"`` the raw
-    eigenvectors, both of which can rotate within near-degenerate
-    eigenspaces across a remesh. Vertex ``areas``, when given, weight the
-    splits so the partition tracks surface area rather than vertex
-    density. ``seed`` is accepted for interface stability; the divisive
-    splitter is deterministic and ignores it.
+    Every level is a divisive clustering of the normalized vertex
+    ``positions``, which stays stable when the same surface is
+    retriangulated. Vertex ``areas``, when given, weight the splits so the
+    partition tracks surface area rather than vertex density.
     """
     counts = tuple(int(c) for c in cluster_counts)
     if not counts:
         raise ValueError("need at least one cluster count")
     if any(b >= a for a, b in zip(counts, counts[1:])):
         raise ValueError(f"cluster counts must strictly decrease, got {counts}")
-    if embedding == "spatial":
-        if positions is None:
-            raise ValueError("spatial clustering needs vertex positions")
-        feats = np.asarray(positions, dtype=np.float64)
-    elif embedding == "signed":
-        first = 0 if include_constant else 1
-        feats = basis.eigenvectors[:, first : first + n_eigenvectors]
-        if feats.shape[1] != n_eigenvectors:
-            raise ValueError(f"basis has too few modes for {n_eigenvectors} features")
-    elif embedding == "abs":
-        feats = eigenvector_features(basis, n_eigenvectors, include_constant)
-    else:
-        raise ValueError(f"unknown clustering embedding {embedding!r}")
-    if feats.shape[0] != basis.eigenvectors.shape[0]:
-        raise ValueError("embedding rows do not match the eigenvector basis")
-    if max(counts) > feats.shape[0]:
+    points = np.asarray(positions, dtype=np.float64)
+    if max(counts) > points.shape[0]:
         raise ValueError("more clusters than vertices")
     levels = [
-        HierarchyLevel(cluster_count=p, mask=divisive_cluster(feats, p, weights=areas))
+        HierarchyLevel(cluster_count=p, mask=divisive_cluster(points, p, weights=areas))
         for p in counts
     ]
     hierarchy = PoolingHierarchy(levels)
@@ -463,6 +338,8 @@ def build_hierarchy(
 def cluster_agreement(mask_a: np.ndarray, mask_b: np.ndarray) -> float:
     """Fraction of entries on which two cluster masks agree, after the
     cluster ids are matched by maximum-overlap assignment."""
+    from scipy.optimize import linear_sum_assignment  # slow import, used only here
+
     mask_a = np.asarray(mask_a)
     mask_b = np.asarray(mask_b)
     if mask_a.shape != mask_b.shape:

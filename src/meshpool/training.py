@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .autodiff import Tape, adam_step
-from .binio import read_container, write_container
+from .binio import array_to_str, read_container, str_to_array, write_container
 from .cache import FeatureCache
 from .model import ModelConfig, init_params, model_forward
 
@@ -108,16 +108,21 @@ def forward_logits(params, config: ModelConfig, record: SampleRecord) -> np.ndar
     return _forward(Tape(), params, config, record).data.copy()
 
 
+def _count_correct(record: SampleRecord, pred, config: ModelConfig):
+    """(correct, total) for one record: its vertices for segmentation, the
+    mesh itself for classification."""
+    if config.task == "segmentation":
+        return int((pred == record.labels).sum()), len(record.labels)
+    return int(pred == record.category), 1
+
+
 def _accuracy(records, predictions, config: ModelConfig) -> float:
     """Vertex-weighted for segmentation, per-mesh for classification."""
     correct = total = 0
     for record, pred in zip(records, predictions):
-        if config.task == "segmentation":
-            correct += int((pred == record.labels).sum())
-            total += len(record.labels)
-        else:
-            correct += int(pred == record.category)
-            total += 1
+        c, t = _count_correct(record, pred, config)
+        correct += c
+        total += t
     return correct / total
 
 
@@ -150,7 +155,7 @@ def train(records, config: ModelConfig, train_config: TrainConfig,
         rng = np.random.default_rng([cfg.seed, epoch])
         order = rng.permutation(len(records))
         losses = []
-        in_epoch = {"correct": 0, "total": 0}
+        correct = total = 0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             for idx in batch:
@@ -163,17 +168,12 @@ def train(records, config: ModelConfig, train_config: TrainConfig,
                         f"non-finite loss at epoch {epoch} on sample {record.name!r}")
                 tape.backward(loss, seed=1.0 / len(batch))
                 losses.append(float(loss.data))
-                pred = _predict(logits.data, config)
-                if config.task == "segmentation":
-                    in_epoch["correct"] += int((pred == record.labels).sum())
-                    in_epoch["total"] += len(record.labels)
-                else:
-                    in_epoch["correct"] += int(pred == record.category)
-                    in_epoch["total"] += 1
+                c, t = _count_correct(record, _predict(logits.data, config), config)
+                correct += c
+                total += t
             for name in sorted(params):
                 adam_step(params[name], cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
-        stats = EpochStats(epoch, float(np.mean(losses)),
-                           in_epoch["correct"] / in_epoch["total"])
+        stats = EpochStats(epoch, float(np.mean(losses)), correct / total)
         history.append(stats)
         if cfg.verbose:
             print(f"epoch {epoch:4d}  loss {stats.mean_loss:.4f}  "
@@ -231,27 +231,18 @@ def _shape_iou(pred, truth, labels) -> float:
     return float(np.mean(scores))
 
 
-def evaluate_segmentation(params, config: ModelConfig, records,
-                          category_labels=None) -> SegmentationReport:
-    """Vertex accuracy and per-part IoU.
-
-    ``category_labels`` optionally maps category -> allowed label ids; the
-    argmax is then restricted to that category's labels.
-    """
+def evaluate_segmentation(params, config: ModelConfig, records) -> SegmentationReport:
+    """Vertex accuracy and per-part IoU."""
+    labels = np.arange(config.num_labels)
     totals = {}
     per_sample = {}
     for record in records:
-        logits = forward_logits(params, config, record)
-        if category_labels and record.category in category_labels:
-            allowed = np.asarray(category_labels[record.category], dtype=np.int64)
-        else:
-            allowed = np.arange(config.num_labels)
-        pred = allowed[np.argmax(logits[:, allowed], axis=1)]
+        pred = _predict(forward_logits(params, config, record), config)
         correct = int((pred == record.labels).sum())
         entry = totals.setdefault(record.category, {"correct": 0, "verts": 0, "ious": []})
         entry["correct"] += correct
         entry["verts"] += len(record.labels)
-        entry["ious"].append(_shape_iou(pred, record.labels, allowed))
+        entry["ious"].append(_shape_iou(pred, record.labels, labels))
         per_sample[record.name] = correct / len(record.labels)
     accuracy = sum(e["correct"] for e in totals.values()) / sum(e["verts"] for e in totals.values())
     all_ious = [iou for e in totals.values() for iou in e["ious"]]
@@ -297,15 +288,11 @@ def split_dataset(records, test_fraction: float = 0.25, seed: int = 0, groups=No
 # ---- checkpoints ------------------------------------------------------
 
 
-def _str_array(s: str) -> np.ndarray:
-    return np.frombuffer(s.encode("utf-8"), dtype=np.uint8).copy()
-
-
 def save_checkpoint(path, params, config: ModelConfig, epoch: int, train_seed: int) -> None:
     """Parameters plus Adam state plus the architecture, in one container."""
     arrays = {
-        "kind": _str_array(CHECKPOINT_KIND),
-        "config_json": _str_array(json.dumps(asdict(config), sort_keys=True)),
+        "kind": str_to_array(CHECKPOINT_KIND),
+        "config_json": str_to_array(json.dumps(asdict(config), sort_keys=True)),
         "epoch": np.array([epoch], dtype=np.int64),
         "train_seed": np.array([train_seed], dtype=np.int64),
     }
@@ -328,9 +315,9 @@ def load_checkpoint(path, expected_config: ModelConfig = None):
         arrays = read_container(path)
     except (FileNotFoundError, ValueError) as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
-    if "kind" not in arrays or arrays["kind"].tobytes().decode() != CHECKPOINT_KIND:
+    if "kind" not in arrays or array_to_str(arrays["kind"]) != CHECKPOINT_KIND:
         raise CheckpointError(f"{path}: not a checkpoint container")
-    config = ModelConfig(**json.loads(arrays["config_json"].tobytes().decode()))
+    config = ModelConfig(**json.loads(array_to_str(arrays["config_json"])))
     if expected_config is not None and config.config_hash() != expected_config.config_hash():
         raise CheckpointError(f"{path}: checkpoint built for a different architecture")
     params = init_params(config, seed=0)

@@ -1,10 +1,16 @@
 """End-to-end CLI runs, in process through main(argv)."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import meshpool
 from meshpool.cache import PreprocessParams, load_cache
 from meshpool.cli import main
 from meshpool.mesh import load_obj
@@ -131,6 +137,67 @@ def test_cache_reuse_and_stale_params(tmp_path, capsys):
     refreshed = load_cache(cache_path)
     assert refreshed.params_fingerprint == PreprocessParams(
         n_eigenvectors=6, cluster_counts=(4, 2)).fingerprint()
+
+
+def _cache_stamps(cache_dir):
+    """(inode, mtime_ns, sha256) per cache file; atomic rewrites change the inode."""
+    stamps = {}
+    for path in sorted(cache_dir.glob("*.mpc")):
+        st = path.stat()
+        stamps[path.name] = (st.st_ino, st.st_mtime_ns,
+                             hashlib.sha256(path.read_bytes()).hexdigest())
+    return stamps
+
+
+def test_preprocess_and_export_reuse_valid_caches(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "seg"
+    main(["synth", "--output", str(data), "--task", "segmentation",
+          "--count", "4", "--seed", "5"])
+    assert main(["preprocess", "--input", str(data)] + SMALL) == 0
+
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolve despite a valid cache")
+
+    monkeypatch.setattr("meshpool.cache.solve_eigs", no_eigensolve)
+    assert main(["preprocess", "--input", str(data)] + SMALL) == 0
+    obj = data / json.loads((data / "manifest.json").read_text())["samples"][0]["obj"]
+    assert main(["export", "--input", str(obj), "--output", str(tmp_path / "c.ply"),
+                 "--what", "clusters"] + SMALL) == 0
+
+
+def test_train_seed_leaves_caches_untouched(tmp_path, capsys):
+    data = tmp_path / "seg"
+    main(["synth", "--output", str(data), "--task", "segmentation",
+          "--count", "4", "--seed", "6"])
+    assert main(["preprocess", "--input", str(data)] + SMALL) == 0
+    before = _cache_stamps(data / "cache")
+    assert len(before) == 4
+    assert main(["train", "--input", str(data), "--seed", "3", "--epochs", "1"]
+                + SMALL) == 0
+    assert main(["eval", "--input", str(data), "--model", str(data / "model.ckpt")]
+                + SMALL) == 0
+    assert _cache_stamps(data / "cache") == before
+
+
+def test_export_without_cache_dir_writes_only_the_ply(tmp_path, capsys):
+    data = tmp_path / "seg"
+    main(["synth", "--output", str(data), "--task", "segmentation",
+          "--count", "4", "--seed", "7"])
+    obj = data / json.loads((data / "manifest.json").read_text())["samples"][0]["obj"]
+    before = set(data.iterdir())
+    assert main(["export", "--input", str(obj), "--output", str(tmp_path / "c.ply"),
+                 "--what", "clusters"] + SMALL) == 0
+    assert set(data.iterdir()) == before
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    src = str(Path(meshpool.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, meshpool.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_cli_error_paths(tmp_path, capsys):

@@ -14,7 +14,6 @@ from meshpool.spectral import (
     divisive_cluster,
     eig_residuals,
     eigenvector_features,
-    kmeans,
     normalize_positions,
     solve_eigs,
 )
@@ -124,8 +123,6 @@ def test_eigenvector_features_skip_constant(bumpy_basis):
     assert feats.shape == (bumpy_basis.eigenvectors.shape[0], 16)
     assert (feats >= 0).all()
     assert np.allclose(feats, np.abs(bumpy_basis.eigenvectors[:, 1:17]))
-    with_const = eigenvector_features(bumpy_basis, 16, include_constant=True)
-    assert np.ptp(with_const[:, 0]) < 1e-6 * np.abs(with_const[:, 0]).max()
     with pytest.raises(ValueError, match="modes"):
         eigenvector_features(bumpy_basis, 17)
 
@@ -137,51 +134,6 @@ def test_build_input_features_layout(bumpy, bumpy_basis):
     assert np.allclose(feats[:, :3], normalize_positions(bumpy.vertices))
     assert np.allclose(feats[:, 3:6], normals)
     assert (feats[:, 6:] >= 0).all()
-
-
-# ---------------------------------------------------------------------------
-# kmeans
-# ---------------------------------------------------------------------------
-
-def test_kmeans_basic_contract():
-    rng = np.random.default_rng(0)
-    pts = np.vstack([rng.normal(c, 0.1, size=(30, 4)) for c in (0.0, 3.0, 6.0)])
-    labels = kmeans(pts, 3, seed=0)
-    assert labels.shape == (90,)
-    assert labels.dtype == np.int64
-    assert set(np.unique(labels)) == {0, 1, 2}
-    # well-separated blobs land in pure clusters
-    for start in (0, 30, 60):
-        assert len(np.unique(labels[start:start + 30])) == 1
-
-
-def test_kmeans_deterministic_and_permutation_equivariant():
-    rng = np.random.default_rng(1)
-    pts = rng.standard_normal((70, 3))
-    labels = kmeans(pts, 5, seed=42)
-    assert np.array_equal(labels, kmeans(pts, 5, seed=42))
-    perm = rng.permutation(70)
-    assert np.array_equal(kmeans(pts[perm], 5, seed=42), labels[perm])
-
-
-def test_kmeans_edge_cases():
-    pts = np.random.default_rng(2).standard_normal((8, 2))
-    assert np.array_equal(kmeans(pts, 1, seed=0), np.zeros(8, dtype=np.int64))
-    assert set(np.unique(kmeans(pts, 8, seed=0))) == set(range(8))
-    with pytest.raises(ValueError):
-        kmeans(pts, 9, seed=0)
-    with pytest.raises(ValueError):
-        kmeans(pts, 0, seed=0)
-    with pytest.raises(ValueError):
-        kmeans(pts[:, 0], 2, seed=0)
-
-
-def test_kmeans_fills_every_cluster():
-    # near-duplicate points force the empty-cluster repair path
-    pts = np.zeros((20, 2))
-    pts[:, 0] = np.repeat([0.0, 1e-9], 10)
-    labels = kmeans(pts, 4, seed=7)
-    assert np.bincount(labels, minlength=4).min() >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +216,8 @@ def test_cluster_agreement_matches_relabelings():
         cluster_agreement(a, a[:-1])
 
 
-def test_build_hierarchy_spatial(bumpy, bumpy_op, bumpy_basis):
-    hier = build_hierarchy(
-        bumpy_basis, (16, 8),
-        positions=normalize_positions(bumpy.vertices),
-        areas=bumpy_op.areas,
-    )
+def test_build_hierarchy_spatial(bumpy, bumpy_op):
+    hier = build_hierarchy(normalize_positions(bumpy.vertices), (16, 8), areas=bumpy_op.areas)
     assert hier.cluster_counts == (16, 8)
     for level in hier.levels:
         assert level.mask.shape == (bumpy.n_vertices,)
@@ -277,31 +225,21 @@ def test_build_hierarchy_spatial(bumpy, bumpy_op, bumpy_basis):
     hier.validate()
 
 
-def test_build_hierarchy_eigenvector_embeddings(bumpy_basis):
-    for embedding in ("abs", "signed"):
-        hier = build_hierarchy(bumpy_basis, (8, 4), embedding=embedding)
-        assert hier.cluster_counts == (8, 4)
-
-
-def test_build_hierarchy_validation(bumpy, bumpy_basis):
+def test_build_hierarchy_validation(bumpy):
+    pos = normalize_positions(bumpy.vertices)
     with pytest.raises(ValueError, match="decrease"):
-        build_hierarchy(bumpy_basis, (8, 8), embedding="abs")
-    with pytest.raises(ValueError, match="positions"):
-        build_hierarchy(bumpy_basis, (8, 4))
-    with pytest.raises(ValueError, match="embedding"):
-        build_hierarchy(bumpy_basis, (8, 4), embedding="fourier")
+        build_hierarchy(pos, (8, 8))
     with pytest.raises(ValueError):
-        build_hierarchy(bumpy_basis, ())
+        build_hierarchy(pos, ())
     with pytest.raises(ValueError, match="vertices"):
-        build_hierarchy(bumpy_basis, (10_000, 8),
-                        positions=normalize_positions(bumpy.vertices))
+        build_hierarchy(pos, (10_000, 8))
 
 
-def test_hierarchy_stable_under_position_noise(bumpy, bumpy_op, bumpy_basis):
+def test_hierarchy_stable_under_position_noise(bumpy, bumpy_op):
     # jitter far below the rounding scale must not move any split
     pos = normalize_positions(bumpy.vertices)
-    hier = build_hierarchy(bumpy_basis, (16, 8), positions=pos, areas=bumpy_op.areas)
+    hier = build_hierarchy(pos, (16, 8), areas=bumpy_op.areas)
     jitter = 1e-13 * np.random.default_rng(8).standard_normal(pos.shape)
-    hier2 = build_hierarchy(bumpy_basis, (16, 8), positions=pos + jitter, areas=bumpy_op.areas)
+    hier2 = build_hierarchy(pos + jitter, (16, 8), areas=bumpy_op.areas)
     for a, b in zip(hier.levels, hier2.levels):
         assert cluster_agreement(a.mask, b.mask) == 1.0
