@@ -20,8 +20,12 @@ from .mesh import Mesh, assemble_laplacian, compute_vertex_normals
 from .spectral import build_hierarchy, build_input_features, normalize_positions, solve_eigs
 
 
+CACHE_KIND = "meshpool-cache"
+
+
 class CacheMismatchError(ValueError):
-    """Cached preprocessing does not match the requested mesh or settings."""
+    """Cached preprocessing does not match the requested mesh or settings,
+    or the file is not a complete feature cache."""
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,7 @@ def preprocess_mesh(mesh: Mesh, params: PreprocessParams) -> FeatureCache:
 
 def save_cache(path, cache: FeatureCache) -> None:
     arrays = {
+        "kind": str_to_array(CACHE_KIND),
         "features": cache.features,
         "eigenvalues": cache.eigenvalues,
         "cluster_counts": np.asarray(cache.cluster_counts, dtype=np.int64),
@@ -89,19 +94,25 @@ def save_cache(path, cache: FeatureCache) -> None:
 def load_cache(path, mesh: Mesh = None, params: PreprocessParams = None) -> FeatureCache:
     """Load a cache, checking it against ``mesh`` and ``params`` when given.
 
-    Raises CacheMismatchError if the stored mesh hash or parameter
-    fingerprint disagrees with what the caller expects.
+    Raises CacheMismatchError if the container is not a feature cache, lacks
+    a section, or its stored mesh hash or parameter fingerprint disagrees
+    with what the caller expects.
     """
     arrays = read_container(path)
-    counts = tuple(int(c) for c in arrays["cluster_counts"])
-    cache = FeatureCache(
-        features=arrays["features"],
-        eigenvalues=arrays["eigenvalues"],
-        level_masks=[arrays[f"mask_{i}"] for i in range(len(counts))],
-        cluster_counts=counts,
-        mesh_hash=array_to_str(arrays["mesh_hash"]),
-        params_fingerprint=array_to_str(arrays["params_fingerprint"]),
-    )
+    if "kind" not in arrays or array_to_str(arrays["kind"]) != CACHE_KIND:
+        raise CacheMismatchError(f"{path}: not a feature cache")
+    try:
+        counts = tuple(int(c) for c in arrays["cluster_counts"])
+        cache = FeatureCache(
+            features=arrays["features"],
+            eigenvalues=arrays["eigenvalues"],
+            level_masks=[arrays[f"mask_{i}"] for i in range(len(counts))],
+            cluster_counts=counts,
+            mesh_hash=array_to_str(arrays["mesh_hash"]),
+            params_fingerprint=array_to_str(arrays["params_fingerprint"]),
+        )
+    except KeyError as exc:
+        raise CacheMismatchError(f"{path}: cache lacks section {exc.args[0]}") from None
     if mesh is not None and cache.mesh_hash != mesh.content_hash():
         raise CacheMismatchError(f"{path}: cached features belong to a different mesh")
     if params is not None and cache.params_fingerprint != params.fingerprint():

@@ -50,14 +50,33 @@ def _parse_clusters(text: str):
 
 
 def _add_preprocess_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eigs", type=int, default=16,
-                   help="number of eigenvector feature columns")
-    p.add_argument("--clusters", type=_parse_clusters, default=(16, 8),
-                   help="comma separated cluster counts, e.g. 16,8")
+    # None when not given: eval and export then take the checkpoint's values
+    p.add_argument("--eigs", type=int, default=None,
+                   help="number of eigenvector feature columns (default 16, "
+                        "or the checkpoint's for eval and export)")
+    p.add_argument("--clusters", type=_parse_clusters, default=None,
+                   help="comma separated cluster counts (default 16,8, "
+                        "or the checkpoint's for eval and export)")
 
 
 def _params_from_args(args) -> PreprocessParams:
-    return PreprocessParams(n_eigenvectors=args.eigs, cluster_counts=args.clusters)
+    """The preprocessing the flags ask for; PreprocessParams' defaults fill
+    in the ones not given."""
+    given = {"n_eigenvectors": args.eigs, "cluster_counts": args.clusters}
+    return PreprocessParams(**{k: v for k, v in given.items() if v is not None})
+
+
+def _checkpoint_params(args, config: ModelConfig) -> PreprocessParams:
+    """The preprocessing a checkpoint's model was trained on. Explicit
+    --eigs/--clusters must agree with it."""
+    params = PreprocessParams(n_eigenvectors=config.in_dim - 6,
+                              cluster_counts=config.cluster_counts)
+    for flag, given, expected in (("--eigs", args.eigs, params.n_eigenvectors),
+                                  ("--clusters", args.clusters, params.cluster_counts)):
+        if given is not None and given != expected:
+            given, expected = (",".join(map(str, np.atleast_1d(v))) for v in (given, expected))
+            raise CheckpointError(f"{flag} {given} disagrees with the checkpoint's {expected}")
+    return params
 
 
 def load_manifest(dataset_dir: Path) -> dict:
@@ -170,10 +189,10 @@ def _cmd_preprocess(args) -> int:
 # ---- train ------------------------------------------------------------
 
 
-def _model_config_from(manifest: dict, args) -> ModelConfig:
+def _model_config_from(manifest: dict, args, params_pre: PreprocessParams) -> ModelConfig:
     return ModelConfig(
-        in_dim=6 + args.eigs,
-        cluster_counts=args.clusters,
+        in_dim=6 + params_pre.n_eigenvectors,
+        cluster_counts=params_pre.cluster_counts,
         task=manifest["task"] if args.task is None else args.task,
         num_labels=max(manifest.get("num_labels", 0), 1),
         num_categories=manifest.get("num_categories", 4),
@@ -185,7 +204,7 @@ def _cmd_train(args) -> int:
     dataset_dir = Path(args.input)
     manifest = load_manifest(dataset_dir)
     params_pre = _params_from_args(args)
-    config = _model_config_from(manifest, args)
+    config = _model_config_from(manifest, args, params_pre)
     records = _sample_records(dataset_dir, manifest, params_pre)
 
     out_path = Path(args.output) if args.output else dataset_dir / "model.ckpt"
@@ -230,8 +249,8 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     dataset_dir = Path(args.input)
     manifest = load_manifest(dataset_dir)
-    params_pre = _params_from_args(args)
     params, config, epoch, _ = load_checkpoint(args.model)
+    params_pre = _checkpoint_params(args, config)
     splits = ("train", "test") if args.split == "all" else (args.split,)
     records = _sample_records(dataset_dir, manifest, params_pre, splits=splits)
     result = {"checkpoint": str(args.model), "trained_epochs": epoch + 1}
@@ -267,8 +286,8 @@ def _cmd_export(args) -> int:
     # reuse the dataset cache that `preprocess` writes beside a synth OBJ
     cache_dir = obj_path.parent / "cache"
     cache_path = cache_dir / f"{obj_path.stem}.mpc" if cache_dir.is_dir() else None
-    cache = get_features(mesh, _params_from_args(args), cache_path)
     if args.what == "clusters":
+        cache = get_features(mesh, _params_from_args(args), cache_path)
         if not 0 <= args.level < len(cache.level_masks):
             raise ValueError(f"level {args.level} outside the {len(cache.level_masks)}-level hierarchy")
         ids = cache.level_masks[args.level]
@@ -276,6 +295,7 @@ def _cmd_export(args) -> int:
         if not args.model:
             raise ValueError("--model is required to export predicted labels")
         params, config, _, _ = load_checkpoint(args.model)
+        cache = get_features(mesh, _checkpoint_params(args, config), cache_path)
         record = record_from_cache(obj_path.stem, cache, args.category)
         logits = forward_logits(params, config, record)
         if config.task == "segmentation":

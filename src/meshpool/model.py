@@ -2,11 +2,14 @@
 
 The network is a stack of pooling blocks followed by a task head. Each
 block runs a per-vertex MLP and, in parallel, pools the incoming features
-to its cluster level, mixes the pooled rows through a learned cluster
-correlation matrix and scatters the result back to vertices, where it is
-concatenated with the MLP branch. The segmentation head combines
-per-vertex features with a globally pooled summary and the shape category;
-the classification head reduces everything to one global descriptor.
+to its cluster level and mixes the pooled rows through a learned cluster
+correlation matrix. The block output is the MLP branch beside the mixed
+cluster rows scattered back to vertices; those scattered columns are
+constant on each cluster, so the output is kept split (``SplitFeatures``)
+and every layer that consumes it multiplies the cluster part at cluster
+rank. The segmentation head combines per-vertex features with a globally
+pooled summary and the shape category, broadcast the same way; the
+classification head reduces everything to one global descriptor.
 
 Parameters live in a flat name -> Parameter dict so checkpointing and
 optimizer loops stay trivial.
@@ -119,36 +122,79 @@ def init_params(config: ModelConfig, seed: int):
     return params
 
 
-def _mlp_forward(tape: Tape, params, prefix, x: Tensor, n_layers, final_relu=True):
+class SplitFeatures:
+    """Per-vertex features whose trailing columns are constant per cluster.
+
+    Stands for the N-row matrix ``concat([vertex, cluster[mask]])`` without
+    building it: ``vertex`` is (N, dv), ``cluster`` is (p, dc) and ``mask``
+    maps each of the N rows to its cluster row. A linear layer multiplies
+    the cluster part once at p rows and scatters the product (see
+    ``_linear``). ``data`` builds the dense matrix, for inspection only.
+    """
+
+    __slots__ = ("vertex", "cluster", "mask")
+
+    def __init__(self, vertex: Tensor, cluster: Tensor, mask: np.ndarray):
+        self.vertex, self.cluster, self.mask = vertex, cluster, mask
+
+    @property
+    def data(self) -> np.ndarray:
+        return np.concatenate([self.vertex.data, self.cluster.data[self.mask]], axis=1)
+
+
+def _linear(tape: Tape, params, name, x) -> Tensor:
+    """x @ W + b for a Tensor or SplitFeatures x.
+
+    A split input multiplies its per-vertex part by W's leading rows at N
+    rows and its cluster part by W's trailing rows (plus b) at cluster rank,
+    then scatters that product to the vertices.
+    """
+    w, b = params[f"{name}.W"].value, params[f"{name}.b"].value
+    if isinstance(x, Tensor):
+        return tape.bias_add(tape.matmul(x, w), b)
+    per_vertex = tape.matmul(x.vertex, w)
+    tail = tape.row_slice(w, x.vertex.data.shape[1])
+    per_cluster = tape.bias_add(tape.matmul(x.cluster, tail), b)
+    return tape.add(per_vertex, tape.cluster_scatter(per_cluster, x.mask))
+
+
+def _mlp_forward(tape: Tape, params, prefix, x, n_layers, final_relu=True):
     h = x
     for i in range(n_layers):
-        h = tape.bias_add(tape.matmul(h, params[f"{prefix}.{i}.W"].value),
-                          params[f"{prefix}.{i}.b"].value)
+        h = _linear(tape, params, f"{prefix}.{i}", h)
         if final_relu or i < n_layers - 1:
             h = tape.relu(h)
     return h
 
 
 def _pool(tape: Tape, config, x, mask, p):
-    if config.pool == "max":
-        return tape.cluster_max_pool(x, mask, p)
-    return tape.cluster_mean_pool(x, mask, p)
+    """Cluster pooling of a Tensor or of SplitFeatures (part by part, since
+    pooling acts column by column)."""
+    pool = tape.cluster_max_pool if config.pool == "max" else tape.cluster_mean_pool
+    if isinstance(x, Tensor):
+        return pool(x, mask, p)
+    return tape.concat([pool(x.vertex, mask, p),
+                        pool(tape.cluster_scatter(x.cluster, x.mask), mask, p)], axis=1)
 
 
 def pooling_block_forward(tape: Tape, params, config: ModelConfig, level: int,
-                          x: Tensor, mask: np.ndarray) -> Tensor:
-    """One block: per-vertex MLP alongside correlated cluster pooling."""
+                          x, mask: np.ndarray) -> SplitFeatures:
+    """One block: per-vertex MLP alongside correlated cluster pooling.
+
+    ``x`` is a Tensor or the previous block's SplitFeatures. The output is
+    the per-vertex MLP branch plus the mixed cluster rows, kept at cluster
+    rank as SplitFeatures.
+    """
     p = config.cluster_counts[level]
     updated = _mlp_forward(tape, params, f"block{level}.update", x,
                            len(config.update_widths))
     pooled = _pool(tape, config, x, mask, p)
     corr = correlation_matrix(tape, params, config, level, x, mask)
-    mixed = tape.matmul(corr, pooled)
-    return tape.concat([updated, tape.cluster_scatter(mixed, mask)], axis=1)
+    return SplitFeatures(updated, tape.matmul(corr, pooled), mask)
 
 
 def correlation_matrix(tape: Tape, params, config: ModelConfig, level: int,
-                       x: Tensor, mask: np.ndarray) -> Tensor:
+                       x, mask: np.ndarray) -> Tensor:
     """The psi psi^T cluster mixing matrix of one block (symmetric PSD)."""
     p = config.cluster_counts[level]
     psi = _pool(tape, config,
@@ -165,18 +211,18 @@ def _category_onehot(config: ModelConfig, category: int) -> np.ndarray:
     return onehot
 
 
-def seg_head_forward(tape: Tape, params, config: ModelConfig, x: Tensor,
+def seg_head_forward(tape: Tape, params, config: ModelConfig, x,
                      category: int) -> Tensor:
+    """Per-vertex logits from the per-vertex branch and one summary row
+    (global max pool plus category one-hot) broadcast to every vertex."""
     h = _mlp_forward(tape, params, "head.mlp", x, len(config.head_hidden))
-    pooled = tape.global_max_pool(h)
-    summary = tape.concat([pooled, Tensor(_category_onehot(config, category))], axis=1)
-    n = x.data.shape[0]
-    spread = tape.cluster_scatter(summary, np.zeros(n, dtype=np.int64))
-    fused = tape.concat([h, spread], axis=1)
+    onehot = Tensor(_category_onehot(config, category), needs_grad=False)
+    summary = tape.concat([tape.global_max_pool(h), onehot], axis=1)
+    fused = SplitFeatures(h, summary, np.zeros(h.data.shape[0], dtype=np.int64))
     return _mlp_forward(tape, params, "head.out", fused, 2, final_relu=False)
 
 
-def cls_head_forward(tape: Tape, params, config: ModelConfig, x: Tensor) -> Tensor:
+def cls_head_forward(tape: Tape, params, config: ModelConfig, x) -> Tensor:
     h = _mlp_forward(tape, params, "head.mlp", x, len(config.head_hidden))
     pooled = tape.global_max_pool(h)
     return _mlp_forward(tape, params, "head.out", pooled, 2, final_relu=False)
@@ -192,7 +238,7 @@ def model_forward(tape: Tape, params, config: ModelConfig, features,
     """
     if len(level_masks) != config.n_blocks:
         raise ValueError(f"expected {config.n_blocks} cluster masks, got {len(level_masks)}")
-    x = features if isinstance(features, Tensor) else Tensor(features)
+    x = features if isinstance(features, Tensor) else Tensor(features, needs_grad=False)
     if x.data.ndim != 2 or x.data.shape[1] != config.in_dim:
         raise ValueError(f"features must be (N, {config.in_dim}), got {x.data.shape}")
     for level, mask in enumerate(level_masks):

@@ -104,8 +104,13 @@ def _forward(tape: Tape, params, config: ModelConfig, record: SampleRecord):
 
 
 def forward_logits(params, config: ModelConfig, record: SampleRecord) -> np.ndarray:
-    """Inference-only forward pass; the tape is discarded."""
-    return _forward(Tape(), params, config, record).data.copy()
+    """Inference-only forward pass on a record-free tape.
+
+    No op records a backward closure or keeps state that only backward
+    needs, so eval, export and the early-stop pass pay for the forward
+    alone. The logits are bit-identical to a recording forward's.
+    """
+    return _forward(Tape(record=False), params, config, record).data
 
 
 def _count_correct(record: SampleRecord, pred, config: ModelConfig):

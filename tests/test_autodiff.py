@@ -255,3 +255,117 @@ def test_matmul_shape_validation():
         tape.bias_add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
     with pytest.raises(ValueError, match="concat"):
         tape.concat([])
+
+
+# ---------------------------------------------------------------------------
+# lean tape: needs-grad flags, record-free forwards, adopted gradients
+# ---------------------------------------------------------------------------
+
+def test_matmul_by_leading_rows_gradients():
+    # a with fewer columns than b has rows multiplies b's leading rows
+    rng = np.random.default_rng(30)
+    a, b = rng.standard_normal((5, 3)), rng.standard_normal((4, 2))
+    out = Tape().matmul(Tensor(a), Tensor(b))
+    assert np.array_equal(out.data, a @ b[:3])
+    err = fd_op_check(lambda t, a_, b_: t.matmul(a_, b_), [a, b])
+    assert err < EPS_STRUCTURED
+
+
+def test_row_slice_gradients():
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal((5, 3))
+    assert np.array_equal(Tape().row_slice(Tensor(x), 2).data, x[2:])
+    err = fd_op_check(lambda t, x_: t.row_slice(x_, 1, 4), [x])
+    assert err < EPS_ELEMENTWISE
+
+
+def test_constant_leaves_get_no_gradient_and_record_nothing():
+    rng = np.random.default_rng(32)
+    tape = Tape()
+    const = Tensor(rng.standard_normal((4, 3)), needs_grad=False)
+    w = Tensor(rng.standard_normal((3, 2)))
+    pooled = tape.cluster_max_pool(const, np.array([0, 1, 0, 1]), 2)
+    assert not pooled.needs_grad and tape._records == []
+    out = tape.matmul(const, w)
+    tape.backward(tape.softmax_cross_entropy(out, np.eye(2)[[0, 1, 1, 0]]))
+    assert const.grad is None and pooled.grad is None
+    assert w.grad.shape == (3, 2)
+    assert len(tape._records) == 2  # matmul and the loss
+
+
+def test_record_free_tape_matches_recording_forward():
+    rng = np.random.default_rng(33)
+    x, w = rng.standard_normal((6, 4)), rng.standard_normal((4, 3))
+    mask = small_mask(rng, 6, 2)
+
+    def run(tape):
+        h = tape.relu(tape.matmul(Tensor(x), Tensor(w)))
+        return tape.cluster_max_pool(h, mask, 2), tape.cluster_mean_pool(h, mask, 2)
+
+    free = Tape(record=False)
+    outs = run(free)
+    assert free._records == [] and not any(o.needs_grad for o in outs)
+    for got, want in zip(outs, run(Tape())):
+        assert np.array_equal(got.data, want.data)
+    with pytest.raises(RuntimeError, match="records nothing"):
+        free.backward(outs[0])
+
+
+def test_adopted_gradients_never_alias():
+    # add hands one gradient to both inputs: the second must get a copy, or
+    # the later fan-out into a would leak into b's gradient
+    rng = np.random.default_rng(34)
+    a, b = Tensor(rng.standard_normal((3, 2))), Tensor(rng.standard_normal((3, 2)))
+    tape = Tape()
+    s = tape.add(a, b)
+    out = tape.concat([s, a], axis=1)
+    tape.backward(out)
+    assert np.array_equal(a.grad, np.full((3, 2), 2.0))
+    assert np.array_equal(b.grad, np.ones((3, 2)))
+    tape = Tape()
+    c = Tensor(np.ones((2, 2)))
+    tape.backward(tape.add(c, c))  # both operands the same tensor
+    assert np.array_equal(c.grad, np.full((2, 2), 2.0))
+
+
+def test_max_pool_ties_route_to_lowest_row_per_cluster():
+    # shuffled rows: the sorted segment layout must still pick the lowest
+    # original index among equal maxima, in every cluster and column
+    mask = np.array([1, 0, 1, 0, 1, 0])
+    x = np.array([[0.5, 2.0], [3.0, 1.0], [0.5, 2.0], [3.0, 1.0], [0.1, 2.0], [1.0, 1.0]])
+    tape = Tape()
+    t = Tensor(x)
+    out = tape.cluster_max_pool(t, mask, 2)
+    tape.backward(tape.matmul(Tensor(np.ones((1, 2))), out))
+    expect = np.zeros_like(x)
+    expect[1, :] = 1.0  # cluster 0: rows 1, 3, 5 -> lowest tie row 1 in both columns
+    expect[0, :] = 1.0  # cluster 1: rows 0, 2, 4 -> lowest tie row 0 in both columns
+    assert np.array_equal(out.data, [[3.0, 1.0], [0.5, 2.0]])
+    assert np.array_equal(t.grad, expect)
+
+
+def test_cluster_scatter_gradient_skips_unused_clusters():
+    tape = Tape()
+    cx = Tensor(np.arange(6.0).reshape(3, 2))
+    out = tape.cluster_scatter(cx, np.array([2, 0, 2]))
+    tape.backward(tape.matmul(Tensor(np.ones((1, 3))), out))
+    assert np.array_equal(cx.grad, [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
+
+
+def test_adam_step_bit_identical_to_textbook_form():
+    rng = np.random.default_rng(35)
+    start = rng.standard_normal((4, 3))
+    p = Parameter(start)
+    m = np.zeros_like(start)
+    v = np.zeros_like(start)
+    w = start.copy()
+    lr, b1, b2, eps = 7e-4, 0.9, 0.999, 1e-8
+    for step in range(1, 6):
+        g = rng.standard_normal((4, 3))
+        p.value.grad[...] = g
+        adam_step(p, lr, b1, b2, eps)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        w -= lr * (m / (1.0 - b1**step)) / (np.sqrt(v / (1.0 - b2**step)) + eps)
+        assert np.array_equal(p.m, m) and np.array_equal(p.v, v)
+        assert np.array_equal(p.data, w)

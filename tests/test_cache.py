@@ -9,6 +9,7 @@ from meshpool.binio import (
     ContainerFormatError,
     ContainerVersionError,
     read_container,
+    str_to_array,
     write_container,
 )
 from meshpool.cache import (
@@ -210,3 +211,17 @@ def test_get_features_without_cache_path(bumpy, small_params):
     cache = get_features(bumpy, small_params)
     assert isinstance(cache, FeatureCache)
     assert cache.features.shape[1] == 14
+
+
+def test_load_cache_rejects_other_kinds_and_missing_sections(tmp_path, bumpy_cache):
+    path = tmp_path / "c.mpc"
+    save_cache(path, bumpy_cache)
+    arrays = read_container(path)
+    for drop in ("kind", "features", "mask_1"):
+        broken = {k: v for k, v in arrays.items() if k != drop}
+        write_container(path, broken)
+        with pytest.raises(CacheMismatchError):
+            load_cache(path)
+    write_container(path, dict(arrays, kind=str_to_array("meshpool-checkpoint")))
+    with pytest.raises(CacheMismatchError, match="not a feature cache"):
+        load_cache(path)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import meshpool
-from meshpool.cache import PreprocessParams, load_cache
+from meshpool.cache import CacheMismatchError, PreprocessParams, load_cache
 from meshpool.cli import main
 from meshpool.mesh import load_obj
 
@@ -222,3 +222,52 @@ def test_export_level_out_of_range(tmp_path, capsys):
                  "--what", "clusters", "--level", "5"] + SMALL)
     assert code == 1
     assert "level" in capsys.readouterr().err
+
+
+def test_eval_and_export_follow_the_checkpoint(tmp_path, capsys):
+    data = tmp_path / "seg"
+    main(["synth", "--output", str(data), "--task", "segmentation",
+          "--count", "4", "--seed", "8"])
+    ckpt = data / "model.ckpt"
+    assert main(["train", "--input", str(data), "--epochs", "1"] + SMALL) == 0
+    before = _cache_stamps(data / "cache")
+    capsys.readouterr()
+    # no preprocessing flags: the checkpoint's 8 eigenvectors and 6,3 clusters
+    assert main(["eval", "--input", str(data), "--model", str(ckpt),
+                 "--split", "all"]) == 0
+    assert "test" in read_json_tail(capsys)
+    obj = data / json.loads((data / "manifest.json").read_text())["samples"][0]["obj"]
+    assert main(["export", "--input", str(obj), "--output", str(tmp_path / "l.ply"),
+                 "--model", str(ckpt)]) == 0
+    assert _cache_stamps(data / "cache") == before
+    # explicit flags that disagree with the checkpoint are an error
+    capsys.readouterr()
+    assert main(["eval", "--input", str(data), "--model", str(ckpt), "--eigs", "16"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--eigs 16 disagrees with the checkpoint's 8" in err
+    assert main(["export", "--input", str(obj), "--output", str(tmp_path / "x.ply"),
+                 "--model", str(ckpt), "--clusters", "6,2"]) == 1
+    assert "--clusters 6,2 disagrees with the checkpoint's 6,3" in capsys.readouterr().err
+    # agreeing flags are accepted, and clusters export keeps following the flags
+    assert main(["eval", "--input", str(data), "--model", str(ckpt)] + SMALL) == 0
+    assert main(["export", "--input", str(obj), "--output", str(tmp_path / "c.ply"),
+                 "--what", "clusters"] + SMALL) == 0
+    assert _cache_stamps(data / "cache") == before
+
+
+def test_eval_rebuilds_a_cache_that_is_not_a_cache(tmp_path, capsys):
+    data = tmp_path / "seg"
+    main(["synth", "--output", str(data), "--task", "segmentation",
+          "--count", "4", "--seed", "9"])
+    ckpt = data / "model.ckpt"
+    assert main(["train", "--input", str(data), "--epochs", "1"] + SMALL) == 0
+    manifest = json.loads((data / "manifest.json").read_text())
+    test_name = next(e["name"] for e in manifest["samples"] if e["split"] == "test")
+    cache_path = data / "cache" / f"{test_name}.mpc"
+    cache_path.write_bytes(ckpt.read_bytes())
+    with pytest.raises(CacheMismatchError, match="not a feature cache"):
+        load_cache(cache_path)
+    capsys.readouterr()
+    assert main(["eval", "--input", str(data), "--model", str(ckpt)]) == 0
+    assert 0.0 <= read_json_tail(capsys)["test"]["accuracy"] <= 1.0
+    assert load_cache(cache_path).cluster_counts == (6, 3)
