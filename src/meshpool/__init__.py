@@ -9,7 +9,7 @@ the result for vertex labeling or shape classification.
 from .mesh import (Mesh, MeshError, MeshLoadError, LaplacianOperator,
                    assemble_laplacian, compute_vertex_areas,
                    compute_vertex_normals, load_obj, write_obj)
-from .spectral import (EigensolverError, PoolingHierarchy, SpectralBasis,
+from .spectral import (EigensolverError, SpectralBasis,
                        build_hierarchy, build_input_features,
                        cluster_agreement, divisive_cluster, solve_eigs)
 from .cache import (CacheMismatchError, FeatureCache, PreprocessParams,
@@ -27,7 +27,7 @@ __all__ = [
     "Mesh", "MeshError", "MeshLoadError", "LaplacianOperator",
     "assemble_laplacian", "compute_vertex_areas", "compute_vertex_normals",
     "load_obj", "write_obj",
-    "EigensolverError", "PoolingHierarchy", "SpectralBasis",
+    "EigensolverError", "SpectralBasis",
     "build_hierarchy", "build_input_features", "cluster_agreement",
     "divisive_cluster", "solve_eigs",
     "CacheMismatchError", "FeatureCache", "PreprocessParams", "get_features",

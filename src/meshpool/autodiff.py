@@ -300,11 +300,7 @@ class Tape:
     def cluster_scatter(self, cx: Tensor, mask: np.ndarray) -> Tensor:
         """Row i of the output is the cluster feature of mask[i]."""
         p = cx.data.shape[0]
-        mask = np.asarray(mask, dtype=np.int64)
-        if mask.ndim != 1:
-            raise ValueError("mask must be 1-D")
-        if len(mask) and (mask.min() < 0 or mask.max() >= p):
-            raise ValueError("mask id out of range")
+        mask = _checked_mask(mask, np.size(mask), p)  # any length, but 1-D
 
         def backward(g):
             seg = _Segments(mask, len(mask), p, allow_empty=True)
@@ -344,25 +340,31 @@ class Tape:
         return self._emit(loss, backward, logits)
 
 
+def _checked_mask(mask, n: int, p: int) -> np.ndarray:
+    """``mask`` as int64, checked to hold one cluster id in [0, p) for each
+    of ``n`` rows. The one mask check of every cluster op."""
+    mask = np.asarray(mask, dtype=np.int64)
+    if mask.shape != (n,):
+        raise ValueError(f"mask length {mask.shape} does not match {n} rows")
+    if n and (mask.min() < 0 or mask.max() >= p):
+        raise ValueError("mask id out of range")
+    return mask
+
+
 class _Segments:
     """Rows grouped by cluster id through a stable argsort.
 
     In sorted order cluster j owns the contiguous rows
     starts[j] : starts[j] + counts[j], listed in ascending row index, so a
     segment reduction has a fixed order and "first" means lowest index.
-    Validates the mask: one id per row, in [0, p), and (unless
-    ``allow_empty``) no cluster without rows.
+    Validates the mask with ``_checked_mask`` and (unless ``allow_empty``)
+    rejects a cluster without rows.
     """
 
     __slots__ = ("mask", "order", "counts", "starts")
 
     def __init__(self, mask, n: int, p: int, allow_empty: bool = False):
-        mask = np.asarray(mask, dtype=np.int64)
-        if mask.shape != (n,):
-            raise ValueError(f"mask length {mask.shape} does not match {n} rows")
-        if n and (mask.min() < 0 or mask.max() >= p):
-            raise ValueError("mask id out of range")
-        self.mask = mask
+        self.mask = mask = _checked_mask(mask, n, p)
         self.counts = np.bincount(mask, minlength=p)
         if not allow_empty and np.any(self.counts == 0):
             raise ValueError("empty cluster id in mask")

@@ -60,18 +60,21 @@ class FeatureCache:
 
 
 def preprocess_mesh(mesh: Mesh, params: PreprocessParams) -> FeatureCache:
-    """Run the full pipeline: normals, Laplacian, eigenpairs, clustering."""
-    normals = compute_vertex_normals(mesh)
+    """Run the full pipeline: Laplacian, normals, eigenpairs, clustering.
+
+    The Laplacian comes first so a vertex that belongs to no face is
+    rejected before the normals warn about it.
+    """
     op = assemble_laplacian(mesh)
+    normals = compute_vertex_normals(mesh)
     basis = solve_eigs(op, params.n_eigenvectors)
     features = build_input_features(mesh, normals, basis, params.n_eigenvectors)
-    hierarchy = build_hierarchy(normalize_positions(mesh.vertices), params.cluster_counts,
-                                areas=op.areas)
     return FeatureCache(
         features=features,
         eigenvalues=basis.eigenvalues.copy(),
-        level_masks=[level.mask.copy() for level in hierarchy.levels],
-        cluster_counts=hierarchy.cluster_counts,
+        level_masks=build_hierarchy(normalize_positions(mesh.vertices), params.cluster_counts,
+                                    areas=op.areas),
+        cluster_counts=params.cluster_counts,
         mesh_hash=mesh.content_hash(),
         params_fingerprint=params.fingerprint(),
     )

@@ -171,8 +171,8 @@ def _cmd_preprocess(args) -> int:
     dataset_dir = Path(args.input)
     manifest = load_manifest(dataset_dir)
     params = _params_from_args(args)
-    cache_dir = Path(args.output) if args.output else dataset_dir / "cache"
-    cache_dir.mkdir(parents=True, exist_ok=True)
+    cache_dir = dataset_dir / "cache"
+    cache_dir.mkdir(exist_ok=True)
     jobs = [(str(dataset_dir / e["obj"]), str(cache_dir / f"{e['name']}.mpc"), params)
             for e in manifest["samples"]]
     if args.workers > 1:
@@ -329,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preprocess", help="compute feature caches for a dataset")
     p.add_argument("--input", required=True, help="dataset directory")
-    p.add_argument("--output", default=None, help="cache directory (default INPUT/cache)")
     p.add_argument("--workers", type=int, default=1)
     _add_preprocess_flags(p)
     p.set_defaults(func=_cmd_preprocess)

@@ -1,11 +1,14 @@
 """Triangle meshes and their cotangent Laplace operator.
 
-A mesh is a vertex array plus counter-clockwise triangle indices. This module
-loads ASCII OBJ files, computes per-vertex normals and one-third barycentric
-vertex areas, and assembles the sparse cotangent weight matrix together with
-its degree and area diagonals. The weighted Laplacian acting on vertex
-functions is ``inv(A) @ (D - W)``; downstream code solves the equivalent
-generalized symmetric problem ``(D - W) x = lam * A x``.
+A mesh is a vertex array plus counter-clockwise triangle indices. ``Mesh``
+is the one place that checks the faces (indices in range, three distinct
+vertices, area above tolerance); ``load_obj`` only parses ASCII OBJ and
+maps a rejected face back to its line. This module also computes
+per-vertex normals and one-third barycentric vertex areas, and assembles
+the sparse cotangent weight matrix together with its degree and area
+diagonals. The weighted Laplacian acting on vertex functions is
+``inv(A) @ (D - W)``; downstream code solves the equivalent generalized
+symmetric problem ``(D - W) x = lam * A x``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,12 @@ DEGENERATE_AREA_FACTOR = 1e-12
 
 
 class MeshError(ValueError):
-    """Invalid mesh data."""
+    """Invalid mesh data; ``face`` is the index of the rejected face when a
+    single face is at fault, else None."""
+
+    def __init__(self, message, face=None):
+        super().__init__(message)
+        self.face = face
 
 
 class MeshLoadError(MeshError):
@@ -57,20 +65,14 @@ class Mesh:
         if self.faces.ndim != 2 or self.faces.shape[1] != 3:
             raise MeshError("faces must be an (m, 3) array")
         n = self.vertices.shape[0]
-        if self.faces.size:
-            if self.faces.min() < 0 or self.faces.max() >= n:
-                raise MeshError("face index out of range")
-            same = (
-                (self.faces[:, 0] == self.faces[:, 1])
-                | (self.faces[:, 1] == self.faces[:, 2])
-                | (self.faces[:, 0] == self.faces[:, 2])
-            )
-            if same.any():
-                raise MeshError(f"face {int(np.flatnonzero(same)[0])} repeats a vertex")
-            areas = face_areas(self)
-            bad = areas < self.degenerate_area_threshold()
-            if bad.any():
-                raise MeshError(f"face {int(np.flatnonzero(bad)[0])} is degenerate (area below tolerance)")
+        f = self.faces
+        if f.size:
+            _reject_first((f < 0).any(axis=1) | (f >= n).any(axis=1),
+                          f"face index out of range (mesh has {n} vertices)")
+            _reject_first((f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 0] == f[:, 2]),
+                          "face {face} repeats a vertex")
+            _reject_first(face_areas(self) < self.degenerate_area_threshold(),
+                          "face {face} is degenerate (area below tolerance)")
 
     @property
     def n_vertices(self) -> int:
@@ -89,6 +91,14 @@ class Mesh:
         h.update(self.vertices.tobytes())
         h.update(self.faces.tobytes())
         return h.hexdigest()
+
+
+def _reject_first(bad: np.ndarray, message: str) -> None:
+    """Raise MeshError for the first face flagged in ``bad``; ``message`` may
+    name it as ``{face}``."""
+    if bad.any():
+        face = int(np.flatnonzero(bad)[0])
+        raise MeshError(message.format(face=face), face=face)
 
 
 def bounding_box_diagonal(vertices: np.ndarray) -> float:
@@ -114,14 +124,17 @@ def load_obj(path) -> Mesh:
 
     Only ``v`` and ``f`` records are consumed; normals, texture coordinates
     and every other record type are skipped. OBJ's 1-based face indices are
-    converted to 0-based. Quads and larger polygons are rejected.
+    converted to 0-based; a negative index is relative and counts back from
+    the vertices read so far (-1 is the latest). Quads and larger polygons
+    are rejected. The faces are checked once, by ``Mesh``, and a rejected
+    face is reported with its line.
 
     Raises
     ------
     MeshLoadError
-        On malformed records, non-triangular faces, out-of-range indices,
-        repeated vertices within a face, or degenerate faces; the message
-        names the offending line.
+        On malformed records, non-triangular faces, index 0, out-of-range
+        indices, repeated vertices within a face, or degenerate faces; the
+        message names the offending line.
     """
     vertices = []
     faces = []
@@ -149,30 +162,19 @@ def load_obj(path) -> Mesh:
                         i = int(head)
                     except ValueError:
                         raise MeshLoadError(f"{path}:{lineno}: malformed face index {tok!r}") from None
-                    if i < 1:
-                        raise MeshLoadError(f"{path}:{lineno}: face index {i} is not positive")
-                    idx.append(i - 1)
+                    if i == 0:
+                        raise MeshLoadError(f"{path}:{lineno}: face index 0 is not positive")
+                    idx.append(i - 1 if i > 0 else len(vertices) + i)
                 faces.append(idx)
                 face_lines.append(lineno)
             # every other record type is ignored
     vertices = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
     faces_arr = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
-    n = len(vertices)
-    for row, lineno in zip(faces_arr, face_lines):
-        if row.min() < 0 or row.max() >= n:
-            raise MeshLoadError(f"{path}:{lineno}: face index out of range (mesh has {n} vertices)")
-        if len(set(row.tolist())) != 3:
-            raise MeshLoadError(f"{path}:{lineno}: face repeats a vertex")
     try:
-        mesh = Mesh(vertices, faces_arr)
+        return Mesh(vertices, faces_arr)
     except MeshError as exc:
-        # map a degenerate-face rejection back to its source line
-        msg = str(exc)
-        if msg.startswith("face ") and face_lines:
-            fidx = int(msg.split()[1])
-            raise MeshLoadError(f"{path}:{face_lines[fidx]}: {msg}") from None
-        raise MeshLoadError(f"{path}: {msg}") from None
-    return mesh
+        where = path if exc.face is None else f"{path}:{face_lines[exc.face]}"
+        raise MeshLoadError(f"{where}: {exc}") from None
 
 
 def write_obj(path, mesh: Mesh) -> None:
@@ -252,19 +254,25 @@ class LaplacianOperator:
             raise MeshError("constant vector is not in the null space of D - W")
 
 
-def assemble_laplacian(mesh: Mesh, areas: np.ndarray = None) -> LaplacianOperator:
+def assemble_laplacian(mesh: Mesh) -> LaplacianOperator:
     """Assemble the half-cotangent edge weights of a triangle mesh.
 
     The weight of edge (i, j) is ``(cot(a) + cot(b)) / 2`` over the one or
     two triangle corners opposite the edge; boundary edges keep the single
     available term. Each cotangent is clamped to ``+-COT_CLAMP`` and the
-    number of clamped terms is reported on the returned operator. ``areas``
-    defaults to the one-third barycentric vertex areas.
+    number of clamped terms is reported on the returned operator. The
+    vertex areas are the one-third barycentric areas.
+
+    Raises
+    ------
+    MeshError
+        If a vertex belongs to no face: its zero area would make the mass
+        matrix singular.
     """
-    if areas is None:
-        areas = compute_vertex_areas(mesh)
-    if len(areas) != mesh.n_vertices:
-        raise MeshError("vertex areas do not match the mesh")
+    areas = compute_vertex_areas(mesh)
+    unreferenced = np.flatnonzero(areas == 0.0)
+    if len(unreferenced):
+        raise MeshError(f"vertex {int(unreferenced[0])} belongs to no face")
     v = mesh.vertices
     f = mesh.faces
     n = mesh.n_vertices
@@ -293,4 +301,4 @@ def assemble_laplacian(mesh: Mesh, areas: np.ndarray = None) -> LaplacianOperato
     ).tocsr()
     weights = (upper + upper.T).tocsr()
     degrees = np.asarray(weights.sum(axis=1)).ravel()
-    return LaplacianOperator(weights=weights, degrees=degrees, areas=np.asarray(areas, dtype=np.float64), clamped_terms=clamped)
+    return LaplacianOperator(weights=weights, degrees=degrees, areas=areas, clamped_terms=clamped)

@@ -3,12 +3,13 @@
 Solves the generalized symmetric eigenproblem ``(D - W) x = lam * A x`` for
 the smallest eigenpairs, assembles the per-vertex network input (normalized
 positions, normals, absolute low-frequency eigenvector values) and builds
-the pooling hierarchy by clustering vertices at a decreasing sequence of
-cluster counts. The hierarchy comes from deterministic divisive splits on
-normalized positions, not from the eigenvectors: eigenvector embeddings are
-unstable across retriangulations of the same surface (near-degenerate pairs
-rotate within their eigenspace), while median splits of the geometry depend
-only on integral quantities and survive a remesh nearly unchanged.
+the pooling hierarchy, a list of per-level cluster masks, by clustering
+vertices at a decreasing sequence of cluster counts. The hierarchy comes
+from deterministic divisive splits on normalized positions, not from the
+eigenvectors: eigenvector embeddings are unstable across retriangulations
+of the same surface (near-degenerate pairs rotate within their
+eigenspace), while median splits of the geometry depend only on integral
+quantities and survive a remesh nearly unchanged.
 """
 from __future__ import annotations
 
@@ -283,40 +284,16 @@ def divisive_cluster(points: np.ndarray, k: int, weights=None) -> np.ndarray:
     return out
 
 
-@dataclass
-class HierarchyLevel:
-    cluster_count: int
-    mask: np.ndarray  # (n,), entries in [0, cluster_count)
-
-
-@dataclass
-class PoolingHierarchy:
-    """Per-level cluster masks with strictly decreasing cluster counts."""
-
-    levels: list[HierarchyLevel]
-
-    @property
-    def cluster_counts(self) -> tuple[int, ...]:
-        return tuple(level.cluster_count for level in self.levels)
-
-    def validate(self) -> None:
-        counts = self.cluster_counts
-        if any(b >= a for a, b in zip(counts, counts[1:])):
-            raise ValueError(f"cluster counts must strictly decrease, got {counts}")
-        for level in self.levels:
-            present = np.unique(level.mask)
-            if len(present) != level.cluster_count or present[0] != 0 or present[-1] != level.cluster_count - 1:
-                raise ValueError(f"mask does not cover all {level.cluster_count} cluster ids")
-
-
 def build_hierarchy(positions: np.ndarray, cluster_counts,
-                    areas: np.ndarray = None) -> PoolingHierarchy:
+                    areas: np.ndarray = None) -> list:
     """Cluster vertices once per level of the pooling hierarchy.
 
-    Every level is a divisive clustering of the normalized vertex
-    ``positions``, which stays stable when the same surface is
-    retriangulated. Vertex ``areas``, when given, weight the splits so the
-    partition tracks surface area rather than vertex density.
+    Returns one (N,) int64 mask per entry of ``cluster_counts``, which must
+    strictly decrease; the mask of count p uses every id in [0, p). Every
+    level is a divisive clustering of the normalized vertex ``positions``,
+    which stays stable when the same surface is retriangulated. Vertex
+    ``areas``, when given, weight the splits so the partition tracks
+    surface area rather than vertex density.
     """
     counts = tuple(int(c) for c in cluster_counts)
     if not counts:
@@ -326,13 +303,7 @@ def build_hierarchy(positions: np.ndarray, cluster_counts,
     points = np.asarray(positions, dtype=np.float64)
     if max(counts) > points.shape[0]:
         raise ValueError("more clusters than vertices")
-    levels = [
-        HierarchyLevel(cluster_count=p, mask=divisive_cluster(points, p, weights=areas))
-        for p in counts
-    ]
-    hierarchy = PoolingHierarchy(levels)
-    hierarchy.validate()
-    return hierarchy
+    return [divisive_cluster(points, p, weights=areas) for p in counts]
 
 
 def cluster_agreement(mask_a: np.ndarray, mask_b: np.ndarray) -> float:

@@ -214,10 +214,10 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def deform(mesh: Mesh, seed, n_waves: int = 2, wave_amplitude: float = 0.03,
+def deform(mesh: Mesh, seed, wave_amplitude: float = 0.03,
            scale_range=(0.85, 1.2), rotate: bool = True) -> Mesh:
-    """Seeded label-preserving deformation: smooth sinusoidal displacement
-    waves, anisotropic scaling, then a random rotation.
+    """Seeded label-preserving deformation: two smooth sinusoidal
+    displacement waves, anisotropic scaling, then a random rotation.
 
     Wave amplitude is relative to the bounding-box diagonal, kept small so
     faces stay non-degenerate and the surface does not self-intersect.
@@ -225,7 +225,7 @@ def deform(mesh: Mesh, seed, n_waves: int = 2, wave_amplitude: float = 0.03,
     rng = np.random.default_rng(seed)
     v = mesh.vertices.copy()
     diag = bounding_box_diagonal(v)
-    for _ in range(int(n_waves)):
+    for _ in range(2):
         direction = rng.standard_normal(3)
         direction /= np.linalg.norm(direction)
         wavevec = rng.standard_normal(3)
@@ -328,17 +328,16 @@ def make_classification_dataset(n_per_class: int = 20, seed: int = 0):
     return samples
 
 
-def make_segmentation_dataset(n_meshes: int = 40, seed: int = 0, resolutions=("a", "b")):
-    """Deformed 3-part dumbbells cycling through the resolution presets.
+def make_segmentation_dataset(n_meshes: int = 40, seed: int = 0):
+    """Deformed 3-part dumbbells alternating between resolution presets a and b.
 
     Category ids are dense in the emitted dataset, so the single shape
     class here is category 0 regardless of its classification class.
     """
-    bases = {res: dumbbell(*DUMBBELL_RESOLUTIONS[res]) for res in resolutions}
+    bases = [(res, *dumbbell(*DUMBBELL_RESOLUTIONS[res])) for res in ("a", "b")]
     samples = []
     for i in range(n_meshes):
-        res = resolutions[i % len(resolutions)]
-        base, labels = bases[res]
+        res, base, labels = bases[i % len(bases)]
         shaped = deform(base, seed=[seed, i])
         samples.append(SynthSample(
             name=f"dumbbell_{res}_{i:03d}", mesh=shaped, category=0,

@@ -39,7 +39,6 @@ class SampleRecord:
     name: str
     features: np.ndarray
     level_masks: list
-    cluster_counts: tuple
     category: int
     labels: np.ndarray = None
 
@@ -53,7 +52,6 @@ def record_from_cache(name: str, cache: FeatureCache, category: int,
         name=name,
         features=cache.features,
         level_masks=list(cache.level_masks),
-        cluster_counts=tuple(cache.cluster_counts),
         category=int(category),
         labels=labels,
     )
@@ -65,9 +63,6 @@ class TrainConfig:
     lr: float = 7e-4
     batch_size: int = 8
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     # stop once an evaluation pass over the training set reaches this
     early_stop_train_accuracy: float = None
     checkpoint_path: str = None
@@ -177,7 +172,7 @@ def train(records, config: ModelConfig, train_config: TrainConfig,
                 correct += c
                 total += t
             for name in sorted(params):
-                adam_step(params[name], cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+                adam_step(params[name], cfg.lr)
         stats = EpochStats(epoch, float(np.mean(losses)), correct / total)
         history.append(stats)
         if cfg.verbose:

@@ -13,7 +13,8 @@ import pytest
 import meshpool
 from meshpool.cache import CacheMismatchError, PreprocessParams, load_cache
 from meshpool.cli import main
-from meshpool.mesh import load_obj
+from meshpool.mesh import load_obj, write_obj
+from meshpool.synth import icosphere
 
 SMALL = ["--eigs", "8", "--clusters", "6,3"]
 
@@ -190,14 +191,32 @@ def test_export_without_cache_dir_writes_only_the_ply(tmp_path, capsys):
     assert set(data.iterdir()) == before
 
 
-def test_cli_import_leaves_out_scipy_optimize():
+def _run_meshpool(*args):
+    """Run ``python`` with ``args`` in a fresh process importing this checkout."""
     src = str(Path(meshpool.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_cli_import_leaves_out_scipy_optimize():
     code = "import sys, meshpool.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    proc = _run_meshpool("-c", code)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
+
+
+def test_preprocess_rejects_unreferenced_vertex_in_one_line(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    write_obj(data / "ball.obj", icosphere(2))
+    with open(data / "ball.obj", "a") as fh:
+        fh.write("v 3 3 3\n")
+    (data / "manifest.json").write_text(json.dumps({"task": "classification", "samples": [
+        {"name": "ball", "obj": "ball.obj", "category": 0, "split": "train"}]}))
+    proc = _run_meshpool("-m", "meshpool", "preprocess", "--input", str(data))
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: vertex 162 belongs to no face"]
 
 
 def test_cli_error_paths(tmp_path, capsys):

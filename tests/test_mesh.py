@@ -31,21 +31,27 @@ def test_mesh_rejects_bad_shapes():
 def test_mesh_rejects_out_of_range_index(tetra):
     faces = tetra.faces.copy()
     faces[0, 0] = 9
-    with pytest.raises(MeshError, match="out of range"):
+    with pytest.raises(MeshError, match="out of range") as err:
         Mesh(tetra.vertices, faces)
+    assert err.value.face == 0
 
 
 def test_mesh_rejects_repeated_vertex(tetra):
     faces = tetra.faces.copy()
     faces[2] = [1, 1, 3]
-    with pytest.raises(MeshError, match="repeats"):
+    with pytest.raises(MeshError, match="repeats") as err:
         Mesh(tetra.vertices, faces)
+    assert err.value.face == 2
 
 
 def test_mesh_rejects_degenerate_face():
     v = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    with pytest.raises(MeshError, match="degenerate"):
+    with pytest.raises(MeshError, match="degenerate") as err:
         Mesh(v, np.array([[0, 1, 2], [0, 1, 3]]))
+    assert err.value.face == 0
+    with pytest.raises(MeshError, match="face 1 is degenerate") as err:
+        Mesh(v, np.array([[0, 1, 3], [0, 1, 2]]))
+    assert err.value.face == 1
 
 
 def test_content_hash_tracks_geometry(tetra):
@@ -88,14 +94,30 @@ def test_obj_parser_skips_other_records(tmp_path):
     ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 x\n", "malformed face index"),
     ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 0 1 2\n", "not positive"),
     ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 2\n", "repeats"),
+    ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 -4\n", "out of range"),
+    ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -1 -2 -1\n", "repeats"),
+    ("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 9\nf 1 2 3\nf 1 2 4\n", "out of range"),
 ])
 def test_obj_parser_errors_name_the_line(tmp_path, body, phrase):
     path = tmp_path / "bad.obj"
     path.write_text(body)
-    lineno = body.rstrip("\n").count("\n") + 1  # offending record is last
+    # the offending record is the first face, or the last record
+    lines = body.splitlines()
+    first_face = next((i for i, line in enumerate(lines, 1) if line.startswith("f")), None)
+    lineno = first_face if first_face is not None else len(lines)
     with pytest.raises(MeshLoadError, match=phrase) as err:
         load_obj(path)
     assert f":{lineno}:" in str(err.value)
+
+
+def test_obj_relative_indices_count_back_from_read_vertices(tmp_path):
+    absolute = tmp_path / "abs.obj"
+    absolute.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nv 0 0 1\nf 1 2 4\n")
+    relative = tmp_path / "rel.obj"
+    relative.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\nv 0 0 1\nf -4/1 -3/2 -1/3\n")
+    a, r = load_obj(absolute), load_obj(relative)
+    assert np.array_equal(r.faces, [[0, 1, 2], [0, 1, 3]])
+    assert np.array_equal(r.faces, a.faces) and np.array_equal(r.vertices, a.vertices)
 
 
 def test_obj_parser_maps_degenerate_face_to_line(tmp_path):
@@ -196,6 +218,7 @@ def test_stiffness_is_psd(bumpy):
     assert abs(eigs[0]) < 1e-9  # constant null vector
 
 
-def test_assemble_rejects_mismatched_areas(tetra):
-    with pytest.raises(MeshError, match="areas"):
-        assemble_laplacian(tetra, areas=np.ones(3))
+def test_assemble_rejects_unreferenced_vertex(tetra):
+    extra = np.vstack([tetra.vertices, [[5.0, 5.0, 5.0]], tetra.vertices[:1] + 2.0])
+    with pytest.raises(MeshError, match="vertex 4 belongs to no face"):
+        assemble_laplacian(Mesh(extra, tetra.faces))

@@ -261,7 +261,7 @@ def test_forward_logits_bit_identical_to_recording_forward(task, pool):
                          corr_width=6, head_hidden=(8, 8), head_final=8, task=task,
                          num_labels=3, num_categories=2, pool=pool)
     params = init_params(config, seed=3)
-    record = SampleRecord("tiny", feats, masks, config.cluster_counts, category=1,
+    record = SampleRecord("tiny", feats, masks, category=1,
                           labels=np.zeros(len(feats), dtype=np.int64))
     category = 1 if task == "segmentation" else None
     recorded = model_forward(Tape(), params, config, feats, masks, category=category)

@@ -45,7 +45,7 @@ def toy_cls_records(n_samples=8, n=10, seed=0):
     for i in range(n_samples):
         cat = i % 2
         feats = 0.3 * rng.standard_normal((n, 4)) + (1.0 if cat else -1.0)
-        records.append(SampleRecord(f"toy_{i}", feats, toy_masks(rng, n), (3, 2), cat))
+        records.append(SampleRecord(f"toy_{i}", feats, toy_masks(rng, n), cat))
     return records
 
 
@@ -57,7 +57,7 @@ def toy_seg_records(n_samples=4, n=12, seed=0):
         feats = rng.standard_normal((n, 4))
         feats[:, 0] += 0.5 * np.sign(feats[:, 0])  # margin against noise
         labels = (feats[:, 0] > 0).astype(np.int64)
-        records.append(SampleRecord(f"seg_{i}", feats, toy_masks(rng, n), (3, 2), 0,
+        records.append(SampleRecord(f"seg_{i}", feats, toy_masks(rng, n), 0,
                                     labels=labels))
     return records
 
@@ -130,7 +130,7 @@ def test_record_from_cache_checks_labels():
     )
     rec = record_from_cache("m", cache, 1, labels=[0, 1, 0, 1, 0])
     assert rec.labels.dtype == np.int64
-    assert rec.cluster_counts == (3,)
+    assert len(rec.level_masks) == 1 and rec.level_masks[0] is cache.level_masks[0]
     with pytest.raises(TrainingError, match="labels"):
         record_from_cache("m", cache, 1, labels=[0, 1])
 
