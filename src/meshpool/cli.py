@@ -9,8 +9,11 @@ Subcommands cover the full pipeline on a dataset directory:
   export      write a colored PLY of predicted labels or cluster ids
 
 A dataset directory holds one OBJ per mesh, optional per-vertex label
-files (one integer per line) and a manifest.json naming every sample, its
-category and its train/test split.
+files (one integer per line) and a manifest.json fixing the task and
+naming every sample, its category and its train/test split. ``preprocess``,
+``train`` and ``eval`` walk the manifest the same way: each sample's OBJ is
+loaded and its features are read from, or built into,
+``<dataset>/cache/<name>.mpc``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -27,13 +29,13 @@ import numpy as np
 from .binio import ContainerError
 from .cache import CacheMismatchError, PreprocessParams, get_features
 from .mesh import MeshError, load_obj, write_obj
-from .model import ModelConfig
+from .model import TASKS, ModelConfig
 from .ply import label_colors, write_ply
 from .spectral import EigensolverError
 from .synth import make_classification_dataset, make_segmentation_dataset
 from .training import (CheckpointError, TrainConfig, TrainingError,
                        evaluate_classification, evaluate_segmentation,
-                       forward_logits, load_checkpoint, record_from_cache,
+                       load_checkpoint, predict, record_from_cache,
                        save_checkpoint, split_dataset, train)
 
 MANIFEST_NAME = "manifest.json"
@@ -80,36 +82,70 @@ def _checkpoint_params(args, config: ModelConfig) -> PreprocessParams:
 
 
 def load_manifest(dataset_dir: Path) -> dict:
+    """The dataset's manifest, checked for every key the manifest walk reads.
+
+    Raises ValueError naming the sample and key at fault.
+    """
     path = Path(dataset_dir) / MANIFEST_NAME
     if not path.is_file():
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {dataset_dir}")
     with open(path) as fh:
-        return json.load(fh)
+        manifest = json.load(fh)
+    if not isinstance(manifest, dict) or manifest.get("task") not in TASKS:
+        raise ValueError(f"{path}: 'task' must be one of {', '.join(TASKS)}")
+    if not isinstance(manifest.get("samples"), list):
+        raise ValueError(f"{path}: 'samples' must be a list")
+    for i, entry in enumerate(manifest["samples"]):
+        for key in ("name", "obj", "category", "split"):
+            if not isinstance(entry, dict) or key not in entry:
+                raise ValueError(f"{path}: sample {i} has no {key!r}")
+    return manifest
 
 
-def _load_labels(path: Path) -> np.ndarray:
-    return np.loadtxt(path, dtype=np.int64, ndmin=1)
+def _walk_manifest(dataset_dir: Path, manifest: dict, params: PreprocessParams, splits=None):
+    """Yield (entry, FeatureCache) for each manifest sample in ``splits``
+    (every sample when None), reusing a valid ``<dataset>/cache/<name>.mpc``
+    and computing and saving it otherwise."""
+    cache_dir = dataset_dir / "cache"
+    cache_dir.mkdir(exist_ok=True)
+    for entry in manifest["samples"]:
+        if splits is None or entry["split"] in splits:
+            mesh = load_obj(dataset_dir / entry["obj"])
+            yield entry, get_features(mesh, params, cache_dir / f"{entry['name']}.mpc")
 
 
 def _sample_records(dataset_dir: Path, manifest: dict, params: PreprocessParams,
                     splits=("train", "test")):
-    """Build SampleRecords for the requested splits, using cached features
-    when valid and computing (and saving) them otherwise."""
-    dataset_dir = Path(dataset_dir)
-    cache_dir = dataset_dir / "cache"
-    cache_dir.mkdir(exist_ok=True)
+    """SampleRecords of the requested splits, with their label files."""
     records = {split: [] for split in splits}
-    for entry in manifest["samples"]:
-        if entry["split"] not in records:
-            continue
-        mesh = load_obj(dataset_dir / entry["obj"])
-        cache = get_features(mesh, params, cache_dir / f"{entry['name']}.mpc")
+    for entry, cache in _walk_manifest(dataset_dir, manifest, params, splits):
         labels = None
         if entry.get("labels"):
-            labels = _load_labels(dataset_dir / entry["labels"])
+            labels = np.loadtxt(dataset_dir / entry["labels"], dtype=np.int64, ndmin=1)
         records[entry["split"]].append(
             record_from_cache(entry["name"], cache, entry["category"], labels))
     return records
+
+
+def _split_results(params, config: ModelConfig, records: dict) -> dict:
+    """Split name -> accuracy plus mean IoU (segmentation) or confusion
+    (classification) and per-category accuracy, for each non-empty split."""
+    results = {}
+    for split, split_records in records.items():
+        if not split_records:
+            continue
+        if config.task == "segmentation":
+            report = evaluate_segmentation(params, config, split_records)
+            numbers = {"accuracy": report.accuracy, "mean_iou": report.mean_iou}
+        else:
+            report = evaluate_classification(params, config, split_records)
+            numbers = {"accuracy": report.accuracy}
+        numbers["per_category_accuracy"] = {
+            str(k): v for k, v in report.per_category_accuracy.items()}
+        if config.task == "classification":
+            numbers["confusion"] = report.confusion.tolist()
+        results[split] = numbers
+    return results
 
 
 # ---- synth ------------------------------------------------------------
@@ -161,28 +197,14 @@ def _cmd_synth(args) -> int:
 # ---- preprocess -------------------------------------------------------
 
 
-def _preprocess_one(job) -> str:
-    obj_path, cache_path, params = job
-    get_features(load_obj(obj_path), params, cache_path)
-    return Path(obj_path).stem
-
-
 def _cmd_preprocess(args) -> int:
     dataset_dir = Path(args.input)
     manifest = load_manifest(dataset_dir)
     params = _params_from_args(args)
-    cache_dir = dataset_dir / "cache"
-    cache_dir.mkdir(exist_ok=True)
-    jobs = [(str(dataset_dir / e["obj"]), str(cache_dir / f"{e['name']}.mpc"), params)
-            for e in manifest["samples"]]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            for name in pool.map(_preprocess_one, jobs):
-                print(f"cached {name}")
-    else:
-        for job in jobs:
-            print(f"cached {_preprocess_one(job)}")
-    print(f"{len(jobs)} caches in {cache_dir} (fingerprint {params.fingerprint()[:12]})")
+    for entry, _ in _walk_manifest(dataset_dir, manifest, params):
+        print(f"cached {entry['name']}")
+    print(f"{len(manifest['samples'])} caches in {dataset_dir / 'cache'} "
+          f"(fingerprint {params.fingerprint()[:12]})")
     return 0
 
 
@@ -193,7 +215,7 @@ def _model_config_from(manifest: dict, args, params_pre: PreprocessParams) -> Mo
     return ModelConfig(
         in_dim=6 + params_pre.n_eigenvectors,
         cluster_counts=params_pre.cluster_counts,
-        task=manifest["task"] if args.task is None else args.task,
+        task=manifest["task"],
         num_labels=max(manifest.get("num_labels", 0), 1),
         num_categories=manifest.get("num_categories", 4),
         pool=args.pool,
@@ -229,16 +251,10 @@ def _cmd_train(args) -> int:
         json.dump([asdict(h) for h in history], fh, indent=2)
 
     summary = {"epochs_run": len(history), "checkpoint": str(out_path)}
-    for split in ("train", "test"):
-        if not records[split]:
-            continue
-        if config.task == "segmentation":
-            report = evaluate_segmentation(params, config, records[split])
-            summary[f"{split}_accuracy"] = report.accuracy
-            summary[f"{split}_mean_iou"] = report.mean_iou
-        else:
-            summary[f"{split}_accuracy"] = evaluate_classification(
-                params, config, records[split]).accuracy
+    for split, numbers in _split_results(params, config, records).items():
+        for key in ("accuracy", "mean_iou"):
+            if key in numbers:
+                summary[f"{split}_{key}"] = numbers[key]
     print(json.dumps(summary, indent=2))
     return 0
 
@@ -253,26 +269,8 @@ def _cmd_eval(args) -> int:
     params_pre = _checkpoint_params(args, config)
     splits = ("train", "test") if args.split == "all" else (args.split,)
     records = _sample_records(dataset_dir, manifest, params_pre, splits=splits)
-    result = {"checkpoint": str(args.model), "trained_epochs": epoch + 1}
-    for split in splits:
-        if not records[split]:
-            continue
-        if config.task == "segmentation":
-            report = evaluate_segmentation(params, config, records[split])
-            result[split] = {
-                "accuracy": report.accuracy,
-                "mean_iou": report.mean_iou,
-                "per_category_accuracy": {str(k): v for k, v in
-                                          report.per_category_accuracy.items()},
-            }
-        else:
-            report = evaluate_classification(params, config, records[split])
-            result[split] = {
-                "accuracy": report.accuracy,
-                "per_category_accuracy": {str(k): v for k, v in
-                                          report.per_category_accuracy.items()},
-                "confusion": report.confusion.tolist(),
-            }
+    result = {"checkpoint": str(args.model), "trained_epochs": epoch + 1,
+              **_split_results(params, config, records)}
     print(json.dumps(result, indent=2))
     return 0
 
@@ -297,11 +295,8 @@ def _cmd_export(args) -> int:
         params, config, _, _ = load_checkpoint(args.model)
         cache = get_features(mesh, _checkpoint_params(args, config), cache_path)
         record = record_from_cache(obj_path.stem, cache, args.category)
-        logits = forward_logits(params, config, record)
-        if config.task == "segmentation":
-            ids = np.argmax(logits, axis=1)
-        else:
-            ids = np.full(mesh.n_vertices, int(np.argmax(logits[0])), dtype=np.int64)
+        # one row for classification: every vertex shows the shape's class
+        ids = np.broadcast_to(predict(params, config, record), mesh.n_vertices)
     write_ply(args.output, mesh, label_colors(ids))
     print(f"wrote {args.output}")
     return 0
@@ -319,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--output", required=True, help="dataset directory to create")
-    p.add_argument("--task", choices=("classification", "segmentation"),
-                   default="classification")
+    p.add_argument("--task", choices=TASKS, default="classification")
     p.add_argument("--count", type=int, default=20,
                    help="meshes per class (classification) or in total (segmentation)")
     p.add_argument("--seed", type=int, default=0)
@@ -329,15 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preprocess", help="compute feature caches for a dataset")
     p.add_argument("--input", required=True, help="dataset directory")
-    p.add_argument("--workers", type=int, default=1)
     _add_preprocess_flags(p)
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("train", help="train on the manifest's train split")
     p.add_argument("--input", required=True, help="dataset directory")
     p.add_argument("--output", default=None, help="checkpoint path (default INPUT/model.ckpt)")
-    p.add_argument("--task", choices=("classification", "segmentation"), default=None,
-                   help="override the manifest task")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--lr", type=float, default=7e-4)

@@ -1,12 +1,12 @@
 """Triangle meshes and their cotangent Laplace operator.
 
 A mesh is a vertex array plus counter-clockwise triangle indices. ``Mesh``
-is the one place that checks the faces (indices in range, three distinct
-vertices, area above tolerance); ``load_obj`` only parses ASCII OBJ and
-maps a rejected face back to its line. This module also computes
-per-vertex normals and one-third barycentric vertex areas, and assembles
-the sparse cotangent weight matrix together with its degree and area
-diagonals. The weighted Laplacian acting on vertex functions is
+is the one place that checks them (finite coordinates; face indices in
+range, three distinct vertices, area above tolerance); ``load_obj`` only
+parses ASCII OBJ and maps a rejected face back to its line. This module
+also computes per-vertex normals and one-third barycentric vertex areas,
+and assembles the sparse cotangent weight matrix together with its degree
+and area diagonals. The weighted Laplacian acting on vertex functions is
 ``inv(A) @ (D - W)``; downstream code solves the equivalent generalized
 symmetric problem ``(D - W) x = lam * A x``.
 """
@@ -24,8 +24,9 @@ from scipy import sparse
 # near-degenerate triangles.
 COT_CLAMP = 1.0 / np.tan(np.radians(1.0))
 
-# Faces with area below this fraction of the squared bounding-box diagonal are
-# rejected as degenerate.
+# Faces with area at or below this fraction of the squared bounding-box
+# diagonal are rejected as degenerate (so are all faces of a mesh whose
+# vertices coincide).
 DEGENERATE_AREA_FACTOR = 1e-12
 
 
@@ -64,6 +65,9 @@ class Mesh:
             raise MeshError("vertices must be an (n, 3) array")
         if self.faces.ndim != 2 or self.faces.shape[1] != 3:
             raise MeshError("faces must be an (m, 3) array")
+        nonfinite = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
+        if len(nonfinite):
+            raise MeshError(f"vertex {int(nonfinite[0])} has a non-finite coordinate")
         n = self.vertices.shape[0]
         f = self.faces
         if f.size:
@@ -71,8 +75,8 @@ class Mesh:
                           f"face index out of range (mesh has {n} vertices)")
             _reject_first((f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 0] == f[:, 2]),
                           "face {face} repeats a vertex")
-            _reject_first(face_areas(self) < self.degenerate_area_threshold(),
-                          "face {face} is degenerate (area below tolerance)")
+            _reject_first(face_areas(self) <= self.degenerate_area_threshold(),
+                          "face {face} is degenerate (area not above tolerance)")
 
     @property
     def n_vertices(self) -> int:
@@ -134,7 +138,8 @@ def load_obj(path) -> Mesh:
     MeshLoadError
         On malformed records, non-triangular faces, index 0, out-of-range
         indices, repeated vertices within a face, or degenerate faces; the
-        message names the offending line.
+        message names the offending line. A non-finite coordinate is
+        reported with the file and the vertex number.
     """
     vertices = []
     faces = []

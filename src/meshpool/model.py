@@ -27,6 +27,8 @@ from .autodiff import Parameter, Tape, Tensor
 
 CORR_INIT_GAIN = 0.1  # keeps psi psi^T from dwarfing the pooled features
 
+TASKS = ("segmentation", "classification")
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -44,7 +46,7 @@ class ModelConfig:
     pool: str = "max"
 
     def __post_init__(self):
-        if self.task not in ("segmentation", "classification"):
+        if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
         if self.pool not in ("max", "mean"):
             raise ValueError(f"unknown pool {self.pool!r}")

@@ -7,6 +7,12 @@ gradient accumulation over single-mesh tapes (each backward seeded with
 stepped in sorted name order. Because the only mutable state is the
 parameter dict plus Adam moments, a checkpoint written after epoch e and
 resumed reproduces the uninterrupted run bit for bit.
+
+Both heads share one rule after the logits: each output row has one true
+class, a vertex label for segmentation and the category for the single
+row of classification. That truth is checked against the class count once
+per record, and the target one-hot, the prediction (argmax per row), the
+correct count and the confusion matrix are all built from it.
 """
 
 from __future__ import annotations
@@ -77,19 +83,18 @@ class EpochStats:
     train_accuracy: float  # measured on the in-epoch (pre-update) predictions
 
 
-def _target_onehot(record: SampleRecord, config: ModelConfig) -> np.ndarray:
+def _truth(record: SampleRecord, config: ModelConfig) -> np.ndarray:
+    """The true class of each output row: the vertex labels for
+    segmentation, the category as a single row for classification."""
     if config.task == "segmentation":
         if record.labels is None:
             raise TrainingError(f"{record.name}: segmentation sample without labels")
-        labels = record.labels
-        if labels.min() < 0 or labels.max() >= config.num_labels:
-            raise TrainingError(f"{record.name}: label outside [0, {config.num_labels})")
-        onehot = np.zeros((len(labels), config.num_labels))
-        onehot[np.arange(len(labels)), labels] = 1.0
-        return onehot
-    onehot = np.zeros((1, config.num_categories))
-    onehot[0, record.category] = 1.0
-    return onehot
+        truth, n_classes, what = record.labels, config.num_labels, "label"
+    else:
+        truth, n_classes, what = np.array([record.category]), config.num_categories, "category"
+    if truth.min() < 0 or truth.max() >= n_classes:
+        raise TrainingError(f"{record.name}: {what} outside [0, {n_classes})")
+    return truth
 
 
 def _forward(tape: Tape, params, config: ModelConfig, record: SampleRecord):
@@ -108,33 +113,22 @@ def forward_logits(params, config: ModelConfig, record: SampleRecord) -> np.ndar
     return _forward(Tape(record=False), params, config, record).data
 
 
-def _count_correct(record: SampleRecord, pred, config: ModelConfig):
-    """(correct, total) for one record: its vertices for segmentation, the
-    mesh itself for classification."""
-    if config.task == "segmentation":
-        return int((pred == record.labels).sum()), len(record.labels)
-    return int(pred == record.category), 1
+def predict(params, config: ModelConfig, record: SampleRecord) -> np.ndarray:
+    """The predicted class of each output row (argmax over the logits):
+    one per vertex for segmentation, a single row for classification."""
+    return np.argmax(forward_logits(params, config, record), axis=1)
 
 
-def _accuracy(records, predictions, config: ModelConfig) -> float:
-    """Vertex-weighted for segmentation, per-mesh for classification."""
-    correct = total = 0
-    for record, pred in zip(records, predictions):
-        c, t = _count_correct(record, pred, config)
-        correct += c
-        total += t
-    return correct / total
-
-
-def _predict(logits: np.ndarray, config: ModelConfig):
-    if config.task == "segmentation":
-        return np.argmax(logits, axis=1)
-    return int(np.argmax(logits[0]))
+def _count_correct(pred: np.ndarray, truth: np.ndarray):
+    """(correct, total) output rows of one record: its vertices for
+    segmentation, the mesh itself for classification."""
+    return int((pred == truth).sum()), len(truth)
 
 
 def evaluate_accuracy(params, config: ModelConfig, records) -> float:
-    preds = [_predict(forward_logits(params, config, r), config) for r in records]
-    return _accuracy(records, preds, config)
+    """Vertex-weighted for segmentation, per-mesh for classification."""
+    counts = [_count_correct(predict(params, config, r), _truth(r, config)) for r in records]
+    return sum(c for c, _ in counts) / sum(t for _, t in counts)
 
 
 def train(records, config: ModelConfig, train_config: TrainConfig,
@@ -148,6 +142,7 @@ def train(records, config: ModelConfig, train_config: TrainConfig,
     if not records:
         raise TrainingError("no training samples")
     cfg = train_config
+    truths = [_truth(record, config) for record in records]
     if params is None:
         params = init_params(config, cfg.seed)
     history = []
@@ -159,16 +154,18 @@ def train(records, config: ModelConfig, train_config: TrainConfig,
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             for idx in batch:
-                record = records[idx]
+                record, truth = records[idx], truths[idx]
                 tape = Tape()
                 logits = _forward(tape, params, config, record)
-                loss = tape.softmax_cross_entropy(logits, _target_onehot(record, config))
+                target = np.zeros(logits.data.shape)
+                target[np.arange(len(truth)), truth] = 1.0
+                loss = tape.softmax_cross_entropy(logits, target)
                 if not np.isfinite(loss.data):
                     raise TrainingError(
                         f"non-finite loss at epoch {epoch} on sample {record.name!r}")
                 tape.backward(loss, seed=1.0 / len(batch))
                 losses.append(float(loss.data))
-                c, t = _count_correct(record, _predict(logits.data, config), config)
+                c, t = _count_correct(np.argmax(logits.data, axis=1), truth)
                 correct += c
                 total += t
             for name in sorted(params):
@@ -210,13 +207,9 @@ class SegmentationReport:
 def evaluate_classification(params, config: ModelConfig, records) -> ClassificationReport:
     confusion = np.zeros((config.num_categories, config.num_categories), dtype=np.int64)
     for record in records:
-        pred = _predict(forward_logits(params, config, record), config)
-        confusion[record.category, pred] += 1
-    per_cat = {}
-    for cat in range(config.num_categories):
-        n = confusion[cat].sum()
-        if n:
-            per_cat[cat] = float(confusion[cat, cat] / n)
+        confusion[_truth(record, config), predict(params, config, record)] += 1
+    per_cat = {cat: float(confusion[cat, cat] / n)
+               for cat, n in enumerate(confusion.sum(axis=1)) if n}
     accuracy = float(np.trace(confusion) / confusion.sum())
     return ClassificationReport(accuracy, per_cat, confusion)
 
@@ -237,13 +230,13 @@ def evaluate_segmentation(params, config: ModelConfig, records) -> SegmentationR
     totals = {}
     per_sample = {}
     for record in records:
-        pred = _predict(forward_logits(params, config, record), config)
-        correct = int((pred == record.labels).sum())
+        pred, truth = predict(params, config, record), _truth(record, config)
+        correct, total = _count_correct(pred, truth)
         entry = totals.setdefault(record.category, {"correct": 0, "verts": 0, "ious": []})
         entry["correct"] += correct
-        entry["verts"] += len(record.labels)
-        entry["ious"].append(_shape_iou(pred, record.labels, labels))
-        per_sample[record.name] = correct / len(record.labels)
+        entry["verts"] += total
+        entry["ious"].append(_shape_iou(pred, truth, labels))
+        per_sample[record.name] = correct / total
     accuracy = sum(e["correct"] for e in totals.values()) / sum(e["verts"] for e in totals.values())
     all_ious = [iou for e in totals.values() for iou in e["ious"]]
     return SegmentationReport(

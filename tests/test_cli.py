@@ -12,7 +12,7 @@ import pytest
 
 import meshpool
 from meshpool.cache import CacheMismatchError, PreprocessParams, load_cache
-from meshpool.cli import main
+from meshpool.cli import load_manifest, main
 from meshpool.mesh import load_obj, write_obj
 from meshpool.synth import icosphere
 
@@ -90,7 +90,7 @@ def test_classification_pipeline(tmp_path, capsys):
     assert all("labels" not in e for e in manifest["samples"])
     capsys.readouterr()
 
-    assert main(["preprocess", "--input", str(data), "--workers", "2"] + SMALL) == 0
+    assert main(["preprocess", "--input", str(data)] + SMALL) == 0
     capsys.readouterr()
 
     assert main(["train", "--input", str(data), "--epochs", "1"] + SMALL) == 0
@@ -217,6 +217,54 @@ def test_preprocess_rejects_unreferenced_vertex_in_one_line(tmp_path):
     proc = _run_meshpool("-m", "meshpool", "preprocess", "--input", str(data))
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == ["error: vertex 162 belongs to no face"]
+
+
+def _ball_dataset(data, set_vertices=None, category=0, manifest=None):
+    """A one-mesh classification dataset in ``data``: an icosphere OBJ whose
+    vertex rows ``set_vertices = (rows, value)`` overwrites, and a manifest
+    that ``manifest`` replaces."""
+    data.mkdir()
+    ball = icosphere(2)
+    if set_vertices is not None:
+        rows, value = set_vertices
+        ball.vertices[rows] = value  # after Mesh's checks: the OBJ keeps the bad value
+    write_obj(data / "ball.obj", ball)
+    if manifest is None:
+        manifest = {"task": "classification", "num_categories": 4, "samples": [
+            {"name": "ball", "obj": "ball.obj", "category": category, "split": "train"}]}
+    (data / "manifest.json").write_text(json.dumps(manifest))
+
+
+# the first entries of a corpus of bad inputs: each ends in one stderr line
+@pytest.mark.parametrize("command,dataset,message", [
+    ("preprocess", dict(set_vertices=(5, np.nan)), "vertex 5 has a non-finite coordinate"),
+    ("preprocess", dict(set_vertices=(slice(None), 0.5)), "face 0 is degenerate"),
+    ("preprocess", dict(manifest={}), "'task' must be one of"),
+    ("preprocess", dict(manifest={"task": "segmentation"}), "'samples' must be a list"),
+    ("train", dict(category=7), "ball: category outside [0, 4)"),
+], ids=["nan-vertex", "coincident-vertices", "empty-manifest", "no-samples", "category-7"])
+def test_bad_inputs_exit_1_with_one_error_line(tmp_path, command, dataset, message):
+    data = tmp_path / "data"
+    _ball_dataset(data, **dataset)
+    proc = _run_meshpool("-m", "meshpool", command, "--input", str(data))
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda m: m.update(task="regression"), "'task' must be one of"),
+    (lambda m: m.update(samples={"ball": {}}), "'samples' must be a list"),
+    (lambda m: m["samples"][0].pop("split"), "sample 0 has no 'split'"),
+    (lambda m: m["samples"].append("ball.obj"), "sample 1 has no 'name'"),
+])
+def test_load_manifest_names_the_bad_key(tmp_path, change, message):
+    _ball_dataset(tmp_path / "data")
+    manifest = json.loads((tmp_path / "data" / "manifest.json").read_text())
+    change(manifest)
+    (tmp_path / "data" / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=message):
+        load_manifest(tmp_path / "data")
 
 
 def test_cli_error_paths(tmp_path, capsys):

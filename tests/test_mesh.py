@@ -52,6 +52,27 @@ def test_mesh_rejects_degenerate_face():
     with pytest.raises(MeshError, match="face 1 is degenerate") as err:
         Mesh(v, np.array([[0, 1, 3], [0, 1, 2]]))
     assert err.value.face == 1
+    # all vertices coincide: the tolerance is 0 and every area equals it
+    with pytest.raises(MeshError, match="face 0 is degenerate") as err:
+        Mesh(np.zeros((4, 3)), np.array([[0, 1, 2], [0, 2, 3]]))
+    assert err.value.face == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mesh_rejects_non_finite_vertex(tetra, bad):
+    vertices = tetra.vertices.copy()
+    vertices[2, 1] = bad
+    with pytest.raises(MeshError, match="^vertex 2 has a non-finite coordinate$") as err:
+        Mesh(vertices, tetra.faces)
+    assert err.value.face is None
+
+
+def test_obj_non_finite_vertex_names_the_file(tmp_path):
+    path = tmp_path / "nan.obj"
+    path.write_text("v 0 0 0\nv nan 0.5 0.5\nv 0 1 0\nf 1 2 3\n")
+    with pytest.raises(MeshLoadError, match="vertex 1 has a non-finite coordinate") as err:
+        load_obj(path)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def test_content_hash_tracks_geometry(tetra):

@@ -119,6 +119,16 @@ def test_train_validation_errors():
         train(out_of_range, SEG_CONFIG, TrainConfig(epochs=1))
 
 
+@pytest.mark.parametrize("category", [2, -1])
+def test_classification_category_outside_range_is_rejected(category):
+    records = toy_cls_records(n_samples=2)
+    records[1].category = category
+    with pytest.raises(TrainingError, match=r"toy_1: category outside \[0, 2\)"):
+        train(records, CLS_CONFIG, TrainConfig(epochs=1))
+    with pytest.raises(TrainingError, match="category outside"):
+        evaluate_accuracy(init_params(CLS_CONFIG, seed=0), CLS_CONFIG, records)
+
+
 def test_record_from_cache_checks_labels():
     cache = FeatureCache(
         features=np.zeros((5, 4)),
