@@ -1,11 +1,11 @@
 """Minimal reverse-mode autodiff over dense float64 arrays.
 
-Only the operations the pooling networks need: matmul, row slicing, bias
-add, ReLU, transpose, concat, cluster max/mean pooling, scatter, global
-pooling and a log-sum-exp-stable softmax cross-entropy. Forward results are
-recorded on an explicit tape; ``Tape.backward`` replays the records in exact
-reverse execution order and accumulates gradients additively at fan-out
-points. All reductions have a fixed order, so identical inputs give
+Only the operations the pooling networks need: matmul, bias add, ReLU, a
+fused dense layer, transpose, concat, cluster max/mean pooling, scatter,
+global pooling and a log-sum-exp-stable softmax cross-entropy. Forward
+results are recorded on an explicit tape; ``Tape.backward`` replays the
+records in exact reverse execution order and accumulates gradients
+additively at fan-out points. All reductions have a fixed order, so identical inputs give
 bit-identical outputs.
 
 The tape does only the work a result needs:
@@ -29,6 +29,18 @@ The tape does only the work a result needs:
 - Cluster pooling and the scatter backward reduce contiguous segments of
   the rows sorted stably by cluster id, so each segment lists its vertices
   in ascending index order.
+- ``Tape.dense`` is a whole linear + bias (+ ReLU) layer in one record,
+  for a plain input or a split one (per-vertex columns beside cluster
+  columns that a mask scatters). Its forward and gradients are
+  bit-identical to the same layer built from ``matmul``, ``bias_add`` and
+  ``relu``, with a split input's cluster part multiplied at cluster rank
+  and put back by ``cluster_scatter`` and ``add``.
+- A ``Workspace`` keeps the large per-vertex arrays of ``dense`` (forward
+  output, input gradient, scatter temporaries) across tapes, so a training
+  loop stops handing that memory back to the system after every mesh. A
+  tape given one takes those arrays from it; nothing taken may be used
+  after the workspace's ``release()``. Without a workspace a tape
+  allocates fresh arrays.
 """
 
 from __future__ import annotations
@@ -150,11 +162,13 @@ class Tape:
     """Ordered record of executed ops; one backward pass per tape.
 
     With ``record=False`` the tape only computes forwards (inference) and
-    ``backward`` is an error.
+    ``backward`` is an error. With a ``workspace``, ``dense`` takes its
+    large arrays from it (see ``Workspace``).
     """
 
-    def __init__(self, record: bool = True):
+    def __init__(self, record: bool = True, workspace: "Workspace" = None):
         self.record = bool(record)
+        self.workspace = workspace
         self._records = []  # (output tensor, backward closure)
 
     def _emit(self, data, backward, *inputs) -> Tensor:
@@ -181,31 +195,16 @@ class Tape:
     # ---- ops ----------------------------------------------------------
 
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
-        """a @ b. When a has fewer columns than b has rows, a multiplies the
-        leading rows of b: the per-vertex part of a weight whose trailing
-        rows act on cluster features (see ``row_slice``)."""
-        if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] > b.data.shape[0]:
+        if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
             raise ValueError(f"matmul shapes {a.data.shape} x {b.data.shape}")
-        k = a.data.shape[1]
-        rows = None if k == b.data.shape[0] else slice(0, k)
-        bk = b.data if rows is None else b.data[rows]
 
         def backward(g):
             if a.needs_grad:
-                _accumulate(a, g @ bk.T)
+                _accumulate(a, g @ b.data.T)
             if b.needs_grad:
-                _accumulate(b, a.data.T @ g, rows)
+                _accumulate(b, a.data.T @ g)
 
-        return self._emit(a.data @ bk, backward, a, b)
-
-    def row_slice(self, x: Tensor, start: int, stop: int = None) -> Tensor:
-        """Rows start:stop of x (a view; the gradient lands in those rows)."""
-        rows = slice(start, stop)
-
-        def backward(g):
-            _accumulate(x, g, rows)
-
-        return self._emit(x.data[rows], backward, x)
+        return self._emit(a.data @ b.data, backward, a, b)
 
     def transpose(self, x: Tensor) -> Tensor:
         def backward(g):
@@ -248,6 +247,63 @@ class Tape:
             _accumulate(x, g)
 
         return self._emit(np.maximum(x.data, 0.0), backward, x)
+
+    def dense(self, x: Tensor, w: Tensor, b: Tensor, relu: bool,
+              cluster: Tensor = None, mask=None) -> Tensor:
+        """x @ W + b, then ReLU when ``relu``: one layer, one record.
+
+        With ``cluster`` (p rows) and ``mask`` (a cluster id per row of x)
+        the input is the split matrix ``[x, cluster[mask]]``: x multiplies
+        W's leading rows at N rows, the cluster part multiplies W's trailing
+        rows (plus b) at p rows, and that product is scattered onto x's.
+        On a tape with a workspace the output and x's gradient are
+        workspace blocks, so read them before its ``release()``.
+        """
+        kc = 0 if cluster is None else cluster.data.shape[-1]
+        if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.shape != w.data.shape[1:]
+                or (cluster is not None and cluster.data.ndim != 2)
+                or x.data.shape[1] + kc != w.data.shape[0]):
+            raise ValueError(f"dense shapes {x.data.shape} + {kc} x {w.data.shape} "
+                             f"+ {b.data.shape}")
+        n, k = x.data.shape
+        width = w.data.shape[1]
+        ws = self.workspace  # the closure must not hold the tape: no cycle
+        wx = w.data[:k]
+        out = np.matmul(x.data, wx, out=_empty(ws, n, width))
+        if cluster is None:
+            out += b.data
+            inputs = (x, w, b)
+        else:
+            p = cluster.data.shape[0]
+            mask = _checked_mask(mask, n, p)
+            wc = w.data[k:]
+            per_cluster = cluster.data @ wc
+            per_cluster += b.data
+            out += np.take(per_cluster, mask, axis=0, out=_empty(ws, n, width))
+            inputs = (x, w, b, cluster)
+        if relu:
+            np.maximum(out, 0.0, out=out)
+
+        def backward(g):
+            if relu:
+                np.multiply(g, out > 0.0, out=g)  # subgradient at 0 is 0
+            if x.needs_grad:
+                _accumulate(x, np.matmul(g, wx.T, out=_empty(ws, n, k)))
+            if w.needs_grad:
+                _accumulate(w, x.data.T @ g, None if cluster is None else slice(0, k))
+            if cluster is None:
+                if b.needs_grad:
+                    _accumulate(b, g.sum(axis=0))
+                return
+            gc = _cluster_sums(g, mask, p, _empty(ws, n, width) if p > 1 else None)
+            if b.needs_grad:
+                _accumulate(b, gc.sum(axis=0))
+            if w.needs_grad:
+                _accumulate(w, cluster.data.T @ gc, slice(k, None))
+            if cluster.needs_grad:
+                _accumulate(cluster, gc @ wc.T)
+
+        return self._emit(out, backward, *inputs)
 
     def concat(self, parts, axis: int = 1) -> Tensor:
         parts = list(parts)
@@ -303,15 +359,7 @@ class Tape:
         mask = _checked_mask(mask, np.size(mask), p)  # any length, but 1-D
 
         def backward(g):
-            seg = _Segments(mask, len(mask), p, allow_empty=True)
-            filled = seg.counts > 0
-            if filled.all():
-                gc = seg.reduce(np.add, seg.sort(g))
-            else:  # a cluster no row points to gets a zero gradient
-                gc = np.zeros_like(cx.data)
-                if filled.any():
-                    gc[filled] = np.add.reduceat(seg.sort(g), seg.starts[filled], axis=0)
-            _accumulate(cx, gc)
+            _accumulate(cx, _cluster_sums(g, mask, p))
 
         return self._emit(cx.data[mask], backward, cx)
 
@@ -338,6 +386,55 @@ class Tape:
             _accumulate(logits, (g / rows) * (np.exp(log_probs) - y))
 
         return self._emit(loss, backward, logits)
+
+
+class Workspace:
+    """Float64 blocks reused across tapes, keyed by width.
+
+    ``take(n, w)`` hands out rows :n of a C-contiguous (rows, w) block
+    with rows >= n, reusing a released block and dropping one that is too
+    small, so after the largest mesh one set of blocks serves every mesh.
+    ``release()`` makes every block taken since the last release available
+    again: nothing taken may be used after it. A released width hands its
+    blocks out again in the order they were taken, so a step that repeats
+    the previous step's requests gets the same blocks back.
+    """
+
+    def __init__(self):
+        self._free = {}    # width -> released blocks, the next one last
+        self._taken = []   # blocks handed out since the last release
+
+    def take(self, n: int, w: int) -> np.ndarray:
+        free = self._free.get(w)
+        block = free.pop() if free else None
+        if block is None or block.shape[0] < n:
+            block = np.empty((n, w))
+        self._taken.append(block)
+        return block[:n]
+
+    def release(self) -> None:
+        for block in reversed(self._taken):
+            self._free.setdefault(block.shape[1], []).append(block)
+        self._taken.clear()
+
+
+def _empty(workspace, n: int, w: int) -> np.ndarray:
+    """An uninitialized (n, w) float64 array, from ``workspace`` if any."""
+    return np.empty((n, w)) if workspace is None else workspace.take(n, w)
+
+
+def _cluster_sums(g: np.ndarray, mask: np.ndarray, p: int, scratch=None) -> np.ndarray:
+    """Row sums of ``g`` per cluster id of ``mask``, zero for an id no row
+    has: the gradient of scattering p cluster rows by ``mask``. ``scratch``
+    (optional, g's shape) receives the rows in segment order."""
+    seg = _Segments(mask, len(mask), p, allow_empty=True)
+    filled = seg.counts > 0
+    if filled.all():
+        return seg.reduce(np.add, seg.sort(g, scratch))
+    gc = np.zeros((p, g.shape[1]))
+    if filled.any():
+        gc[filled] = np.add.reduceat(seg.sort(g, scratch), seg.starts[filled], axis=0)
+    return gc
 
 
 def _checked_mask(mask, n: int, p: int) -> np.ndarray:
@@ -372,9 +469,10 @@ class _Segments:
         self.starts = np.zeros(p, dtype=np.int64)
         np.cumsum(self.counts[:-1], out=self.starts[1:])
 
-    def sort(self, rows: np.ndarray) -> np.ndarray:
-        """Rows in segment order (one cluster: already in order)."""
-        return rows if len(self.counts) == 1 else rows[self.order]
+    def sort(self, rows: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """Rows in segment order, written to ``out`` if given (one cluster:
+        ``rows`` itself, already in order)."""
+        return rows if len(self.counts) == 1 else np.take(rows, self.order, axis=0, out=out)
 
     def reduce(self, ufunc, sorted_rows: np.ndarray) -> np.ndarray:
         """ufunc over each cluster's sorted rows; every cluster non-empty."""

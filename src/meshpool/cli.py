@@ -39,6 +39,7 @@ from .training import (CheckpointError, TrainConfig, TrainingError,
                        save_checkpoint, split_dataset, train)
 
 MANIFEST_NAME = "manifest.json"
+SPLITS = ("train", "test")  # the split of every manifest sample
 
 
 def _parse_clusters(text: str):
@@ -99,6 +100,9 @@ def load_manifest(dataset_dir: Path) -> dict:
         for key in ("name", "obj", "category", "split"):
             if not isinstance(entry, dict) or key not in entry:
                 raise ValueError(f"{path}: sample {i} has no {key!r}")
+        if entry["split"] not in SPLITS:
+            raise ValueError(f"{path}: sample {i} has split {entry['split']!r}, "
+                             f"not one of {', '.join(SPLITS)}")
     return manifest
 
 
@@ -115,7 +119,7 @@ def _walk_manifest(dataset_dir: Path, manifest: dict, params: PreprocessParams, 
 
 
 def _sample_records(dataset_dir: Path, manifest: dict, params: PreprocessParams,
-                    splits=("train", "test")):
+                    splits=SPLITS):
     """SampleRecords of the requested splits, with their label files."""
     records = {split: [] for split in splits}
     for entry, cache in _walk_manifest(dataset_dir, manifest, params, splits):
@@ -267,7 +271,7 @@ def _cmd_eval(args) -> int:
     manifest = load_manifest(dataset_dir)
     params, config, epoch, _ = load_checkpoint(args.model)
     params_pre = _checkpoint_params(args, config)
-    splits = ("train", "test") if args.split == "all" else (args.split,)
+    splits = SPLITS if args.split == "all" else (args.split,)
     records = _sample_records(dataset_dir, manifest, params_pre, splits=splits)
     result = {"checkpoint": str(args.model), "trained_epochs": epoch + 1,
               **_split_results(params, config, records)}
@@ -346,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--input", required=True, help="dataset directory")
     p.add_argument("--model", required=True, help="checkpoint path")
-    p.add_argument("--split", choices=("train", "test", "all"), default="test")
+    p.add_argument("--split", choices=SPLITS + ("all",), default="test")
     _add_preprocess_flags(p)
     p.set_defaults(func=_cmd_eval)
 

@@ -7,9 +7,11 @@ correlation matrix. The block output is the MLP branch beside the mixed
 cluster rows scattered back to vertices; those scattered columns are
 constant on each cluster, so the output is kept split (``SplitFeatures``)
 and every layer that consumes it multiplies the cluster part at cluster
-rank. The segmentation head combines per-vertex features with a globally
-pooled summary and the shape category, broadcast the same way; the
-classification head reduces everything to one global descriptor.
+rank. Every MLP layer, split input or not, is one fused ``Tape.dense``
+record (linear, bias and ReLU). The segmentation head combines per-vertex
+features with a globally pooled summary and the shape category, broadcast
+the same way; the classification head reduces everything to one global
+descriptor.
 
 Parameters live in a flat name -> Parameter dict so checkpointing and
 optimizer loops stay trivial.
@@ -129,9 +131,10 @@ class SplitFeatures:
 
     Stands for the N-row matrix ``concat([vertex, cluster[mask]])`` without
     building it: ``vertex`` is (N, dv), ``cluster`` is (p, dc) and ``mask``
-    maps each of the N rows to its cluster row. A linear layer multiplies
-    the cluster part once at p rows and scatters the product (see
-    ``_linear``). ``data`` builds the dense matrix, for inspection only.
+    maps each of the N rows to its cluster row. A layer multiplies the
+    cluster part once at p rows and scatters the product (``Tape.dense``
+    with ``cluster`` and ``mask``). ``data`` builds the dense matrix, for
+    inspection only.
     """
 
     __slots__ = ("vertex", "cluster", "mask")
@@ -144,28 +147,17 @@ class SplitFeatures:
         return np.concatenate([self.vertex.data, self.cluster.data[self.mask]], axis=1)
 
 
-def _linear(tape: Tape, params, name, x) -> Tensor:
-    """x @ W + b for a Tensor or SplitFeatures x.
-
-    A split input multiplies its per-vertex part by W's leading rows at N
-    rows and its cluster part by W's trailing rows (plus b) at cluster rank,
-    then scatters that product to the vertices.
-    """
-    w, b = params[f"{name}.W"].value, params[f"{name}.b"].value
-    if isinstance(x, Tensor):
-        return tape.bias_add(tape.matmul(x, w), b)
-    per_vertex = tape.matmul(x.vertex, w)
-    tail = tape.row_slice(w, x.vertex.data.shape[1])
-    per_cluster = tape.bias_add(tape.matmul(x.cluster, tail), b)
-    return tape.add(per_vertex, tape.cluster_scatter(per_cluster, x.mask))
-
-
 def _mlp_forward(tape: Tape, params, prefix, x, n_layers, final_relu=True):
+    """ReLU layers (the last one linear unless ``final_relu``) on a Tensor
+    or SplitFeatures x, one ``Tape.dense`` record each."""
     h = x
     for i in range(n_layers):
-        h = _linear(tape, params, f"{prefix}.{i}", h)
-        if final_relu or i < n_layers - 1:
-            h = tape.relu(h)
+        w, b = params[f"{prefix}.{i}.W"].value, params[f"{prefix}.{i}.b"].value
+        relu = final_relu or i < n_layers - 1
+        if isinstance(h, SplitFeatures):
+            h = tape.dense(h.vertex, w, b, relu, h.cluster, h.mask)
+        else:
+            h = tape.dense(h, w, b, relu)
     return h
 
 

@@ -6,7 +6,10 @@ gradient accumulation over single-mesh tapes (each backward seeded with
 1/batch so the update equals the batch-mean gradient), and parameters are
 stepped in sorted name order. Because the only mutable state is the
 parameter dict plus Adam moments, a checkpoint written after epoch e and
-resumed reproduces the uninterrupted run bit for bit.
+resumed reproduces the uninterrupted run bit for bit. One
+``autodiff.Workspace`` serves a whole ``train`` run: every mesh-step's tape
+takes its large per-vertex arrays from it, and it is released once the
+step's loss and predictions have been read.
 
 Both heads share one rule after the logits: each output row has one true
 class, a vertex label for segmentation and the category for the single
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .autodiff import Tape, adam_step
+from .autodiff import Tape, Workspace, adam_step
 from .binio import array_to_str, read_container, str_to_array, write_container
 from .cache import FeatureCache
 from .model import ModelConfig, init_params, model_forward
@@ -146,6 +149,7 @@ def train(records, config: ModelConfig, train_config: TrainConfig,
     if params is None:
         params = init_params(config, cfg.seed)
     history = []
+    workspace = Workspace()
     for epoch in range(start_epoch, cfg.epochs):
         rng = np.random.default_rng([cfg.seed, epoch])
         order = rng.permutation(len(records))
@@ -155,7 +159,7 @@ def train(records, config: ModelConfig, train_config: TrainConfig,
             batch = order[start:start + cfg.batch_size]
             for idx in batch:
                 record, truth = records[idx], truths[idx]
-                tape = Tape()
+                tape = Tape(workspace=workspace)
                 logits = _forward(tape, params, config, record)
                 target = np.zeros(logits.data.shape)
                 target[np.arange(len(truth)), truth] = 1.0
@@ -168,6 +172,7 @@ def train(records, config: ModelConfig, train_config: TrainConfig,
                 c, t = _count_correct(np.argmax(logits.data, axis=1), truth)
                 correct += c
                 total += t
+                workspace.release()  # the logits were its last reader
             for name in sorted(params):
                 adam_step(params[name], cfg.lr)
         stats = EpochStats(epoch, float(np.mean(losses)), correct / total)

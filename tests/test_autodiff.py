@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from meshpool.autodiff import Parameter, Tape, Tensor, adam_step, set_debug_checks
+from meshpool.autodiff import (Parameter, Tape, Tensor, Workspace, adam_step,
+                               set_debug_checks)
 
 from conftest import central_diff, fd_op_check, max_rel_err
 
@@ -249,6 +250,14 @@ def test_matmul_shape_validation():
     tape = Tape()
     with pytest.raises(ValueError, match="matmul"):
         tape.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+    with pytest.raises(ValueError, match="matmul"):  # no leading-rows product
+        tape.matmul(Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2))))
+    with pytest.raises(ValueError, match="dense"):
+        tape.dense(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)),
+                   True)
+    with pytest.raises(ValueError, match="dense"):
+        tape.dense(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(3)),
+                   True, Tensor(np.zeros((1, 1))), np.zeros(2))
     with pytest.raises(ValueError, match="add"):
         tape.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
     with pytest.raises(ValueError, match="bias_add"):
@@ -260,24 +269,6 @@ def test_matmul_shape_validation():
 # ---------------------------------------------------------------------------
 # lean tape: needs-grad flags, record-free forwards, adopted gradients
 # ---------------------------------------------------------------------------
-
-def test_matmul_by_leading_rows_gradients():
-    # a with fewer columns than b has rows multiplies b's leading rows
-    rng = np.random.default_rng(30)
-    a, b = rng.standard_normal((5, 3)), rng.standard_normal((4, 2))
-    out = Tape().matmul(Tensor(a), Tensor(b))
-    assert np.array_equal(out.data, a @ b[:3])
-    err = fd_op_check(lambda t, a_, b_: t.matmul(a_, b_), [a, b])
-    assert err < EPS_STRUCTURED
-
-
-def test_row_slice_gradients():
-    rng = np.random.default_rng(31)
-    x = rng.standard_normal((5, 3))
-    assert np.array_equal(Tape().row_slice(Tensor(x), 2).data, x[2:])
-    err = fd_op_check(lambda t, x_: t.row_slice(x_, 1, 4), [x])
-    assert err < EPS_ELEMENTWISE
-
 
 def test_constant_leaves_get_no_gradient_and_record_nothing():
     rng = np.random.default_rng(32)
@@ -369,3 +360,110 @@ def test_adam_step_bit_identical_to_textbook_form():
         w -= lr * (m / (1.0 - b1**step)) / (np.sqrt(v / (1.0 - b2**step)) + eps)
         assert np.array_equal(p.m, m) and np.array_equal(p.v, v)
         assert np.array_equal(p.data, w)
+
+
+# ---------------------------------------------------------------------------
+# fused dense layer and the buffer workspace
+# ---------------------------------------------------------------------------
+
+def dense_inputs(seed, split):
+    """x, W, b and (split only) the cluster rows and mask of one layer."""
+    rng = np.random.default_rng(seed)
+    x, cluster = rng.standard_normal((9, 4)), rng.standard_normal((3, 2))
+    w = rng.standard_normal((4 + 2 * split, 5))
+    b = rng.standard_normal(5)
+    return x, w, b, (cluster, small_mask(rng, 9, 3)) if split else None
+
+
+@pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
+@pytest.mark.parametrize("split", [False, True], ids=["tensor", "split"])
+def test_dense_gradients(split, relu):
+    x, w, b, part = dense_inputs(40, split)
+    if part is None:
+        err = fd_op_check(lambda t, x_, w_, b_: t.dense(x_, w_, b_, relu), [x, w, b])
+    else:
+        cluster, mask = part
+        err = fd_op_check(lambda t, x_, c_, w_, b_: t.dense(x_, w_, b_, relu, c_, mask),
+                          [x, cluster, w, b])
+    assert err < EPS_STRUCTURED
+
+
+def unfused_dense(tape, x, w_parts, b, relu, cluster=None, mask=None):
+    """The layer from single ops: matmul, bias_add, relu and, for a split
+    input, its cluster part at cluster rank put back by cluster_scatter
+    and add. ``w_parts`` holds W, or W's leading and trailing rows."""
+    if cluster is None:
+        h = tape.bias_add(tape.matmul(x, w_parts[0]), b)
+    else:
+        per_cluster = tape.bias_add(tape.matmul(cluster, w_parts[1]), b)
+        h = tape.add(tape.matmul(x, w_parts[0]), tape.cluster_scatter(per_cluster, mask))
+    return tape.relu(h) if relu else h
+
+
+@pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
+@pytest.mark.parametrize("split", [False, True], ids=["tensor", "split"])
+def test_dense_bit_identical_to_unfused_ops(split, relu):
+    x, w, b, part = dense_inputs(41, split)
+    cluster, mask = part or (None, None)
+    k = x.shape[1]
+    rng = np.random.default_rng(42)
+    target = np.eye(5)[rng.integers(0, 5, size=len(x))]
+
+    def run(fused):
+        tape = Tape()
+        leaves = {"x": Tensor(x), "b": Tensor(b)}
+        if cluster is not None:
+            leaves["cluster"] = Tensor(cluster)
+        c = leaves.get("cluster")
+        if fused:
+            leaves["w"] = Tensor(w)
+            out = tape.dense(leaves["x"], leaves["w"], leaves["b"], relu, c, mask)
+        else:
+            w_parts = [Tensor(w)] if c is None else [Tensor(w[:k]), Tensor(w[k:])]
+            out = unfused_dense(tape, leaves["x"], w_parts, leaves["b"], relu, c, mask)
+        tape.backward(tape.softmax_cross_entropy(out, target))
+        grads = {name: t.grad for name, t in leaves.items() if name != "w"}
+        grads["w"] = (leaves["w"].grad if fused
+                      else np.concatenate([p.grad for p in w_parts], axis=0))
+        return out.data, grads
+
+    (got, got_grads), (want, want_grads) = run(True), run(False)
+    assert np.array_equal(got, want)
+    assert set(got_grads) == set(want_grads)
+    for name in want_grads:
+        assert np.array_equal(got_grads[name], want_grads[name]), name
+    if cluster is not None:
+        # the materialized N-row input sums in another order: equal to rounding
+        tape = Tape()
+        dense_rows = tape.concat([Tensor(x), tape.cluster_scatter(Tensor(cluster), mask)])
+        ref = unfused_dense(tape, dense_rows, [Tensor(w)], Tensor(b), relu)
+        assert max_rel_err(got, ref.data) < 1e-12
+
+
+def test_record_free_dense_records_nothing():
+    x, w, b, (cluster, mask) = dense_inputs(43, True)
+    free = Tape(record=False)
+    out = free.dense(Tensor(x), Tensor(w), Tensor(b), True, Tensor(cluster), mask)
+    assert free._records == [] and not out.needs_grad
+    want = Tape().dense(Tensor(x), Tensor(w), Tensor(b), True, Tensor(cluster), mask)
+    assert np.array_equal(out.data, want.data)
+    constant = Tape()
+    constant.dense(Tensor(x, needs_grad=False), Tensor(w[:4], needs_grad=False),
+                   Tensor(b, needs_grad=False), True)
+    assert constant._records == []
+
+
+def test_workspace_reuses_blocks_in_take_order():
+    ws = Workspace()
+    first = [ws.take(5, 3), ws.take(4, 3), ws.take(2, 7)]
+    assert [a.shape for a in first] == [(5, 3), (4, 3), (2, 7)]
+    assert all(a.flags.c_contiguous and a.dtype == np.float64 for a in first)
+    ws.release()
+    again = [ws.take(5, 3), ws.take(4, 3), ws.take(2, 7)]
+    assert all(a.base is b.base for a, b in zip(again, first))
+    ws.release()
+    bigger = ws.take(6, 3)  # the 5-row block is too small: dropped for a new one
+    assert bigger.shape == (6, 3) and bigger.base is not first[0].base
+    assert ws.take(4, 3).base is first[1].base
+    ws.release()
+    assert ws.take(1, 3).base is bigger.base

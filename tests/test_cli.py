@@ -242,7 +242,11 @@ def _ball_dataset(data, set_vertices=None, category=0, manifest=None):
     ("preprocess", dict(manifest={}), "'task' must be one of"),
     ("preprocess", dict(manifest={"task": "segmentation"}), "'samples' must be a list"),
     ("train", dict(category=7), "ball: category outside [0, 4)"),
-], ids=["nan-vertex", "coincident-vertices", "empty-manifest", "no-samples", "category-7"])
+    ("preprocess", dict(manifest={"task": "classification", "samples": [
+        {"name": "ball", "obj": "ball.obj", "category": 0, "split": "tset"}]}),
+     "sample 0 has split 'tset', not one of train, test"),
+], ids=["nan-vertex", "coincident-vertices", "empty-manifest", "no-samples", "category-7",
+        "tset-split"])
 def test_bad_inputs_exit_1_with_one_error_line(tmp_path, command, dataset, message):
     data = tmp_path / "data"
     _ball_dataset(data, **dataset)
@@ -257,6 +261,7 @@ def test_bad_inputs_exit_1_with_one_error_line(tmp_path, command, dataset, messa
     (lambda m: m.update(samples={"ball": {}}), "'samples' must be a list"),
     (lambda m: m["samples"][0].pop("split"), "sample 0 has no 'split'"),
     (lambda m: m["samples"].append("ball.obj"), "sample 1 has no 'name'"),
+    (lambda m: m["samples"][0].update(split="tset"), "sample 0 has split 'tset'"),
 ])
 def test_load_manifest_names_the_bad_key(tmp_path, change, message):
     _ball_dataset(tmp_path / "data")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from meshpool.autodiff import Tape, Tensor
+from meshpool.autodiff import Tape, Tensor, Workspace
 from meshpool.cache import PreprocessParams, preprocess_mesh
 from meshpool.model import (
     CORR_INIT_GAIN,
@@ -337,3 +337,64 @@ def test_split_weights_match_finite_differences(task):
     for name in split:
         fd = central_diff(lambda w: loss(name, w), params[name].data, eps=1e-6)
         assert max_rel_err(fd, grads[name]) < 1e-6, name
+
+
+class _CheckedWorkspace(Workspace):
+    """A Workspace that fails a test when it hands a block out twice before
+    a release, and keeps every block it ever handed out."""
+
+    def __init__(self):
+        super().__init__()
+        self.live, self.seen = [], []
+
+    def take(self, n, w):
+        view = super().take(n, w)
+        assert not any(view.base is block for block in self.live), "block handed out twice"
+        self.live.append(view.base)
+        if not any(view.base is block for block in self.seen):
+            self.seen.append(view.base)
+        return view
+
+    def release(self):
+        super().release()
+        self.live = []
+
+
+def test_workspace_steps_match_fresh_tapes():
+    """Training steps on alternating 254- and 434-vertex meshes give the same
+    logits and parameter gradients bit for bit with one reused workspace as
+    with workspace-free tapes; after the larger mesh no new block is made."""
+    config = ModelConfig(task="segmentation", num_labels=3, num_categories=4)
+    params = init_params(config, seed=2)
+    meshes = []
+    for res in ("a", "b"):
+        base, labels = dumbbell(*DUMBBELL_RESOLUTIONS[res])
+        cache = preprocess_mesh(deform(base, seed=[5, 0]), PreprocessParams())
+        meshes.append((cache.features, cache.level_masks, np.eye(3)[labels]))
+    assert [len(m[0]) for m in meshes] == [254, 434]
+    ws = _CheckedWorkspace()
+
+    def step(feats, masks, target, workspace):
+        tape = Tape(workspace=workspace)
+        logits = model_forward(tape, params, config, feats, masks, category=1)
+        tape.backward(tape.softmax_cross_entropy(logits, target))
+        logits = logits.data.copy()  # a workspace block: read before the release
+        if workspace is not None:
+            workspace.release()
+        grads = {n: p.grad.copy() for n, p in params.items()}
+        for p in params.values():
+            p.zero_grad()
+        assert all(g.any() for n, g in grads.items() if n.endswith(".W"))
+        return logits, grads
+
+    blocks_after = []
+    for i in range(5):
+        feats, masks, target = meshes[i % 2]
+        got_logits, got = step(feats, masks, target, ws)
+        want_logits, want = step(feats, masks, target, None)
+        assert np.array_equal(got_logits, want_logits)
+        for name in params:
+            assert np.array_equal(got[name], want[name]), name
+        blocks_after.append(len(ws.seen))
+    assert blocks_after[1] > blocks_after[0]  # the 434-row mesh outgrew the first set
+    assert blocks_after[1:] == [blocks_after[1]] * 4
