@@ -2,13 +2,20 @@
 
 A mesh is a vertex array plus counter-clockwise triangle indices. ``Mesh``
 is the one place that checks them (finite coordinates; face indices in
-range, three distinct vertices, area above tolerance); ``load_obj`` only
+range, three distinct vertices, area above tolerance, no face repeating
+another's vertex set, at most two faces per edge); ``load_obj`` only
 parses ASCII OBJ and maps a rejected face back to its line. This module
 also computes per-vertex normals and one-third barycentric vertex areas,
 and assembles the sparse cotangent weight matrix together with its degree
-and area diagonals. The weighted Laplacian acting on vertex functions is
-``inv(A) @ (D - W)``; downstream code solves the equivalent generalized
-symmetric problem ``(D - W) x = lam * A x``.
+and area diagonals, rejecting a mesh of more than one connected component.
+The weighted Laplacian acting on vertex functions is ``inv(A) @ (D - W)``;
+downstream code solves the equivalent generalized symmetric problem
+``(D - W) x = lam * A x``.
+
+Import rule: loading, checking and writing a mesh use numpy only, so the
+commands that work from cached features never load scipy. ``scipy.sparse``
+is imported inside the functions that assemble a sparse matrix
+(``assemble_laplacian``, ``LaplacianOperator.stiffness`` and ``.mass``).
 """
 
 from __future__ import annotations
@@ -16,9 +23,12 @@ from __future__ import annotations
 import hashlib
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 # Each cotangent term is clamped to +-cot(1 degree) before assembly to guard
 # near-degenerate triangles.
@@ -77,6 +87,17 @@ class Mesh:
                           "face {face} repeats a vertex")
             _reject_first(face_areas(self) <= self.degenerate_area_threshold(),
                           "face {face} is degenerate (area not above tolerance)")
+            corners = np.sort(f, axis=1)
+            _reject_first(_earlier_repeats(corners[:, 0] * n + corners[:, 1], corners[:, 2]) > 0,
+                          "face {face} repeats the vertices of an earlier face")
+            # undirected edge (lo, hi) as the key lo * n + hi, three per face
+            lo = np.minimum(f, f[:, [1, 2, 0]]).ravel()
+            hi = np.maximum(f, f[:, [1, 2, 0]]).ravel()
+            third = np.flatnonzero(_earlier_repeats(lo * n + hi) > 1)
+            if len(third):
+                face = int(third[0]) // 3
+                raise MeshError(f"face {face} is a third face on edge ({lo[third[0]]}, "
+                                f"{hi[third[0]]}) (non-manifold edge)", face=face)
 
     @property
     def n_vertices(self) -> int:
@@ -103,6 +124,20 @@ def _reject_first(bad: np.ndarray, message: str) -> None:
     if bad.any():
         face = int(np.flatnonzero(bad)[0])
         raise MeshError(message.format(face=face), face=face)
+
+
+def _earlier_repeats(*keys: np.ndarray) -> np.ndarray:
+    """For entry i of equal-length key arrays, the number of entries before
+    i whose keys all equal entry i's."""
+    pos = np.arange(len(keys[0]))
+    order = np.lexsort((pos,) + keys[::-1])
+    new_run = pos == 0
+    for key in keys:
+        ranked = key[order]
+        new_run[1:] |= ranked[1:] != ranked[:-1]
+    rank = np.empty(len(pos), dtype=np.int64)
+    rank[order] = pos - np.maximum.accumulate(np.where(new_run, pos, 0))
+    return rank
 
 
 def bounding_box_diagonal(vertices: np.ndarray) -> float:
@@ -242,9 +277,13 @@ class LaplacianOperator:
 
     def stiffness(self) -> sparse.csr_matrix:
         """The symmetric positive semidefinite matrix D - W."""
+        from scipy import sparse
+
         return (sparse.diags(self.degrees) - self.weights).tocsr()
 
     def mass(self) -> sparse.dia_matrix:
+        from scipy import sparse
+
         return sparse.diags(self.areas)
 
     def validate(self, atol: float = 1e-9) -> None:
@@ -272,8 +311,13 @@ def assemble_laplacian(mesh: Mesh) -> LaplacianOperator:
     ------
     MeshError
         If a vertex belongs to no face: its zero area would make the mass
-        matrix singular.
+        matrix singular. If the face edges join the vertices into more than
+        one connected component: each component adds a zero eigenvalue, so
+        the low eigenvectors mix the component indicators.
     """
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+
     areas = compute_vertex_areas(mesh)
     unreferenced = np.flatnonzero(areas == 0.0)
     if len(unreferenced):
@@ -300,10 +344,14 @@ def assemble_laplacian(mesh: Mesh) -> LaplacianOperator:
         rows.append(np.minimum(j, k))
         cols.append(np.maximum(j, k))
         vals.append(0.5 * clipped)
-    upper = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    # the graph of face edges: a cotangent weight can be exactly 0
+    edges = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    n_components = connected_components(edges, directed=False)[0]
+    if n_components > 1:
+        raise MeshError(f"mesh has {n_components} connected components")
+    upper = sparse.coo_matrix((np.concatenate(vals), (rows, cols)), shape=(n, n)).tocsr()
     weights = (upper + upper.T).tocsr()
     degrees = np.asarray(weights.sum(axis=1)).ravel()
     return LaplacianOperator(weights=weights, degrees=degrees, areas=areas, clamped_terms=clamped)

@@ -10,15 +10,16 @@ eigenvectors: eigenvector embeddings are unstable across retriangulations
 of the same surface (near-degenerate pairs rotate within their
 eigenspace), while median splits of the geometry depend only on integral
 quantities and survive a remesh nearly unchanged.
+
+Import rule: scipy is imported only inside the functions that need it
+(the eigensolvers in ``solve_eigs``, the assignment in
+``cluster_agreement``), so importing this module loads numpy alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import eigh
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .mesh import Mesh, LaplacianOperator
 
@@ -93,6 +94,9 @@ def solve_eigs(op: LaplacianOperator, k: int, method: str = "auto") -> SpectralB
         On non-convergence (carries the achieved residual) or when a
         solution fails the residual tolerance.
     """
+    from scipy.linalg import eigh
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
     n = op.n_vertices
     want = k + 1
     if k < 0:

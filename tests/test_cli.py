@@ -199,11 +199,44 @@ def _run_meshpool(*args):
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
-def test_cli_import_leaves_out_scipy_optimize():
-    code = "import sys, meshpool.cli; print('scipy.optimize' in sys.modules)"
-    proc = _run_meshpool("-c", code)
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "False"
+# Runs the meshpool commands given as JSON argument lists in one process and
+# prints, as the last line, the scipy modules loaded after the import and
+# after each command.
+_SCIPY_PROBE = """
+import json, sys
+import meshpool.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = [scipy_modules()]
+for argv in json.loads(sys.argv[1]):
+    assert meshpool.cli.main(argv) == 0, argv
+    loaded.append(scipy_modules())
+print(json.dumps(loaded))
+"""
+
+
+def _scipy_after(*commands):
+    proc = _run_meshpool("-c", _SCIPY_PROBE, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_import_leaves_out_scipy_optimize(tmp_path):
+    # numpy alone serves the import, synth, and train/eval/export on valid
+    # caches; scipy loads only where a mesh is assembled and solved
+    data = tmp_path / "seg"
+    ckpt = str(data / "model.ckpt")
+    obj = str(data / "dumbbell_a_000.obj")
+    assert _scipy_after(["synth", "--output", str(data), "--task", "segmentation",
+                         "--count", "4", "--seed", "1"]) == [[], []]
+    assert "scipy.sparse" in _scipy_after(["preprocess", "--input", str(data)] + SMALL)[-1]
+    assert _scipy_after(
+        ["train", "--input", str(data), "--epochs", "1"] + SMALL,
+        ["eval", "--input", str(data), "--model", ckpt],
+        ["export", "--input", obj, "--output", str(tmp_path / "seg.ply"),
+         "--what", "labels", "--model", ckpt]) == [[], [], [], []]
 
 
 def test_preprocess_rejects_unreferenced_vertex_in_one_line(tmp_path):
@@ -219,15 +252,21 @@ def test_preprocess_rejects_unreferenced_vertex_in_one_line(tmp_path):
     assert proc.stderr.splitlines() == ["error: vertex 162 belongs to no face"]
 
 
-def _ball_dataset(data, set_vertices=None, category=0, manifest=None):
+def _ball_dataset(data, set_vertices=None, category=0, manifest=None, stack=None):
     """A one-mesh classification dataset in ``data``: an icosphere OBJ whose
-    vertex rows ``set_vertices = (rows, value)`` overwrites, and a manifest
-    that ``manifest`` replaces."""
+    vertex rows ``set_vertices = (rows, value)`` overwrites, to whose vertex
+    and face arrays ``stack(ball) = (vertices, faces)`` appends rows, and a
+    manifest that ``manifest`` replaces."""
     data.mkdir()
     ball = icosphere(2)
+    # after Mesh's checks: the OBJ keeps the bad data
     if set_vertices is not None:
         rows, value = set_vertices
-        ball.vertices[rows] = value  # after Mesh's checks: the OBJ keeps the bad value
+        ball.vertices[rows] = value
+    if stack is not None:
+        vertices, faces = stack(ball)
+        ball.vertices = np.vstack([ball.vertices, vertices])
+        ball.faces = np.vstack([ball.faces, faces])
     write_obj(data / "ball.obj", ball)
     if manifest is None:
         manifest = {"task": "classification", "num_categories": 4, "samples": [
@@ -245,8 +284,14 @@ def _ball_dataset(data, set_vertices=None, category=0, manifest=None):
     ("preprocess", dict(manifest={"task": "classification", "samples": [
         {"name": "ball", "obj": "ball.obj", "category": 0, "split": "tset"}]}),
      "sample 0 has split 'tset', not one of train, test"),
+    ("preprocess", dict(stack=lambda b: (np.empty((0, 3)), b.faces[7:8, ::-1])),
+     "ball.obj:483: face 320 repeats the vertices of an earlier face"),
+    ("preprocess", dict(stack=lambda b: ([[2.0, 2.0, 2.0]], [[*b.faces[7, :2], 162]])),
+     "ball.obj:484: face 320 is a third face on edge"),
+    ("preprocess", dict(stack=lambda b: (b.vertices + 3.0, b.faces + 162)),
+     "mesh has 2 connected components"),
 ], ids=["nan-vertex", "coincident-vertices", "empty-manifest", "no-samples", "category-7",
-        "tset-split"])
+        "tset-split", "duplicate-face", "non-manifold-edge", "two-components"])
 def test_bad_inputs_exit_1_with_one_error_line(tmp_path, command, dataset, message):
     data = tmp_path / "data"
     _ball_dataset(data, **dataset)

@@ -1,5 +1,7 @@
 """Mesh container, OBJ round-trips and cotangent weight assembly."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,45 @@ def test_mesh_rejects_degenerate_face():
     with pytest.raises(MeshError, match="face 0 is degenerate") as err:
         Mesh(np.zeros((4, 3)), np.array([[0, 1, 2], [0, 2, 3]]))
     assert err.value.face == 0
+
+
+def test_mesh_rejects_duplicate_face(sphere2):
+    faces = sphere2.faces
+    with pytest.raises(MeshError, match="face 320 repeats the vertices of an earlier face") as err:
+        Mesh(sphere2.vertices, np.vstack([faces, faces[:1]]))
+    assert err.value.face == len(faces)
+    # the same vertex set in the other orientation is a duplicate too
+    flipped = np.vstack([faces[:5], faces[3:4, ::-1], faces[5:]])
+    with pytest.raises(MeshError, match="face 5 repeats") as err:
+        Mesh(sphere2.vertices, flipped)
+    assert err.value.face == 5
+
+
+def test_mesh_rejects_non_manifold_edge(sphere2):
+    a, b = sorted(sphere2.faces[7, :2])
+    fin = np.vstack([sphere2.vertices, [[2.0, 2.0, 2.0]]])
+    faces = np.vstack([sphere2.faces, [[a, b, sphere2.n_vertices]]])
+    with pytest.raises(MeshError, match=rf"face 320 is a third face on edge \({a}, {b}\)") as err:
+        Mesh(fin, faces)
+    assert err.value.face == sphere2.n_faces
+    assert "non-manifold edge" in str(err.value)
+    # a fin listed first leaves the later of the edge's own faces as the third
+    with pytest.raises(MeshError, match="third face") as err:
+        Mesh(fin, np.vstack([faces[-1:], sphere2.faces]))
+    on_edge = np.flatnonzero(np.isin(sphere2.faces, [a, b]).sum(axis=1) == 2)
+    assert err.value.face == on_edge.max() + 1
+
+
+def test_obj_names_the_line_of_a_duplicate_or_non_manifold_face(tmp_path):
+    head = "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nv 1 1 1\n# faces\nf 1 3 2\nf 1 2 4\n"
+    cases = [(head + "f 2 3 4\nvn 0 0 1\nf 1 4 3\nf 4 2 1\n", ":12:", "repeats the vertices"),
+             (head + "f 2 3 4\nf 1 4 3\n\nf 1 2 5\n", ":12:", "third face on edge (0, 1)")]
+    for body, where, phrase in cases:
+        path = tmp_path / "bad.obj"
+        path.write_text(body)
+        with pytest.raises(MeshLoadError, match=re.escape(phrase)) as err:
+            load_obj(path)
+        assert f"bad.obj{where} face 4 " in str(err.value)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -243,3 +284,15 @@ def test_assemble_rejects_unreferenced_vertex(tetra):
     extra = np.vstack([tetra.vertices, [[5.0, 5.0, 5.0]], tetra.vertices[:1] + 2.0])
     with pytest.raises(MeshError, match="vertex 4 belongs to no face"):
         assemble_laplacian(Mesh(extra, tetra.faces))
+
+
+def test_assemble_rejects_more_than_one_component(sphere2, tetra):
+    n = sphere2.n_vertices
+    two = Mesh(np.vstack([sphere2.vertices, sphere2.vertices + 3.0]),
+               np.vstack([sphere2.faces, sphere2.faces + n]))
+    with pytest.raises(MeshError, match="^mesh has 2 connected components$"):
+        assemble_laplacian(two)
+    three = Mesh(np.vstack([two.vertices, tetra.vertices - 4.0]),
+                 np.vstack([two.faces, tetra.faces + 2 * n]))
+    with pytest.raises(MeshError, match="^mesh has 3 connected components$"):
+        assemble_laplacian(three)
