@@ -11,7 +11,7 @@ from .mesh import (Mesh, MeshError, MeshLoadError, LaplacianOperator,
                    compute_vertex_normals, load_obj, write_obj)
 from .spectral import (EigensolverError, SpectralBasis,
                        build_hierarchy, build_input_features,
-                       cluster_agreement, divisive_cluster, solve_eigs)
+                       cluster_agreement, solve_eigs)
 from .cache import (CacheMismatchError, FeatureCache, PreprocessParams,
                     get_features, load_cache, preprocess_mesh, save_cache)
 from .model import ModelConfig, init_params, model_forward
@@ -29,7 +29,7 @@ __all__ = [
     "load_obj", "write_obj",
     "EigensolverError", "SpectralBasis",
     "build_hierarchy", "build_input_features", "cluster_agreement",
-    "divisive_cluster", "solve_eigs",
+    "solve_eigs",
     "CacheMismatchError", "FeatureCache", "PreprocessParams", "get_features",
     "load_cache", "preprocess_mesh", "save_cache",
     "ModelConfig", "init_params", "model_forward",

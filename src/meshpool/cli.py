@@ -215,14 +215,13 @@ def _cmd_preprocess(args) -> int:
 # ---- train ------------------------------------------------------------
 
 
-def _model_config_from(manifest: dict, args, params_pre: PreprocessParams) -> ModelConfig:
+def _model_config_from(manifest: dict, params_pre: PreprocessParams) -> ModelConfig:
     return ModelConfig(
         in_dim=6 + params_pre.n_eigenvectors,
         cluster_counts=params_pre.cluster_counts,
         task=manifest["task"],
         num_labels=max(manifest.get("num_labels", 0), 1),
         num_categories=manifest.get("num_categories", 4),
-        pool=args.pool,
     )
 
 
@@ -230,7 +229,7 @@ def _cmd_train(args) -> int:
     dataset_dir = Path(args.input)
     manifest = load_manifest(dataset_dir)
     params_pre = _params_from_args(args)
-    config = _model_config_from(manifest, args, params_pre)
+    config = _model_config_from(manifest, params_pre)
     records = _sample_records(dataset_dir, manifest, params_pre)
 
     out_path = Path(args.output) if args.output else dataset_dir / "model.ckpt"
@@ -337,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--lr", type=float, default=7e-4)
     p.add_argument("--batch", type=int, default=8)
-    p.add_argument("--pool", choices=("max", "mean"), default="max")
     p.add_argument("--early-stop", type=float, default=None,
                    help="stop once train accuracy reaches this value")
     p.add_argument("--checkpoint-every", type=int, default=0,

@@ -45,13 +45,10 @@ class ModelConfig:
     task: str = "segmentation"
     num_labels: int = 3
     num_categories: int = 4
-    pool: str = "max"
 
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
-        if self.pool not in ("max", "mean"):
-            raise ValueError(f"unknown pool {self.pool!r}")
         object.__setattr__(self, "cluster_counts", tuple(int(c) for c in self.cluster_counts))
         object.__setattr__(self, "update_widths", tuple(int(w) for w in self.update_widths))
         object.__setattr__(self, "head_hidden", tuple(int(w) for w in self.head_hidden))
@@ -161,10 +158,10 @@ def _mlp_forward(tape: Tape, params, prefix, x, n_layers, final_relu=True):
     return h
 
 
-def _pool(tape: Tape, config, x, mask, p):
-    """Cluster pooling of a Tensor or of SplitFeatures (part by part, since
-    pooling acts column by column)."""
-    pool = tape.cluster_max_pool if config.pool == "max" else tape.cluster_mean_pool
+def _pool(tape: Tape, x, mask, p):
+    """Cluster max pooling of a Tensor or of SplitFeatures (part by part,
+    since pooling acts column by column)."""
+    pool = tape.cluster_max_pool
     if isinstance(x, Tensor):
         return pool(x, mask, p)
     return tape.concat([pool(x.vertex, mask, p),
@@ -182,7 +179,7 @@ def pooling_block_forward(tape: Tape, params, config: ModelConfig, level: int,
     p = config.cluster_counts[level]
     updated = _mlp_forward(tape, params, f"block{level}.update", x,
                            len(config.update_widths))
-    pooled = _pool(tape, config, x, mask, p)
+    pooled = _pool(tape, x, mask, p)
     corr = correlation_matrix(tape, params, config, level, x, mask)
     return SplitFeatures(updated, tape.matmul(corr, pooled), mask)
 
@@ -191,9 +188,7 @@ def correlation_matrix(tape: Tape, params, config: ModelConfig, level: int,
                        x, mask: np.ndarray) -> Tensor:
     """The psi psi^T cluster mixing matrix of one block (symmetric PSD)."""
     p = config.cluster_counts[level]
-    psi = _pool(tape, config,
-                _mlp_forward(tape, params, f"block{level}.corr", x, 1),
-                mask, p)
+    psi = _pool(tape, _mlp_forward(tape, params, f"block{level}.corr", x, 1), mask, p)
     return tape.matmul(psi, tape.transpose(psi))
 
 

@@ -3,13 +3,14 @@
 Solves the generalized symmetric eigenproblem ``(D - W) x = lam * A x`` for
 the smallest eigenpairs, assembles the per-vertex network input (normalized
 positions, normals, absolute low-frequency eigenvector values) and builds
-the pooling hierarchy, a list of per-level cluster masks, by clustering
-vertices at a decreasing sequence of cluster counts. The hierarchy comes
-from deterministic divisive splits on normalized positions, not from the
-eigenvectors: eigenvector embeddings are unstable across retriangulations
-of the same surface (near-degenerate pairs rotate within their
-eigenspace), while median splits of the geometry depend only on integral
-quantities and survive a remesh nearly unchanged.
+the pooling hierarchy, a list of nested per-level cluster masks at a
+decreasing sequence of cluster counts, in one pass of splits that the
+levels share. The hierarchy comes from deterministic divisive splits on
+normalized positions, not from the eigenvectors: eigenvector embeddings
+are unstable across retriangulations of the same surface (near-degenerate
+pairs rotate within their eigenspace), while median splits of the
+geometry depend only on integral quantities and survive a remesh nearly
+unchanged.
 
 Import rule: scipy is imported only inside the functions that need it
 (the eigensolvers in ``solve_eigs``, the assignment in
@@ -213,91 +214,54 @@ def _cluster_spread(proj: np.ndarray, weights: np.ndarray, labels: np.ndarray,
     return spread
 
 
-def divisive_cluster(points: np.ndarray, k: int, weights=None) -> np.ndarray:
-    """Deterministic divisive clustering by recursive weighted-median splits.
-
-    Points are projected once onto their weighted principal axes; each round
-    splits every current cluster at its weighted median along the next axis
-    in rotation (largest-spread clusters first once fewer than a full round
-    of splits remains). Every decision is a function of integral quantities
-    of the point set (covariance, medians), so the partition barely moves
-    when the same surface is triangulated differently. Rows are processed
-    in lexicographic order and the projections are rounded well below any
-    geometric scale, which makes the output exactly independent of the
-    input row order.
-
-    ``weights`` (e.g. vertex areas) bias medians and spreads so the
-    partition tracks surface area rather than vertex density; omitted, all
-    points count equally.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[0] == 0:
-        raise ValueError("points must be a nonempty 2-D array")
-    n = points.shape[0]
-    k = int(k)
-    if not 1 <= k <= n:
-        raise ValueError(f"cluster count {k} not in [1, {n}]")
-    if weights is None:
-        w = np.full(n, 1.0 / n)
+def _split_round(proj: np.ndarray, w: np.ndarray, k: int, labels: np.ndarray,
+                 n_clusters: int, rounds: int):
+    """One round of weighted-median splits toward ``k`` clusters; returns the
+    next ``(labels, n_clusters, rounds)`` and leaves ``labels`` untouched."""
+    axis = rounds % proj.shape[1]
+    if 2 * n_clusters <= k:
+        targets = np.arange(n_clusters)
     else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (n,) or not (w > 0.0).all():
-            raise ValueError("weights must be positive, one per point")
-        w = w / w.sum()
-    # Rounding drops accumulation-order noise inherited from upstream sums
-    # (vertex areas, position normalization) without touching structure.
-    w = np.maximum(np.round(w, 12), 1e-12)
-
-    order = np.lexsort(points.T[::-1])  # primary key: column 0
-    pts = points[order]
-    w_sorted = w[order]
-    proj = np.round(pts @ _canonical_frame(pts, w_sorted), 9)
-
-    labels = np.zeros(n, dtype=np.int64)
-    n_clusters = 1
-    rounds = 0
-    while n_clusters < k:
-        axis = rounds % proj.shape[1]
-        if 2 * n_clusters <= k:
-            targets = np.arange(n_clusters)
-        else:
-            spread = _cluster_spread(proj, w_sorted, labels, n_clusters)
-            targets = np.argsort(-spread, kind="stable")[: k - n_clusters]
-        new_labels = labels.copy()
-        added = 0
-        for j in targets:
-            members = np.flatnonzero(labels == j)
-            if len(members) < 2:
-                continue
-            side = _weighted_median_side(proj[members, axis], w_sorted[members])
-            new_labels[members[side]] = n_clusters + added
-            added += 1
-        if added == 0:
-            # every targeted cluster was a singleton; split the largest one
-            sizes = np.bincount(labels, minlength=n_clusters)
-            members = np.flatnonzero(labels == int(np.argmax(sizes)))
-            side = _weighted_median_side(proj[members, axis], w_sorted[members])
-            new_labels[members[side]] = n_clusters
-            added = 1
-        labels = new_labels
-        n_clusters += added
-        rounds += 1
-
-    out = np.empty(n, dtype=np.int64)
-    out[order] = labels
-    return out
+        spread = _cluster_spread(proj, w, labels, n_clusters)
+        targets = np.argsort(-spread, kind="stable")[: k - n_clusters]
+    new_labels = labels.copy()
+    added = 0
+    for j in targets:
+        members = np.flatnonzero(labels == j)
+        if len(members) < 2:
+            continue
+        side = _weighted_median_side(proj[members, axis], w[members])
+        new_labels[members[side]] = n_clusters + added
+        added += 1
+    if added == 0:
+        # every targeted cluster was a singleton; split the largest one
+        sizes = np.bincount(labels, minlength=n_clusters)
+        members = np.flatnonzero(labels == int(np.argmax(sizes)))
+        side = _weighted_median_side(proj[members, axis], w[members])
+        new_labels[members[side]] = n_clusters
+        added = 1
+    return new_labels, n_clusters + added, rounds + 1
 
 
 def build_hierarchy(positions: np.ndarray, cluster_counts,
                     areas: np.ndarray = None) -> list:
-    """Cluster vertices once per level of the pooling hierarchy.
+    """Nested divisive clusterings of the vertex ``positions``, one per level.
 
     Returns one (N,) int64 mask per entry of ``cluster_counts``, which must
-    strictly decrease; the mask of count p uses every id in [0, p). Every
-    level is a divisive clustering of the normalized vertex ``positions``,
-    which stays stable when the same surface is retriangulated. Vertex
-    ``areas``, when given, weight the splits so the partition tracks
-    surface area rather than vertex density.
+    strictly decrease; the mask of count p uses every id in [0, p). Points
+    are projected once onto their weighted principal axes; each round
+    splits every cluster at its weighted median along the next axis in
+    rotation (only the largest-spread clusters once fewer than a full round
+    of splits remains). Every decision is a function of integral quantities
+    (covariance, medians), so the partition barely moves when the surface
+    is retriangulated. Rows are processed in lexicographic order and the
+    projections rounded well below any geometric scale, so the output is
+    exactly independent of the input row order. A full round does not
+    depend on the target count, so the levels, coarsest first, share their
+    full rounds and each finishes its own copy with partial rounds: a level
+    equals the hierarchy of its count alone, and every fine cluster lies in
+    one coarse cluster. ``areas`` weight medians and spreads so the
+    partition tracks surface area rather than vertex density.
     """
     counts = tuple(int(c) for c in cluster_counts)
     if not counts:
@@ -305,9 +269,36 @@ def build_hierarchy(positions: np.ndarray, cluster_counts,
     if any(b >= a for a, b in zip(counts, counts[1:])):
         raise ValueError(f"cluster counts must strictly decrease, got {counts}")
     points = np.asarray(positions, dtype=np.float64)
-    if max(counts) > points.shape[0]:
+    if points.ndim != 2 or points.shape[0] == 0:
+        raise ValueError("points must be a nonempty 2-D array")
+    n = points.shape[0]
+    if counts[-1] < 1:
+        raise ValueError(f"cluster count {counts[-1]} not in [1, {n}]")
+    if counts[0] > n:
         raise ValueError("more clusters than vertices")
-    return [divisive_cluster(points, p, weights=areas) for p in counts]
+    w = np.ones(n) if areas is None else np.asarray(areas, dtype=np.float64)
+    if w.shape != (n,) or not (w > 0.0).all():
+        raise ValueError("weights must be positive, one per point")
+    # Rounding drops accumulation-order noise inherited from upstream sums
+    # (vertex areas, position normalization) without touching structure.
+    w = np.maximum(np.round(w / w.sum(), 12), 1e-12)
+
+    order = np.lexsort(points.T[::-1])  # primary key: column 0
+    unsort = np.argsort(order)
+    pts = points[order]
+    w = w[order]
+    proj = np.round(pts @ _canonical_frame(pts, w), 9)
+
+    shared = (np.zeros(n, dtype=np.int64), 1, 0)  # (labels, n_clusters, rounds)
+    masks = []
+    for k in reversed(counts):
+        while 2 * shared[1] <= k:
+            shared = _split_round(proj, w, k, *shared)
+        labels, n_clusters, rounds = shared
+        while n_clusters < k:
+            labels, n_clusters, rounds = _split_round(proj, w, k, labels, n_clusters, rounds)
+        masks.append(labels[unsort])
+    return masks[::-1]
 
 
 def cluster_agreement(mask_a: np.ndarray, mask_b: np.ndarray) -> float:

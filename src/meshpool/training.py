@@ -21,14 +21,14 @@ correct count and the confusion matrix are all built from it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
-from .autodiff import Tape, Workspace, adam_step
+from .autodiff import Parameter, Tape, Workspace, adam_step
 from .binio import array_to_str, read_container, str_to_array, write_container
 from .cache import FeatureCache
-from .model import ModelConfig, init_params, model_forward
+from .model import ModelConfig, init_params, model_forward, parameter_shapes
 
 CHECKPOINT_KIND = "meshpool-checkpoint"
 
@@ -306,32 +306,46 @@ def save_checkpoint(path, params, config: ModelConfig, epoch: int, train_seed: i
 def load_checkpoint(path, expected_config: ModelConfig = None):
     """Returns (params, config, epoch, train_seed).
 
-    Raises CheckpointError when the file is not a checkpoint or its
-    architecture differs from ``expected_config``.
+    Raises CheckpointError when the file is not a checkpoint, its config
+    has an unknown, missing or bad field, or its architecture differs from
+    ``expected_config``.
     """
     try:
         arrays = read_container(path)
     except (FileNotFoundError, ValueError) as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
-    if "kind" not in arrays or array_to_str(arrays["kind"]) != CHECKPOINT_KIND:
+    if ("kind" not in arrays or array_to_str(arrays["kind"]) != CHECKPOINT_KIND
+            or not {"config_json", "epoch", "train_seed"} <= arrays.keys()):
         raise CheckpointError(f"{path}: not a checkpoint container")
-    config = ModelConfig(**json.loads(array_to_str(arrays["config_json"])))
+    saved = json.loads(array_to_str(arrays["config_json"]))
+    if not isinstance(saved, dict):
+        raise CheckpointError(f"{path}: checkpoint config is not a JSON object")
+    known = [f.name for f in fields(ModelConfig)]
+    unknown = sorted(set(saved) - set(known))
+    missing = [name for name in known if name not in saved]
+    if unknown or missing:
+        what = f"unknown field {unknown[0]!r}" if unknown else f"no field {missing[0]!r}"
+        raise CheckpointError(f"{path}: checkpoint config has {what}; retrain with this version")
+    try:
+        config = ModelConfig(**saved)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: checkpoint config has a bad value ({exc})") from exc
     if expected_config is not None and config.config_hash() != expected_config.config_hash():
         raise CheckpointError(f"{path}: checkpoint built for a different architecture")
-    params = init_params(config, seed=0)
-    for name, p in params.items():
+    params = {}
+    for name, shape in parameter_shapes(config).items():
         for prefix in ("param", "adam_m", "adam_v", "adam_t"):
             if f"{prefix}::{name}" not in arrays:
                 raise CheckpointError(f"{path}: missing section {prefix}::{name}")
         stored = arrays[f"param::{name}"]
-        if stored.shape != p.value.data.shape:
+        if stored.shape != shape:
             raise CheckpointError(f"{path}: parameter {name} has shape {stored.shape}, "
-                                  f"expected {p.value.data.shape}")
-        p.value.data = stored.astype(np.float64, copy=True)
-        p.value.grad = np.zeros_like(p.value.data)
+                                  f"expected {shape}")
+        p = Parameter(stored)
         p.m = arrays[f"adam_m::{name}"].astype(np.float64, copy=True)
         p.v = arrays[f"adam_v::{name}"].astype(np.float64, copy=True)
         p.step = int(arrays[f"adam_t::{name}"][0])
+        params[name] = p
     epoch = int(arrays["epoch"][0])
     train_seed = int(arrays["train_seed"][0])
     return params, config, epoch, train_seed

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import meshpool
+from meshpool.binio import array_to_str, read_container, str_to_array, write_container
 from meshpool.cache import CacheMismatchError, PreprocessParams, load_cache
 from meshpool.cli import load_manifest, main
 from meshpool.mesh import load_obj, write_obj
@@ -237,6 +238,28 @@ def test_cli_import_leaves_out_scipy_optimize(tmp_path):
         ["eval", "--input", str(data), "--model", ckpt],
         ["export", "--input", obj, "--output", str(tmp_path / "seg.ply"),
          "--what", "labels", "--model", ckpt]) == [[], [], [], []]
+
+
+def test_every_exported_name_resolves():
+    for name in meshpool.__all__:
+        assert hasattr(meshpool, name), name
+
+
+def test_eval_rejects_a_checkpoint_config_with_an_unknown_field(tmp_path):
+    data = tmp_path / "seg"
+    assert main(["synth", "--output", str(data), "--task", "segmentation",
+                 "--count", "4", "--seed", "2"]) == 0
+    assert main(["train", "--input", str(data), "--epochs", "1"] + SMALL) == 0
+    ckpt = data / "model.ckpt"
+    arrays = read_container(ckpt)
+    config = json.loads(array_to_str(arrays["config_json"]))
+    arrays["config_json"] = str_to_array(json.dumps(dict(config, dropout=0.5), sort_keys=True))
+    write_container(ckpt, arrays)
+    proc = _run_meshpool("-m", "meshpool", "eval", "--input", str(data), "--model", str(ckpt))
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        f"error: {ckpt}: checkpoint config has unknown field 'dropout'; "
+        "retrain with this version"]
 
 
 def test_preprocess_rejects_unreferenced_vertex_in_one_line(tmp_path):

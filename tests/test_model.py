@@ -45,8 +45,6 @@ def tiny_inputs(seed=0, n=12):
 def test_config_validation():
     with pytest.raises(ValueError, match="task"):
         ModelConfig(task="regression")
-    with pytest.raises(ValueError, match="pool"):
-        ModelConfig(pool="sum")
 
 
 def test_block_in_dims_default():
@@ -69,7 +67,7 @@ def test_config_hash_tracks_fields():
     a = ModelConfig()
     assert a.config_hash() == ModelConfig().config_hash()
     assert a.config_hash() != ModelConfig(corr_width=65).config_hash()
-    assert a.config_hash() != ModelConfig(pool="mean").config_hash()
+    assert a.config_hash() != ModelConfig(head_final=129).config_hash()
 
 
 def test_init_params_matches_declared_shapes():
@@ -162,19 +160,6 @@ def test_identical_cluster_embeddings_mix_uniformly():
     assert np.allclose(mixed - mixed[0], 0.0, atol=1e-12)
 
 
-def test_mean_pool_variant_runs():
-    feats, masks = tiny_inputs(seed=6)
-    config = ModelConfig(
-        in_dim=5, cluster_counts=(3, 2), update_widths=(8, 8), corr_width=6,
-        head_hidden=(8, 8), head_final=8, task="segmentation",
-        num_labels=3, num_categories=2, pool="mean",
-    )
-    params = init_params(config, seed=0)
-    logits = model_forward(Tape(), params, config, feats, masks, category=0)
-    assert logits.data.shape == (12, 3)
-    assert np.isfinite(logits.data).all()
-
-
 # ---------------------------------------------------------------------------
 # cluster-rank layers against the materialized N-row network
 # ---------------------------------------------------------------------------
@@ -192,7 +177,7 @@ def reference_forward(tape, params, config, feats, masks, category=None):
                 x = tape.relu(x)
         return x
 
-    pool = tape.cluster_max_pool if config.pool == "max" else tape.cluster_mean_pool
+    pool = tape.cluster_max_pool
     x = Tensor(feats, needs_grad=False)
     for level, mask in enumerate(masks):
         p = config.cluster_counts[level]
@@ -235,11 +220,15 @@ def dumbbell_inputs():
     return cache.features, cache.level_masks, labels
 
 
-@pytest.mark.parametrize("task", ["segmentation", "classification"])
-@pytest.mark.parametrize("pool", ["max", "mean"])
-def test_cluster_rank_model_matches_materialized_reference(task, pool, dumbbell_inputs):
+# the ids name the pooling rule (cluster max pooling) beside the task
+MAX_POOL_TASKS = dict(argvalues=["segmentation", "classification"],
+                      ids=["max-segmentation", "max-classification"])
+
+
+@pytest.mark.parametrize("task", **MAX_POOL_TASKS)
+def test_cluster_rank_model_matches_materialized_reference(task, dumbbell_inputs):
     feats, masks, labels = dumbbell_inputs
-    config = ModelConfig(task=task, pool=pool, num_labels=3, num_categories=4)
+    config = ModelConfig(task=task, num_labels=3, num_categories=4)
     params = init_params(config, seed=1)
     category = 2 if task == "segmentation" else None
     rows = labels if task == "segmentation" else np.array([2])
@@ -253,13 +242,12 @@ def test_cluster_rank_model_matches_materialized_reference(task, pool, dumbbell_
         assert _rel(got[name], ref[name]) < 1e-12, name
 
 
-@pytest.mark.parametrize("task", ["segmentation", "classification"])
-@pytest.mark.parametrize("pool", ["max", "mean"])
-def test_forward_logits_bit_identical_to_recording_forward(task, pool):
+@pytest.mark.parametrize("task", **MAX_POOL_TASKS)
+def test_forward_logits_bit_identical_to_recording_forward(task):
     feats, masks = tiny_inputs(seed=7)
     config = ModelConfig(in_dim=5, cluster_counts=(3, 2), update_widths=(8, 8),
                          corr_width=6, head_hidden=(8, 8), head_final=8, task=task,
-                         num_labels=3, num_categories=2, pool=pool)
+                         num_labels=3, num_categories=2)
     params = init_params(config, seed=3)
     record = SampleRecord("tiny", feats, masks, category=1,
                           labels=np.zeros(len(feats), dtype=np.int64))

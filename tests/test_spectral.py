@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from meshpool.mesh import assemble_laplacian, compute_vertex_normals
+from meshpool.mesh import assemble_laplacian, compute_vertex_areas, compute_vertex_normals
 from meshpool.spectral import (
     RESIDUAL_TOL,
     EigensolverError,
     build_hierarchy,
     build_input_features,
     cluster_agreement,
-    divisive_cluster,
     eig_residuals,
     eigenvector_features,
     normalize_positions,
     solve_eigs,
 )
-from meshpool.synth import icosphere
+from meshpool.synth import DUMBBELL_RESOLUTIONS, deform, dumbbell, icosphere
 
 
 @pytest.fixture(scope="module")
@@ -137,13 +136,13 @@ def test_build_input_features_layout(bumpy, bumpy_basis):
 
 
 # ---------------------------------------------------------------------------
-# divisive clustering
+# divisive clustering (single-level hierarchies)
 # ---------------------------------------------------------------------------
 
 def test_divisive_ids_dense_and_nonempty():
     pts = np.random.default_rng(3).standard_normal((50, 3))
     for k in (1, 2, 3, 7, 16, 50):
-        labels = divisive_cluster(pts, k)
+        labels = build_hierarchy(pts, (k,))[0]
         assert labels.shape == (50,)
         assert np.bincount(labels, minlength=k).min() >= 1
         assert labels.max() == k - 1
@@ -151,18 +150,18 @@ def test_divisive_ids_dense_and_nonempty():
 
 def test_divisive_is_deterministic():
     pts = np.random.default_rng(4).standard_normal((80, 3))
-    a = divisive_cluster(pts, 9)
-    assert np.array_equal(a, divisive_cluster(pts, 9))
+    a = build_hierarchy(pts, (9,))[0]
+    assert np.array_equal(a, build_hierarchy(pts, (9,))[0])
 
 
 def test_divisive_permutation_equivariant_exactly():
     rng = np.random.default_rng(5)
     pts = rng.standard_normal((64, 3))
     w = rng.uniform(0.5, 2.0, size=64)
-    base = divisive_cluster(pts, 10, weights=w)
+    base = build_hierarchy(pts, (10,), areas=w)[0]
     for _ in range(20):
         perm = rng.permutation(64)
-        permuted = divisive_cluster(pts[perm], 10, weights=w[perm])
+        permuted = build_hierarchy(pts[perm], (10,), areas=w[perm])[0]
         assert np.array_equal(permuted, base[perm])
 
 
@@ -170,12 +169,12 @@ def test_divisive_weights_shift_the_split():
     # heavy weights on the right half pull the median split to the right
     t = np.linspace(0.0, 1.0, 40)
     pts = np.column_stack([t, np.zeros(40), np.zeros(40)])
-    even = divisive_cluster(pts, 2)
+    even = build_hierarchy(pts, (2,))[0]
     sizes_even = np.bincount(even)
     # inclusive median boundary may tip one extra point to a side
     assert abs(sizes_even[0] - sizes_even[1]) <= 2
     w = np.where(t > 0.75, 50.0, 1.0)
-    skewed = divisive_cluster(pts, 2, weights=w)
+    skewed = build_hierarchy(pts, (2,), areas=w)[0]
     sizes = np.bincount(skewed)
     assert sizes.max() > 30  # light points lumped together
 
@@ -183,22 +182,22 @@ def test_divisive_weights_shift_the_split():
 def test_divisive_splits_both_kinds_of_ties():
     # all-identical coordinates still produce k nonempty clusters
     pts = np.zeros((6, 3))
-    labels = divisive_cluster(pts, 3)
+    labels = build_hierarchy(pts, (3,))[0]
     assert np.bincount(labels, minlength=3).min() >= 1
 
 
 def test_divisive_validation():
     pts = np.random.default_rng(6).standard_normal((10, 3))
-    with pytest.raises(ValueError):
-        divisive_cluster(pts, 0)
-    with pytest.raises(ValueError):
-        divisive_cluster(pts, 11)
-    with pytest.raises(ValueError):
-        divisive_cluster(pts[0], 2)
-    with pytest.raises(ValueError, match="weights"):
-        divisive_cluster(pts, 2, weights=np.zeros(10))
-    with pytest.raises(ValueError, match="weights"):
-        divisive_cluster(pts, 2, weights=np.ones(9))
+    with pytest.raises(ValueError, match=r"cluster count 0 not in \[1, 10\]"):
+        build_hierarchy(pts, (0,))[0]
+    with pytest.raises(ValueError, match="more clusters than vertices"):
+        build_hierarchy(pts, (11,))[0]
+    with pytest.raises(ValueError, match="2-D"):
+        build_hierarchy(pts[0], (2,))[0]
+    with pytest.raises(ValueError, match="weights must be positive, one per point"):
+        build_hierarchy(pts, (2,), areas=np.zeros(10))[0]
+    with pytest.raises(ValueError, match="weights must be positive, one per point"):
+        build_hierarchy(pts, (2,), areas=np.ones(9))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -244,3 +243,29 @@ def test_hierarchy_stable_under_position_noise(bumpy, bumpy_op):
     assert len(masks) == len(masks2) == 2
     for a, b in zip(masks, masks2):
         assert cluster_agreement(a, b) == 1.0
+
+
+def _hierarchy_inputs():
+    """(positions, areas) of area-weighted deformed dumbbells, then
+    unweighted point sets in which a fifth of the points coincide."""
+    for i in range(4):
+        base, _ = dumbbell(*DUMBBELL_RESOLUTIONS["ab"[i % 2]])
+        mesh = deform(base, seed=[i, 0])
+        yield normalize_positions(mesh.vertices), compute_vertex_areas(mesh)
+    rng = np.random.default_rng(12)
+    for _ in range(4):
+        pts = rng.standard_normal((50, 3))
+        pts[rng.choice(50, 10, replace=False)] = pts[0]
+        yield pts, None
+
+
+@pytest.mark.parametrize("counts", [(16, 8), (12, 5), (16, 8, 4), (10, 7, 3)])
+def test_hierarchy_levels_match_single_counts_and_nest(counts):
+    for pos, areas in _hierarchy_inputs():
+        masks = build_hierarchy(pos, counts, areas=areas)
+        for mask, k in zip(masks, counts):
+            assert np.array_equal(mask, build_hierarchy(pos, (k,), areas=areas)[0])
+        for fine, coarse in zip(masks, masks[1:]):
+            # each fine cluster maps to exactly one coarse cluster
+            pairs = np.unique(np.stack([fine, coarse]), axis=1)
+            assert np.array_equal(pairs[0], np.arange(int(fine.max()) + 1))

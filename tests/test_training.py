@@ -1,8 +1,11 @@
 """Training loop determinism, metrics and checkpointing."""
 
+import json
+
 import numpy as np
 import pytest
 
+from meshpool.binio import array_to_str, read_container, str_to_array, write_container
 from meshpool.model import ModelConfig, init_params
 from meshpool.training import (
     CheckpointError,
@@ -257,6 +260,39 @@ def test_checkpoint_rejects_non_checkpoint_container(tmp_path):
     write_container(path, {"stuff": np.zeros(3)})
     with pytest.raises(CheckpointError, match="not a checkpoint"):
         load_checkpoint(path)
+
+
+def _edit_config_json(arrays, edit):
+    config = json.loads(array_to_str(arrays["config_json"]))
+    edit(config)
+    arrays["config_json"] = str_to_array(json.dumps(config, sort_keys=True))
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda a: _edit_config_json(a, lambda c: c.update(pool="max")),
+     "checkpoint config has unknown field 'pool'; retrain with this version"),
+    (lambda a: _edit_config_json(a, lambda c: c.pop("corr_width")),
+     "checkpoint config has no field 'corr_width'; retrain with this version"),
+    (lambda a: _edit_config_json(a, lambda c: c.update(task="regression")),
+     "checkpoint config has a bad value (unknown task 'regression')"),
+    (lambda a: _edit_config_json(a, lambda c: c.update(update_widths=8)),
+     "checkpoint config has a bad value"),
+    (lambda a: a.update(config_json=str_to_array("5")), "checkpoint config is not a JSON object"),
+    (lambda a: a.pop("epoch"), "not a checkpoint container"),
+    (lambda a: a.pop("adam_v::head.out.1.b"), "missing section adam_v::head.out.1.b"),
+    (lambda a: a.update({"param::head.out.1.b": np.zeros(3)}),
+     "parameter head.out.1.b has shape (3,), expected (2,)"),
+], ids=["unknown-field", "missing-field", "bad-task", "bad-widths", "not-object",
+        "no-epoch", "no-moment", "bad-shape"])
+def test_checkpoint_rejects_a_bad_config_or_section(tmp_path, change, message):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_params(CLS_CONFIG, seed=0), CLS_CONFIG, epoch=0, train_seed=0)
+    arrays = read_container(path)
+    change(arrays)
+    write_container(path, arrays)
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
 
 
 def test_resume_matches_uninterrupted_run(tmp_path):
