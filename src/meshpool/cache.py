@@ -20,7 +20,9 @@ from .mesh import Mesh, assemble_laplacian, compute_vertex_normals
 from .spectral import build_hierarchy, build_input_features, normalize_positions, solve_eigs
 
 
-CACHE_KIND = "meshpool-cache"
+# Changes whenever the features a mesh yields change, so caches written by an
+# earlier version are rebuilt rather than reused.
+CACHE_KIND = "meshpool-cache-2"
 
 
 class CacheMismatchError(ValueError):

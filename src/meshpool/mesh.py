@@ -3,19 +3,21 @@
 A mesh is a vertex array plus counter-clockwise triangle indices. ``Mesh``
 is the one place that checks them (finite coordinates; face indices in
 range, three distinct vertices, area above tolerance, no face repeating
-another's vertex set, at most two faces per edge); ``load_obj`` only
-parses ASCII OBJ and maps a rejected face back to its line. This module
+another's vertex set, at most two faces per edge, no edge traversed twice
+in the same direction); ``load_obj`` only parses ASCII OBJ and maps a
+rejected face back to its line. This module
 also computes per-vertex normals and one-third barycentric vertex areas,
 and assembles the sparse cotangent weight matrix together with its degree
 and area diagonals, rejecting a mesh of more than one connected component.
 The weighted Laplacian acting on vertex functions is ``inv(A) @ (D - W)``;
 downstream code solves the equivalent generalized symmetric problem
-``(D - W) x = lam * A x``.
+``(D - W) x = lam * A x``, in the standard form that the diagonal ``A``
+allows.
 
 Import rule: loading, checking and writing a mesh use numpy only, so the
 commands that work from cached features never load scipy. ``scipy.sparse``
 is imported inside the functions that assemble a sparse matrix
-(``assemble_laplacian``, ``LaplacianOperator.stiffness`` and ``.mass``).
+(``assemble_laplacian`` and ``LaplacianOperator.stiffness``).
 """
 
 from __future__ import annotations
@@ -98,6 +100,16 @@ class Mesh:
                 face = int(third[0]) // 3
                 raise MeshError(f"face {face} is a third face on edge ({lo[third[0]]}, "
                                 f"{hi[third[0]]}) (non-manifold edge)", face=face)
+            # directed edge (a, b) as the key a * n + b: two faces that share
+            # an edge must traverse it in opposite directions
+            tail = f.ravel()
+            head = f[:, [1, 2, 0]].ravel()
+            again = np.flatnonzero(_earlier_repeats(tail * n + head) > 0)
+            if len(again):
+                face = int(again[0]) // 3
+                raise MeshError(f"face {face} traverses edge ({tail[again[0]]}, {head[again[0]]}) "
+                                "in the same direction as an earlier face (inconsistent "
+                                "orientation)", face=face)
 
     @property
     def n_vertices(self) -> int:
@@ -280,11 +292,6 @@ class LaplacianOperator:
         from scipy import sparse
 
         return (sparse.diags(self.degrees) - self.weights).tocsr()
-
-    def mass(self) -> sparse.dia_matrix:
-        from scipy import sparse
-
-        return sparse.diags(self.areas)
 
     def validate(self, atol: float = 1e-9) -> None:
         asym = self.weights - self.weights.T

@@ -1,16 +1,20 @@
 """Spectral vertex features and the multi-level clustering hierarchy.
 
 Solves the generalized symmetric eigenproblem ``(D - W) x = lam * A x`` for
-the smallest eigenpairs, assembles the per-vertex network input (normalized
-positions, normals, absolute low-frequency eigenvector values) and builds
-the pooling hierarchy, a list of nested per-level cluster masks at a
-decreasing sequence of cluster counts, in one pass of splits that the
-levels share. The hierarchy comes from deterministic divisive splits on
-normalized positions, not from the eigenvectors: eigenvector embeddings
-are unstable across retriangulations of the same surface (near-degenerate
-pairs rotate within their eigenspace), while median splits of the
-geometry depend only on integral quantities and survive a remesh nearly
-unchanged.
+the smallest eigenpairs. ``A`` is the lumped, diagonal vertex-area matrix,
+so the problem is solved in standard form: ``S u = lam u`` with
+``S = A^-1/2 (D - W) A^-1/2`` and ``x = A^-1/2 u`` (the symmetric reduction
+of the ARPACK Users' Guide, Lehoucq, Sorensen & Yang 1998), which spares
+shift-invert Lanczos every mass-matrix product. The module also assembles
+the per-vertex network input (normalized positions, normals, absolute
+low-frequency eigenvector values) and builds the pooling hierarchy, a list
+of nested per-level cluster masks at a decreasing sequence of cluster
+counts, in one pass of splits that the levels share. The hierarchy comes
+from deterministic divisive splits on normalized positions, not from the
+eigenvectors: eigenvector embeddings are unstable across retriangulations
+of the same surface (near-degenerate pairs rotate within their
+eigenspace), while median splits of the geometry depend only on integral
+quantities and survive a remesh nearly unchanged.
 
 Import rule: scipy is imported only inside the functions that need it
 (the eigensolvers in ``solve_eigs``, the assignment in
@@ -25,7 +29,7 @@ import numpy as np
 from .mesh import Mesh, LaplacianOperator
 
 # Shift for the shift-invert iterative solver; strictly below the spectrum so
-# the factored matrix (D - W) - shift * A is positive definite.
+# the factored matrix S - shift * I is positive definite.
 SIGMA_SHIFT = -0.01
 
 # Relative eigenpair residual accepted from either solver path.
@@ -77,6 +81,13 @@ def eig_residuals(op: LaplacianOperator, basis: SpectralBasis) -> np.ndarray:
 def solve_eigs(op: LaplacianOperator, k: int, method: str = "auto") -> SpectralBasis:
     """Smallest k+1 eigenpairs of ``(D - W) x = lam * A x``.
 
+    Both paths solve the standard symmetric problem ``S u = lam u`` with
+    ``S = A^-1/2 (D - W) A^-1/2``, whose entries are scaled by the single
+    product ``s[row] * s[col]`` (``s = 1 / sqrt(areas)``) so that S is
+    exactly symmetric, and map the vectors back as ``x = s * u``. The
+    columns of x are then area-orthonormal. Residuals are checked on the
+    generalized problem in mesh coordinates.
+
     Parameters
     ----------
     op : LaplacianOperator
@@ -84,7 +95,7 @@ def solve_eigs(op: LaplacianOperator, k: int, method: str = "auto") -> SpectralB
         Number of nonconstant modes; k+1 pairs are returned.
     method : {"auto", "iterative", "dense"}
         "iterative" is shift-invert Lanczos (ARPACK); "dense" is a direct
-        generalized eigendecomposition, accepted up to N=3000. "auto" picks
+        symmetric eigendecomposition, accepted up to N=3000. "auto" picks
         the iterative path except for small problems.
 
     Raises
@@ -109,25 +120,28 @@ def solve_eigs(op: LaplacianOperator, k: int, method: str = "auto") -> SpectralB
     if method == "auto":
         method = "dense" if (n < DENSE_CUTOFF or want > n - 1) else "iterative"
 
-    K = op.stiffness()
+    s = 1.0 / np.sqrt(op.areas)
+    S = op.stiffness()
+    S.data *= s[np.repeat(np.arange(n), np.diff(S.indptr))] * s[S.indices]
     if method == "dense":
         if n > DENSE_LIMIT:
             raise EigensolverError(f"dense solver refused for N={n} > {DENSE_LIMIT}")
-        vals, vecs = eigh(K.toarray(), np.diag(op.areas))
-        vals, vecs = vals[:want], vecs[:, :want]
+        vals, vecs = eigh(S.toarray(), subset_by_index=[0, want - 1])
     else:
         if want > n - 1:
             raise ValueError(f"iterative solver needs k + 1 <= N - 1, got {want} of N={n}")
         v0 = np.random.default_rng(_V0_SEED).standard_normal(n)
         try:
-            vals, vecs = eigsh(K, k=want, M=op.mass().tocsc(), sigma=SIGMA_SHIFT, which="LM", v0=v0)
+            vals, vecs = eigsh(S.tocsc(), k=want, sigma=SIGMA_SHIFT, which="LM", v0=v0)
         except ArpackNoConvergence as exc:
-            partial = SpectralBasis(np.asarray(exc.eigenvalues), np.asarray(exc.eigenvectors))
+            partial = SpectralBasis(np.asarray(exc.eigenvalues),
+                                    s[:, None] * np.asarray(exc.eigenvectors))
             res = float(eig_residuals(op, partial).max()) if partial.n_modes else None
             raise EigensolverError(
                 f"iterative eigensolver did not converge ({partial.n_modes}/{want} modes)",
                 residual=res,
             ) from exc
+    vecs = s[:, None] * vecs
     order = np.argsort(vals)
     basis = SpectralBasis(np.ascontiguousarray(vals[order]), np.ascontiguousarray(vecs[:, order]))
     worst = float(eig_residuals(op, basis).max())

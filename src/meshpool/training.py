@@ -307,8 +307,8 @@ def load_checkpoint(path, expected_config: ModelConfig = None):
     """Returns (params, config, epoch, train_seed).
 
     Raises CheckpointError when the file is not a checkpoint, its config
-    has an unknown, missing or bad field, or its architecture differs from
-    ``expected_config``.
+    is not valid JSON or has an unknown, missing or bad field, or its
+    architecture differs from ``expected_config``.
     """
     try:
         arrays = read_container(path)
@@ -317,7 +317,10 @@ def load_checkpoint(path, expected_config: ModelConfig = None):
     if ("kind" not in arrays or array_to_str(arrays["kind"]) != CHECKPOINT_KIND
             or not {"config_json", "epoch", "train_seed"} <= arrays.keys()):
         raise CheckpointError(f"{path}: not a checkpoint container")
-    saved = json.loads(array_to_str(arrays["config_json"]))
+    try:
+        saved = json.loads(array_to_str(arrays["config_json"]))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CheckpointError(f"{path}: checkpoint config is not valid JSON ({exc})") from exc
     if not isinstance(saved, dict):
         raise CheckpointError(f"{path}: checkpoint config is not a JSON object")
     known = [f.name for f in fields(ModelConfig)]

@@ -8,11 +8,13 @@ from meshpool.binio import (
     ContainerDigestError,
     ContainerFormatError,
     ContainerVersionError,
+    array_to_str,
     read_container,
     str_to_array,
     write_container,
 )
 from meshpool.cache import (
+    CACHE_KIND,
     CacheMismatchError,
     FeatureCache,
     PreprocessParams,
@@ -196,6 +198,24 @@ def test_get_features_recomputes_corrupted_cache(tmp_path, bumpy, small_params):
     assert np.array_equal(healed.features, reference.features)
     # and the file on disk is valid again
     load_cache(path, mesh=bumpy, params=small_params)
+
+
+def test_get_features_rebuilds_a_cache_of_the_earlier_solver(tmp_path, bumpy, small_params,
+                                                            bumpy_cache):
+    # the generalized solver's caches carried kind "meshpool-cache" and
+    # features that differ from today's in the last bits
+    path = tmp_path / "mesh.cache"
+    save_cache(path, bumpy_cache)
+    arrays = read_container(path)
+    write_container(path, dict(arrays, kind=str_to_array("meshpool-cache"),
+                               features=arrays["features"] + 1e-13))
+    with pytest.raises(CacheMismatchError, match="not a feature cache"):
+        load_cache(path, mesh=bumpy, params=small_params)
+    rebuilt = get_features(bumpy, small_params, cache_path=path)
+    assert np.array_equal(rebuilt.features, bumpy_cache.features)
+    stored = read_container(path)
+    assert array_to_str(stored["kind"]) == CACHE_KIND != "meshpool-cache"
+    assert np.array_equal(stored["features"], bumpy_cache.features)
 
 
 def test_get_features_recomputes_on_params_change(tmp_path, bumpy, small_params):

@@ -262,6 +262,21 @@ def test_eval_rejects_a_checkpoint_config_with_an_unknown_field(tmp_path):
         "retrain with this version"]
 
 
+def test_eval_names_a_checkpoint_whose_config_is_not_json(tmp_path):
+    data = tmp_path / "seg"
+    assert main(["synth", "--output", str(data), "--task", "segmentation",
+                 "--count", "4", "--seed", "2"]) == 0
+    assert main(["train", "--input", str(data), "--epochs", "1"] + SMALL) == 0
+    ckpt = data / "model.ckpt"
+    arrays = read_container(ckpt)
+    write_container(ckpt, dict(arrays, config_json=str_to_array("{")))  # fresh digest
+    proc = _run_meshpool("-m", "meshpool", "eval", "--input", str(data), "--model", str(ckpt))
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {ckpt}: ")
+    assert "checkpoint config is not valid JSON" in lines[0]
+
+
 def test_preprocess_rejects_unreferenced_vertex_in_one_line(tmp_path):
     data = tmp_path / "data"
     data.mkdir()
@@ -275,17 +290,20 @@ def test_preprocess_rejects_unreferenced_vertex_in_one_line(tmp_path):
     assert proc.stderr.splitlines() == ["error: vertex 162 belongs to no face"]
 
 
-def _ball_dataset(data, set_vertices=None, category=0, manifest=None, stack=None):
+def _ball_dataset(data, set_vertices=None, category=0, manifest=None, stack=None, flip=None):
     """A one-mesh classification dataset in ``data``: an icosphere OBJ whose
-    vertex rows ``set_vertices = (rows, value)`` overwrites, to whose vertex
-    and face arrays ``stack(ball) = (vertices, faces)`` appends rows, and a
-    manifest that ``manifest`` replaces."""
+    vertex rows ``set_vertices = (rows, value)`` overwrites, whose face
+    ``flip`` is reversed, to whose vertex and face arrays
+    ``stack(ball) = (vertices, faces)`` appends rows, and a manifest that
+    ``manifest`` replaces."""
     data.mkdir()
     ball = icosphere(2)
     # after Mesh's checks: the OBJ keeps the bad data
     if set_vertices is not None:
         rows, value = set_vertices
         ball.vertices[rows] = value
+    if flip is not None:
+        ball.faces[flip] = ball.faces[flip, ::-1]
     if stack is not None:
         vertices, faces = stack(ball)
         ball.vertices = np.vstack([ball.vertices, vertices])
@@ -313,8 +331,11 @@ def _ball_dataset(data, set_vertices=None, category=0, manifest=None, stack=None
      "ball.obj:484: face 320 is a third face on edge"),
     ("preprocess", dict(stack=lambda b: (b.vertices + 3.0, b.faces + 162)),
      "mesh has 2 connected components"),
+    ("preprocess", dict(flip=7),
+     "ball.obj:170: face 7 traverses edge (47, 46) in the same direction as an earlier face"),
 ], ids=["nan-vertex", "coincident-vertices", "empty-manifest", "no-samples", "category-7",
-        "tset-split", "duplicate-face", "non-manifold-edge", "two-components"])
+        "tset-split", "duplicate-face", "non-manifold-edge", "two-components",
+        "flipped-face"])
 def test_bad_inputs_exit_1_with_one_error_line(tmp_path, command, dataset, message):
     data = tmp_path / "data"
     _ball_dataset(data, **dataset)

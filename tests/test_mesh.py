@@ -87,6 +87,19 @@ def test_mesh_rejects_non_manifold_edge(sphere2):
     assert err.value.face == on_edge.max() + 1
 
 
+def test_mesh_rejects_inconsistent_orientation(sphere2):
+    faces = sphere2.faces.copy()
+    _, b, c = faces[7]
+    faces[7] = faces[7, ::-1]  # its first edge is now (c, b)
+    with pytest.raises(MeshError, match=rf"face 7 traverses edge \({c}, {b}\) in the same "
+                                        "direction as an earlier face") as err:
+        Mesh(sphere2.vertices, faces)
+    assert err.value.face == 7
+    assert "inconsistent orientation" in str(err.value)
+    # every face reversed is a consistent orientation again
+    Mesh(sphere2.vertices, sphere2.faces[:, ::-1])
+
+
 def test_obj_names_the_line_of_a_duplicate_or_non_manifold_face(tmp_path):
     head = "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nv 1 1 1\n# faces\nf 1 3 2\nf 1 2 4\n"
     cases = [(head + "f 2 3 4\nvn 0 0 1\nf 1 4 3\nf 4 2 1\n", ":12:", "repeats the vertices"),
@@ -174,11 +187,11 @@ def test_obj_parser_errors_name_the_line(tmp_path, body, phrase):
 
 def test_obj_relative_indices_count_back_from_read_vertices(tmp_path):
     absolute = tmp_path / "abs.obj"
-    absolute.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nv 0 0 1\nf 1 2 4\n")
+    absolute.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nv 0 0 1\nf 2 1 4\n")
     relative = tmp_path / "rel.obj"
-    relative.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\nv 0 0 1\nf -4/1 -3/2 -1/3\n")
+    relative.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\nv 0 0 1\nf -3/2 -4/1 -1/3\n")
     a, r = load_obj(absolute), load_obj(relative)
-    assert np.array_equal(r.faces, [[0, 1, 2], [0, 1, 3]])
+    assert np.array_equal(r.faces, [[0, 1, 2], [1, 0, 3]])
     assert np.array_equal(r.faces, a.faces) and np.array_equal(r.vertices, a.vertices)
 
 

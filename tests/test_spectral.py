@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.linalg import eigh
 
-from meshpool.mesh import assemble_laplacian, compute_vertex_areas, compute_vertex_normals
+from meshpool.mesh import Mesh, assemble_laplacian, compute_vertex_areas, compute_vertex_normals
 from meshpool.spectral import (
     RESIDUAL_TOL,
     EigensolverError,
@@ -101,6 +102,57 @@ def test_dense_path_refuses_large_mesh():
 def test_eigensolver_error_carries_residual():
     err = EigensolverError("boom", residual=0.5)
     assert err.residual == 0.5
+
+
+@pytest.fixture(scope="module")
+def uneven_op():
+    # a sphere stretched by exp(2z): vertex areas span three orders of magnitude
+    ball = icosphere(3)
+    v = ball.vertices * np.exp(2.0 * ball.vertices[:, 2:3])
+    op = assemble_laplacian(Mesh(v, ball.faces))
+    assert op.areas.max() / op.areas.min() > 1e3
+    return op
+
+
+def test_iterative_solver_gets_an_exactly_symmetric_standard_matrix(uneven_op, monkeypatch):
+    seen = []
+    real = scipy.sparse.linalg.eigsh
+
+    def spy(A, *args, **kwargs):
+        seen.append((A, kwargs))
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+    solve_eigs(uneven_op, 8, method="iterative")
+    (S, kwargs), = seen
+    assert kwargs.get("M") is None  # standard form: no mass matrix
+    assert (S != S.T).nnz == 0
+    s = 1.0 / np.sqrt(uneven_op.areas)
+    expected = s[:, None] * uneven_op.stiffness().toarray() * s[None, :]
+    assert np.abs(S.toarray() - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("method", ["dense", "iterative"])
+def test_standard_form_matches_generalized_oracle_on_uneven_areas(uneven_op, method):
+    basis = solve_eigs(uneven_op, 12, method=method)
+    dv, _ = dense_reference(uneven_op, 12)
+    rel = np.abs(basis.eigenvalues - dv) / np.maximum(np.abs(dv), 1e-3)
+    assert rel.max() < 1e-8
+    phi = basis.eigenvectors
+    gram = phi.T @ (uneven_op.areas[:, None] * phi)
+    assert np.abs(gram - np.eye(len(gram))).max() < 1e-6
+
+
+def test_unconverged_solve_reports_residual_in_mesh_coordinates(uneven_op, monkeypatch):
+    def no_convergence(S, k, **kwargs):
+        # the first k-1 exact standard-form pairs, as ARPACK would hand them over
+        vals, vecs = eigh(S.toarray(), subset_by_index=[0, k - 2])
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", vals, vecs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    with pytest.raises(EigensolverError, match=r"did not converge \(8/9 modes\)") as err:
+        solve_eigs(uneven_op, 8, method="iterative")
+    assert err.value.residual < 1e-8
 
 
 # ---------------------------------------------------------------------------

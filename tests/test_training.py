@@ -278,12 +278,15 @@ def _edit_config_json(arrays, edit):
     (lambda a: _edit_config_json(a, lambda c: c.update(update_widths=8)),
      "checkpoint config has a bad value"),
     (lambda a: a.update(config_json=str_to_array("5")), "checkpoint config is not a JSON object"),
+    (lambda a: a.update(config_json=str_to_array("{")), "checkpoint config is not valid JSON"),
+    (lambda a: a.update(config_json=np.array([0xFF, 0x7B], dtype=np.uint8)),
+     "checkpoint config is not valid JSON"),
     (lambda a: a.pop("epoch"), "not a checkpoint container"),
     (lambda a: a.pop("adam_v::head.out.1.b"), "missing section adam_v::head.out.1.b"),
     (lambda a: a.update({"param::head.out.1.b": np.zeros(3)}),
      "parameter head.out.1.b has shape (3,), expected (2,)"),
 ], ids=["unknown-field", "missing-field", "bad-task", "bad-widths", "not-object",
-        "no-epoch", "no-moment", "bad-shape"])
+        "not-json", "not-utf8", "no-epoch", "no-moment", "bad-shape"])
 def test_checkpoint_rejects_a_bad_config_or_section(tmp_path, change, message):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, init_params(CLS_CONFIG, seed=0), CLS_CONFIG, epoch=0, train_seed=0)
