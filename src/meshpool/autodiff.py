@@ -26,9 +26,17 @@ The tape does only the work a result needs:
   from the output, so a closure may reuse that array (ReLU masks it in
   place) and after backward only tensors the tape did not produce (leaves
   and parameters) hold gradients.
-- Cluster pooling and the scatter backward reduce contiguous segments of
-  the rows sorted stably by cluster id, so each segment lists its vertices
-  in ascending index order.
+- Cluster pooling and the scatter sums reduce each cluster's rows as one
+  contiguous segment, listed in ascending row order. A training or
+  inference record is cluster-contiguous (every level's mask is
+  non-decreasing; see ``training.record_from_cache``), so its segments
+  are plain row slices of the arrays at hand: max pooling reduces slices,
+  the scatter sums run ``np.add.reduceat`` on the gradient itself and a
+  split ``dense`` adds each cluster row to its slice. Any other mask is
+  first put in that order by a stable argsort and a gathered copy, which
+  gives the same numbers for the same segment rows. A tape works out the
+  segments of each mask array once and shares them among the ops that
+  pass that array.
 - ``Tape.dense`` is a whole linear + bias (+ ReLU) layer in one record,
   for a plain input or a split one (per-vertex columns beside cluster
   columns that a mask scatters). Its forward and gradients are
@@ -37,10 +45,10 @@ The tape does only the work a result needs:
   and put back by ``cluster_scatter`` and ``add``.
 - A ``Workspace`` keeps the large per-vertex arrays of ``dense`` (forward
   output, input gradient, scatter temporaries) across tapes, so a training
-  loop stops handing that memory back to the system after every mesh. A
-  tape given one takes those arrays from it; nothing taken may be used
-  after the workspace's ``release()``. Without a workspace a tape
-  allocates fresh arrays.
+  loop or an evaluation pass stops handing that memory back to the system
+  after every mesh. A tape given one takes those arrays from it; nothing
+  taken may be used after the workspace's ``release()``. Without a
+  workspace a tape allocates fresh arrays.
 """
 
 from __future__ import annotations
@@ -170,6 +178,21 @@ class Tape:
         self.record = bool(record)
         self.workspace = workspace
         self._records = []  # (output tensor, backward closure)
+        self._layouts = {}  # id(mask) -> (mask, _Segments), see _segments
+
+    def _segments(self, mask, n: int, p: int, allow_empty: bool = False) -> "_Segments":
+        """The segments of ``mask`` over n rows and p clusters, built once
+        per tape and mask array, so a record's level mask serves every op
+        of its level. The entry holds the mask, so no other array can take
+        its id while the tape lives; a mask must not change in place
+        meanwhile. Unless ``allow_empty``, a cluster without rows is an
+        error."""
+        entry = self._layouts.get(id(mask))
+        if entry is None or entry[1].shape != (n, p):
+            entry = self._layouts[id(mask)] = (mask, _Segments(mask, n, p))
+        if not allow_empty and not entry[1].filled.all():
+            raise ValueError("empty cluster id in mask")
+        return entry[1]
 
     def _emit(self, data, backward, *inputs) -> Tensor:
         tracked = self.record and any(t.needs_grad for t in inputs)
@@ -274,12 +297,11 @@ class Tape:
             out += b.data
             inputs = (x, w, b)
         else:
-            p = cluster.data.shape[0]
-            mask = _checked_mask(mask, n, p)
+            seg = self._segments(mask, n, cluster.data.shape[0], allow_empty=True)
             wc = w.data[k:]
             per_cluster = cluster.data @ wc
             per_cluster += b.data
-            out += np.take(per_cluster, mask, axis=0, out=_empty(ws, n, width))
+            seg.add_rows(out, per_cluster, ws)
             inputs = (x, w, b, cluster)
         if relu:
             np.maximum(out, 0.0, out=out)
@@ -295,7 +317,7 @@ class Tape:
                 if b.needs_grad:
                     _accumulate(b, g.sum(axis=0))
                 return
-            gc = _cluster_sums(g, mask, p, _empty(ws, n, width) if p > 1 else None)
+            gc = _cluster_sums(g, seg, ws)
             if b.needs_grad:
                 _accumulate(b, gc.sum(axis=0))
             if w.needs_grad:
@@ -323,27 +345,27 @@ class Tape:
         """Columnwise max over each cluster's rows.
 
         The gradient routes to the argmax row of each (cluster, column);
-        ties break to the lowest vertex index.
+        ties break to the lowest row of x, which for a record is the lowest
+        row of its cluster-contiguous layout.
         """
-        seg = _Segments(mask, x.data.shape[0], p)
+        seg = self._segments(mask, x.data.shape[0], p)
         xs = seg.sort(x.data)
-        out = seg.reduce(np.maximum, xs)
+        out = seg.max(xs)
 
         def backward(g):
-            # a segment lists its rows in ascending vertex order, so the
-            # lowest-index argmax is the first hit; keying the sorted rows by
-            # n - position makes that first hit the segment max
-            n, d = xs.shape
-            hit = xs == np.repeat(out, seg.counts, axis=0)
-            first = n - seg.reduce(np.maximum, hit * (n - np.arange(n))[:, None])
+            # a segment lists its rows in ascending order, so its first
+            # argmax is the lowest row
+            rows = seg.first_argmax(xs)
+            if seg.order is not None:
+                rows = seg.order[rows]
             gx = np.zeros_like(x.data)
-            gx[seg.order[first], np.arange(d)] = g
+            gx[rows, np.arange(g.shape[1])] = g
             _accumulate(x, gx)
 
         return self._emit(out, backward, x)
 
     def cluster_mean_pool(self, x: Tensor, mask: np.ndarray, p: int) -> Tensor:
-        seg = _Segments(mask, x.data.shape[0], p)
+        seg = self._segments(mask, x.data.shape[0], p)
         counts = seg.counts.astype(np.float64)[:, None]
         out = seg.reduce(np.add, seg.sort(x.data))
         out /= counts
@@ -355,13 +377,12 @@ class Tape:
 
     def cluster_scatter(self, cx: Tensor, mask: np.ndarray) -> Tensor:
         """Row i of the output is the cluster feature of mask[i]."""
-        p = cx.data.shape[0]
-        mask = _checked_mask(mask, np.size(mask), p)  # any length, but 1-D
+        seg = self._segments(mask, np.size(mask), cx.data.shape[0], allow_empty=True)
 
         def backward(g):
-            _accumulate(cx, _cluster_sums(g, mask, p))
+            _accumulate(cx, _cluster_sums(g, seg))
 
-        return self._emit(cx.data[mask], backward, cx)
+        return self._emit(cx.data[seg.mask], backward, cx)
 
     def global_max_pool(self, x: Tensor) -> Tensor:
         return self.cluster_max_pool(x, np.zeros(x.data.shape[0], dtype=np.int64), 1)
@@ -423,17 +444,18 @@ def _empty(workspace, n: int, w: int) -> np.ndarray:
     return np.empty((n, w)) if workspace is None else workspace.take(n, w)
 
 
-def _cluster_sums(g: np.ndarray, mask: np.ndarray, p: int, scratch=None) -> np.ndarray:
-    """Row sums of ``g`` per cluster id of ``mask``, zero for an id no row
-    has: the gradient of scattering p cluster rows by ``mask``. ``scratch``
-    (optional, g's shape) receives the rows in segment order."""
-    seg = _Segments(mask, len(mask), p, allow_empty=True)
-    filled = seg.counts > 0
+def _cluster_sums(g: np.ndarray, seg: "_Segments", workspace=None) -> np.ndarray:
+    """Row sums of ``g`` per cluster of ``seg``, zero for a cluster without
+    rows: the gradient of scattering cluster rows by ``seg.mask``. Only a
+    mask that is not non-decreasing needs a gathered copy of ``g``, taken
+    from ``workspace`` if given."""
+    rows = seg.sort(g, workspace)
+    filled = seg.filled
     if filled.all():
-        return seg.reduce(np.add, seg.sort(g, scratch))
-    gc = np.zeros((p, g.shape[1]))
+        return seg.reduce(np.add, rows)
+    gc = np.zeros((len(filled), g.shape[1]))
     if filled.any():
-        gc[filled] = np.add.reduceat(seg.sort(g, scratch), seg.starts[filled], axis=0)
+        gc[filled] = np.add.reduceat(rows, seg.starts[filled], axis=0)
     return gc
 
 
@@ -449,30 +471,68 @@ def _checked_mask(mask, n: int, p: int) -> np.ndarray:
 
 
 class _Segments:
-    """Rows grouped by cluster id through a stable argsort.
+    """Rows grouped by cluster id.
 
-    In sorted order cluster j owns the contiguous rows
-    starts[j] : starts[j] + counts[j], listed in ascending row index, so a
-    segment reduction has a fixed order and "first" means lowest index.
-    Validates the mask with ``_checked_mask`` and (unless ``allow_empty``)
-    rejects a cluster without rows.
+    In segment order cluster j owns the contiguous rows
+    starts[j] : starts[j] + counts[j] (``bounds[j]``), listed in ascending
+    row index, so a segment reduction has a fixed order and "first" means
+    lowest row. A non-decreasing mask, as every cluster-contiguous record
+    has, is in segment order already: ``order`` is None and a segment is a
+    slice of the rows themselves. Any other mask gets the stable argsort
+    ``order`` and ``sort`` gathers a copy. Validates the mask with
+    ``_checked_mask``; ``filled`` marks the clusters that have rows.
     """
 
-    __slots__ = ("mask", "order", "counts", "starts")
+    __slots__ = ("mask", "order", "counts", "filled", "starts", "bounds")
 
-    def __init__(self, mask, n: int, p: int, allow_empty: bool = False):
+    def __init__(self, mask, n: int, p: int):
         self.mask = mask = _checked_mask(mask, n, p)
         self.counts = np.bincount(mask, minlength=p)
-        if not allow_empty and np.any(self.counts == 0):
-            raise ValueError("empty cluster id in mask")
-        self.order = np.argsort(mask, kind="stable")
-        self.starts = np.zeros(p, dtype=np.int64)
-        np.cumsum(self.counts[:-1], out=self.starts[1:])
+        self.filled = self.counts > 0
+        in_order = (mask[1:] >= mask[:-1]).all()
+        self.order = None if in_order else np.argsort(mask, kind="stable")
+        ends = self.counts.cumsum()
+        self.starts = ends - self.counts
+        self.bounds = list(zip(self.starts.tolist(), ends.tolist()))
 
-    def sort(self, rows: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        """Rows in segment order, written to ``out`` if given (one cluster:
-        ``rows`` itself, already in order)."""
-        return rows if len(self.counts) == 1 else np.take(rows, self.order, axis=0, out=out)
+    @property
+    def shape(self):
+        """(rows, clusters)."""
+        return len(self.mask), len(self.counts)
+
+    def sort(self, rows: np.ndarray, workspace=None) -> np.ndarray:
+        """Rows in segment order: ``rows`` itself for a non-decreasing mask,
+        otherwise a gathered copy (from ``workspace`` if given)."""
+        if self.order is None:
+            return rows
+        return np.take(rows, self.order, axis=0, out=_empty(workspace, *rows.shape))
+
+    def max(self, sorted_rows: np.ndarray) -> np.ndarray:
+        """Columnwise max of each segment, one slice at a time (``reduceat``
+        along axis 0 runs column by column); every segment non-empty."""
+        out = np.empty((len(self.bounds), sorted_rows.shape[1]))
+        for j, (start, end) in enumerate(self.bounds):
+            sorted_rows[start:end].max(axis=0, out=out[j])
+        return out
+
+    def first_argmax(self, sorted_rows: np.ndarray) -> np.ndarray:
+        """Row (in segment order) of each segment's columnwise max, the
+        first one on a tie."""
+        rows = np.empty((len(self.bounds), sorted_rows.shape[1]), dtype=np.intp)
+        for j, (start, end) in enumerate(self.bounds):
+            np.argmax(sorted_rows[start:end], axis=0, out=rows[j])
+            rows[j] += start
+        return rows
+
+    def add_rows(self, out: np.ndarray, rows: np.ndarray, workspace=None) -> None:
+        """``out[i] += rows[mask[i]]`` for every row i: a slice add per
+        cluster, or one gathered temporary (from ``workspace`` if given)
+        for a mask that is not non-decreasing."""
+        if self.order is None:
+            for j, (start, end) in enumerate(self.bounds):
+                out[start:end] += rows[j]
+        else:
+            out += np.take(rows, self.mask, axis=0, out=_empty(workspace, *out.shape))
 
     def reduce(self, ufunc, sorted_rows: np.ndarray) -> np.ndarray:
         """ufunc over each cluster's sorted rows; every cluster non-empty."""

@@ -70,9 +70,13 @@ class SpectralBasis:
         return len(self.eigenvalues)
 
 
-def eig_residuals(op: LaplacianOperator, basis: SpectralBasis) -> np.ndarray:
-    """Relative residual ||K x - lam A x|| / ||A x|| per eigenpair."""
-    K = op.stiffness()
+def eig_residuals(op: LaplacianOperator, basis: SpectralBasis, stiffness=None) -> np.ndarray:
+    """Relative residual ||K x - lam A x|| / ||A x|| per eigenpair.
+
+    ``stiffness`` is ``op.stiffness()`` when the caller has it already;
+    otherwise it is assembled here.
+    """
+    K = op.stiffness() if stiffness is None else stiffness
     ax = basis.eigenvectors * op.areas[:, None]
     num = np.linalg.norm(K @ basis.eigenvectors - basis.eigenvalues[None, :] * ax, axis=0)
     return num / np.linalg.norm(ax, axis=0)
@@ -121,7 +125,8 @@ def solve_eigs(op: LaplacianOperator, k: int, method: str = "auto") -> SpectralB
         method = "dense" if (n < DENSE_CUTOFF or want > n - 1) else "iterative"
 
     s = 1.0 / np.sqrt(op.areas)
-    S = op.stiffness()
+    K = op.stiffness()  # assembled once: scaled into S, and the residual check
+    S = K.copy()
     S.data *= s[np.repeat(np.arange(n), np.diff(S.indptr))] * s[S.indices]
     if method == "dense":
         if n > DENSE_LIMIT:
@@ -136,7 +141,7 @@ def solve_eigs(op: LaplacianOperator, k: int, method: str = "auto") -> SpectralB
         except ArpackNoConvergence as exc:
             partial = SpectralBasis(np.asarray(exc.eigenvalues),
                                     s[:, None] * np.asarray(exc.eigenvectors))
-            res = float(eig_residuals(op, partial).max()) if partial.n_modes else None
+            res = float(eig_residuals(op, partial, K).max()) if partial.n_modes else None
             raise EigensolverError(
                 f"iterative eigensolver did not converge ({partial.n_modes}/{want} modes)",
                 residual=res,
@@ -144,7 +149,7 @@ def solve_eigs(op: LaplacianOperator, k: int, method: str = "auto") -> SpectralB
     vecs = s[:, None] * vecs
     order = np.argsort(vals)
     basis = SpectralBasis(np.ascontiguousarray(vals[order]), np.ascontiguousarray(vecs[:, order]))
-    worst = float(eig_residuals(op, basis).max())
+    worst = float(eig_residuals(op, basis, K).max())
     if worst >= RESIDUAL_TOL:
         raise EigensolverError(f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e}", residual=worst)
     return basis

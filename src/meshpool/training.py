@@ -9,7 +9,16 @@ parameter dict plus Adam moments, a checkpoint written after epoch e and
 resumed reproduces the uninterrupted run bit for bit. One
 ``autodiff.Workspace`` serves a whole ``train`` run: every mesh-step's tape
 takes its large per-vertex arrays from it, and it is released once the
-step's loss and predictions have been read.
+step's loss and predictions have been read; each evaluation call
+(``evaluate_*``, and so the early-stop pass) reuses one the same way.
+
+Records built from a cache (``record_from_cache``) are cluster-contiguous:
+their vertices are stably sorted by (coarsest cluster id, ..., finest
+cluster id), with each level's ids renumbered in order of first
+appearance, so every cluster of every level is one row range and the
+tape's pooling and scatter sums reduce slices instead of gathering rows.
+The record keeps that ``order``, and ``forward_logits``/``predict`` map
+their rows back, so every public output is in the mesh's own vertex order.
 
 Both heads share one rule after the logits: each output row has one true
 class, a vertex label for segmentation and the category for the single
@@ -43,26 +52,63 @@ class CheckpointError(ValueError):
 
 @dataclass
 class SampleRecord:
-    """One preprocessed training sample."""
+    """One preprocessed training sample.
+
+    Its per-vertex arrays (features, labels, masks) share one row order:
+    row r is mesh vertex ``order[r]``, or vertex r when ``order`` is None
+    (a record built by hand, with any masks).
+    """
 
     name: str
     features: np.ndarray
     level_masks: list
     category: int
     labels: np.ndarray = None
+    order: np.ndarray = None
+
+
+def _cluster_layout(name: str, masks):
+    """(order, masks): the vertices stably sorted by (coarsest id, ...,
+    finest id), and each level's mask in that order with its ids renumbered
+    by first appearance, so every mask is non-decreasing. Raises
+    TrainingError when a level's clusters do not nest in the coarser
+    levels, since such a cluster would cover two row ranges."""
+    order = np.lexsort(masks)  # the last key, the coarsest level, is primary
+    laid = [None] * len(masks)
+    starts = np.zeros(len(order), dtype=bool)  # rows that start a cluster
+    starts[:1] = True
+    for level in reversed(range(len(masks))):
+        mask = masks[level][order]
+        starts[1:] |= mask[1:] != mask[:-1]  # a coarser cluster's start is one too
+        ids = mask[starts].tolist()  # a cluster that is not one row range repeats
+        if len(set(ids)) != len(ids):
+            raise TrainingError(f"{name}: the level {level} clusters do not nest "
+                                f"in the coarser levels")
+        laid[level] = np.cumsum(starts, dtype=np.int64) - 1
+    return order, laid
 
 
 def record_from_cache(name: str, cache: FeatureCache, category: int,
                       labels=None) -> SampleRecord:
+    """A cluster-contiguous record of ``cache`` (see the module docstring);
+    ``labels`` are given in mesh vertex order."""
+    n = cache.n_vertices
     labels = None if labels is None else np.asarray(labels, dtype=np.int64)
-    if labels is not None and len(labels) != cache.n_vertices:
-        raise TrainingError(f"{name}: {len(labels)} labels for {cache.n_vertices} vertices")
+    if labels is not None and len(labels) != n:
+        raise TrainingError(f"{name}: {len(labels)} labels for {n} vertices")
+    masks = [np.asarray(m, dtype=np.int64) for m in cache.level_masks]
+    for level, mask in enumerate(masks):
+        if mask.shape != (n,):
+            raise TrainingError(f"{name}: level {level} mask has shape {mask.shape} "
+                                f"for {n} vertices")
+    order, masks = _cluster_layout(name, masks)
     return SampleRecord(
         name=name,
-        features=cache.features,
-        level_masks=list(cache.level_masks),
+        features=cache.features[order],
+        level_masks=masks,
         category=int(category),
-        labels=labels,
+        labels=None if labels is None else labels[order],
+        order=order,
     )
 
 
@@ -106,20 +152,45 @@ def _forward(tape: Tape, params, config: ModelConfig, record: SampleRecord):
                          record.level_masks, category=category)
 
 
-def forward_logits(params, config: ModelConfig, record: SampleRecord) -> np.ndarray:
-    """Inference-only forward pass on a record-free tape.
+def _in_mesh_order(rows: np.ndarray, record: SampleRecord, config: ModelConfig) -> np.ndarray:
+    """A copy of a record's output rows, per-vertex rows put back in the
+    mesh's vertex order."""
+    if record.order is None or config.task != "segmentation":
+        return rows.copy()
+    out = np.empty_like(rows)
+    out[record.order] = rows
+    return out
+
+
+def forward_logits(params, config: ModelConfig, record: SampleRecord,
+                   workspace: Workspace = None) -> np.ndarray:
+    """Inference-only forward pass on a record-free tape; per-vertex logits
+    come back in the mesh's vertex order.
 
     No op records a backward closure or keeps state that only backward
     needs, so eval, export and the early-stop pass pay for the forward
-    alone. The logits are bit-identical to a recording forward's.
+    alone. The logits are bit-identical to a recording forward's. With a
+    ``workspace`` the forward takes its large arrays from it and releases
+    them before returning, so one workspace serves a whole evaluation.
     """
-    return _forward(Tape(record=False), params, config, record).data
+    logits = _forward(Tape(record=False, workspace=workspace), params, config, record).data
+    logits = _in_mesh_order(logits, record, config)
+    if workspace is not None:
+        workspace.release()
+    return logits
 
 
-def predict(params, config: ModelConfig, record: SampleRecord) -> np.ndarray:
+def predict(params, config: ModelConfig, record: SampleRecord,
+            workspace: Workspace = None) -> np.ndarray:
     """The predicted class of each output row (argmax over the logits):
-    one per vertex for segmentation, a single row for classification."""
-    return np.argmax(forward_logits(params, config, record), axis=1)
+    one per vertex in mesh vertex order for segmentation, a single row for
+    classification. ``workspace`` as for ``forward_logits``."""
+    return np.argmax(forward_logits(params, config, record, workspace), axis=1)
+
+
+def _mesh_truth(record: SampleRecord, config: ModelConfig) -> np.ndarray:
+    """``_truth`` in the row order ``predict`` returns."""
+    return _in_mesh_order(_truth(record, config), record, config)
 
 
 def _count_correct(pred: np.ndarray, truth: np.ndarray):
@@ -130,7 +201,9 @@ def _count_correct(pred: np.ndarray, truth: np.ndarray):
 
 def evaluate_accuracy(params, config: ModelConfig, records) -> float:
     """Vertex-weighted for segmentation, per-mesh for classification."""
-    counts = [_count_correct(predict(params, config, r), _truth(r, config)) for r in records]
+    workspace = Workspace()
+    counts = [_count_correct(predict(params, config, r, workspace), _mesh_truth(r, config))
+              for r in records]
     return sum(c for c, _ in counts) / sum(t for _, t in counts)
 
 
@@ -211,8 +284,9 @@ class SegmentationReport:
 
 def evaluate_classification(params, config: ModelConfig, records) -> ClassificationReport:
     confusion = np.zeros((config.num_categories, config.num_categories), dtype=np.int64)
+    workspace = Workspace()
     for record in records:
-        confusion[_truth(record, config), predict(params, config, record)] += 1
+        confusion[_truth(record, config), predict(params, config, record, workspace)] += 1
     per_cat = {cat: float(confusion[cat, cat] / n)
                for cat, n in enumerate(confusion.sum(axis=1)) if n}
     accuracy = float(np.trace(confusion) / confusion.sum())
@@ -234,8 +308,10 @@ def evaluate_segmentation(params, config: ModelConfig, records) -> SegmentationR
     labels = np.arange(config.num_labels)
     totals = {}
     per_sample = {}
+    workspace = Workspace()
     for record in records:
-        pred, truth = predict(params, config, record), _truth(record, config)
+        pred = predict(params, config, record, workspace)
+        truth = _mesh_truth(record, config)
         correct, total = _count_correct(pred, truth)
         entry = totals.setdefault(record.category, {"correct": 0, "verts": 0, "ious": []})
         entry["correct"] += correct

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from meshpool.autodiff import (Parameter, Tape, Tensor, Workspace, adam_step,
-                               set_debug_checks)
+from meshpool.autodiff import (Parameter, Tape, Tensor, Workspace, _cluster_sums,
+                               _Segments, adam_step, set_debug_checks)
 
 from conftest import central_diff, fd_op_check, max_rel_err
 
@@ -341,6 +341,45 @@ def test_cluster_scatter_gradient_skips_unused_clusters():
     out = tape.cluster_scatter(cx, np.array([2, 0, 2]))
     tape.backward(tape.matmul(Tensor(np.ones((1, 3))), out))
     assert np.array_equal(cx.grad, [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
+
+
+def _interleaved_and_contiguous(seed, n=60, p=7, d=5):
+    """The same rows twice: interleaved (a shuffled mask) and contiguous
+    (stably sorted by cluster, so each cluster keeps its row order), plus
+    that ``order``. Values come from three levels, so most maxima tie."""
+    rng = np.random.default_rng(seed)
+    mask = rng.permutation(np.concatenate([np.arange(p), rng.integers(0, p, n - p)]))
+    x = rng.integers(0, 3, (n, d)).astype(np.float64)
+    order = np.argsort(mask, kind="stable")
+    return (x, mask), (x[order], mask[order]), order
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_contiguous_segments_match_the_gathered_layout(seed):
+    # a non-decreasing mask reduces slices of the rows themselves; the
+    # results are those of the gathered path on the same segment rows
+    (xi, mi), (xc, mc), order = _interleaved_and_contiguous(seed)
+    n, p, d = len(mi), int(mi.max()) + 1, xi.shape[1]
+    assert _Segments(mc, n, p).order is None and _Segments(mi, n, p).order is not None
+    rng = np.random.default_rng(seed + 10)
+    a, b = rng.standard_normal((1, p)), rng.standard_normal((d, 1))
+    pooled, grads = [], []
+    for x, mask in ((xi, mi), (xc, mc)):
+        tape = Tape()
+        t = Tensor(x)
+        out = tape.cluster_max_pool(t, mask, p)
+        # d loss / d out = outer(a, b): a different weight per (cluster, column)
+        tape.backward(tape.matmul(tape.matmul(Tensor(a, needs_grad=False), out),
+                                  Tensor(b, needs_grad=False)))
+        pooled.append(out.data)
+        grads.append(t.grad)
+    assert np.array_equal(pooled[0], pooled[1])
+    assert np.array_equal(grads[0][order], grads[1])
+    g = rng.standard_normal((n, d))
+    for ids in (p, p + 1):  # every id used, and one id without rows
+        sums_i = _cluster_sums(g, _Segments(mi, n, ids))
+        sums_c = _cluster_sums(g[order], _Segments(mc, n, ids))
+        assert np.array_equal(sums_i, sums_c) and sums_c.shape == (ids, d)
 
 
 def test_adam_step_bit_identical_to_textbook_form():

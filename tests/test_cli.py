@@ -11,11 +11,15 @@ import numpy as np
 import pytest
 
 import meshpool
+from meshpool.autodiff import Tape
 from meshpool.binio import array_to_str, read_container, str_to_array, write_container
 from meshpool.cache import CacheMismatchError, PreprocessParams, load_cache
 from meshpool.cli import load_manifest, main
 from meshpool.mesh import load_obj, write_obj
+from meshpool.model import model_forward
+from meshpool.ply import label_colors
 from meshpool.synth import icosphere
+from meshpool.training import load_checkpoint
 
 SMALL = ["--eigs", "8", "--clusters", "6,3"]
 
@@ -290,12 +294,14 @@ def test_preprocess_rejects_unreferenced_vertex_in_one_line(tmp_path):
     assert proc.stderr.splitlines() == ["error: vertex 162 belongs to no face"]
 
 
-def _ball_dataset(data, set_vertices=None, category=0, manifest=None, stack=None, flip=None):
+def _ball_dataset(data, set_vertices=None, category=0, manifest=None, stack=None, flip=None,
+                  cache=None):
     """A one-mesh classification dataset in ``data``: an icosphere OBJ whose
     vertex rows ``set_vertices = (rows, value)`` overwrites, whose face
     ``flip`` is reversed, to whose vertex and face arrays
-    ``stack(ball) = (vertices, faces)`` appends rows, and a manifest that
-    ``manifest`` replaces."""
+    ``stack(ball) = (vertices, faces)`` appends rows, a manifest that
+    ``manifest`` replaces, and, with ``cache``, a preprocessed cache whose
+    container sections ``cache(arrays)`` rewrites (with a fresh digest)."""
     data.mkdir()
     ball = icosphere(2)
     # after Mesh's checks: the OBJ keeps the bad data
@@ -313,6 +319,19 @@ def _ball_dataset(data, set_vertices=None, category=0, manifest=None, stack=None
         manifest = {"task": "classification", "num_categories": 4, "samples": [
             {"name": "ball", "obj": "ball.obj", "category": category, "split": "train"}]}
     (data / "manifest.json").write_text(json.dumps(manifest))
+    if cache is not None:
+        assert main(["preprocess", "--input", str(data)]) == 0
+        path = data / "cache" / "ball.mpc"
+        write_container(path, cache(read_container(path)))
+
+
+def _swap_fine_ids(arrays):
+    """Swaps the level-0 cluster ids of two vertices in different level-1
+    clusters, so level 0 no longer nests in level 1."""
+    fine, coarse = arrays["mask_0"].copy(), arrays["mask_1"]
+    other = int(np.flatnonzero(coarse != coarse[0])[0])
+    fine[[0, other]] = fine[[other, 0]]
+    return dict(arrays, mask_0=fine)
 
 
 # the first entries of a corpus of bad inputs: each ends in one stderr line
@@ -333,9 +352,11 @@ def _ball_dataset(data, set_vertices=None, category=0, manifest=None, stack=None
      "mesh has 2 connected components"),
     ("preprocess", dict(flip=7),
      "ball.obj:170: face 7 traverses edge (47, 46) in the same direction as an earlier face"),
+    ("train", dict(cache=_swap_fine_ids),
+     "ball: the level 0 clusters do not nest in the coarser levels"),
 ], ids=["nan-vertex", "coincident-vertices", "empty-manifest", "no-samples", "category-7",
         "tset-split", "duplicate-face", "non-manifold-edge", "two-components",
-        "flipped-face"])
+        "flipped-face", "unnested-cache"])
 def test_bad_inputs_exit_1_with_one_error_line(tmp_path, command, dataset, message):
     data = tmp_path / "data"
     _ball_dataset(data, **dataset)
@@ -414,6 +435,29 @@ def test_eval_and_export_follow_the_checkpoint(tmp_path, capsys):
     assert main(["export", "--input", str(obj), "--output", str(tmp_path / "c.ply"),
                  "--what", "clusters"] + SMALL) == 0
     assert _cache_stamps(data / "cache") == before
+
+
+def test_export_labels_colours_vertices_in_mesh_order(tmp_path):
+    # records are cluster-contiguous inside; the PLY must not be
+    data = tmp_path / "seg"
+    main(["synth", "--output", str(data), "--task", "segmentation",
+          "--count", "4", "--seed", "8"])
+    ckpt = data / "model.ckpt"
+    assert main(["train", "--input", str(data), "--epochs", "6"] + SMALL) == 0
+    obj = data / json.loads((data / "manifest.json").read_text())["samples"][0]["obj"]
+    ply = tmp_path / "labels.ply"
+    assert main(["export", "--input", str(obj), "--output", str(ply),
+                 "--model", str(ckpt)]) == 0
+    params, config, _, _ = load_checkpoint(ckpt)
+    cache = load_cache(data / "cache" / f"{obj.stem}.mpc")
+    logits = model_forward(Tape(record=False), params, config, cache.features,
+                           cache.level_masks, category=0).data
+    want = np.argmax(logits, axis=1)
+    assert len(np.unique(want)) > 1  # a constant prediction would hide the order
+    lines = ply.read_text().splitlines()
+    start = lines.index("end_header") + 1
+    rows = [line.split()[3:] for line in lines[start:start + cache.n_vertices]]
+    assert np.array_equal(np.array(rows, dtype=np.uint8), label_colors(want))
 
 
 def test_eval_rebuilds_a_cache_that_is_not_a_cache(tmp_path, capsys):

@@ -15,7 +15,7 @@ from meshpool.model import (
     pooling_block_forward,
 )
 from meshpool.synth import DUMBBELL_RESOLUTIONS, deform, dumbbell
-from meshpool.training import SampleRecord, forward_logits
+from meshpool.training import SampleRecord, forward_logits, predict, record_from_cache
 
 from conftest import central_diff, max_rel_err
 
@@ -214,9 +214,14 @@ def _rel(a, b):
 
 
 @pytest.fixture(scope="module")
-def dumbbell_inputs():
+def dumbbell_cache():
     base, labels = dumbbell(*DUMBBELL_RESOLUTIONS["a"])
-    cache = preprocess_mesh(deform(base, seed=[3, 0]), PreprocessParams())
+    return preprocess_mesh(deform(base, seed=[3, 0]), PreprocessParams()), labels
+
+
+@pytest.fixture(scope="module")
+def dumbbell_inputs(dumbbell_cache):
+    cache, labels = dumbbell_cache
     return cache.features, cache.level_masks, labels
 
 
@@ -254,6 +259,31 @@ def test_forward_logits_bit_identical_to_recording_forward(task):
     category = 1 if task == "segmentation" else None
     recorded = model_forward(Tape(), params, config, feats, masks, category=category)
     assert np.array_equal(forward_logits(params, config, record), recorded.data)
+
+
+@pytest.mark.parametrize("task", **MAX_POOL_TASKS)
+def test_layout_record_predicts_in_mesh_order(task, dumbbell_cache):
+    cache, labels = dumbbell_cache
+    config = ModelConfig(task=task, num_labels=3, num_categories=4)
+    params = init_params(config, seed=6)
+    category = 2 if task == "segmentation" else None
+    record = record_from_cache("a", cache, 2, labels)
+    assert not np.array_equal(record.order, np.arange(cache.n_vertices))
+
+    def mesh_forward():
+        return model_forward(Tape(record=False), params, config, cache.features,
+                             cache.level_masks, category=category).data
+
+    if task == "segmentation":  # centre the logits so the prediction varies
+        params["head.out.1.b"].data[...] -= np.median(mesh_forward(), axis=0)
+    mesh_logits = mesh_forward()
+    logits = forward_logits(params, config, record)
+    assert _rel(logits, mesh_logits) < 1e-12
+    want = np.argmax(mesh_logits, axis=1)
+    assert task == "classification" or len(np.unique(want)) == 3  # the order shows
+    ws = Workspace()
+    for _ in range(2):  # one workspace serves repeated forwards
+        assert np.array_equal(predict(params, config, record, ws), want)
 
 
 class _SpyTape(Tape):
@@ -351,16 +381,19 @@ class _CheckedWorkspace(Workspace):
 def test_workspace_steps_match_fresh_tapes():
     """Training steps on alternating 254- and 434-vertex meshes give the same
     logits and parameter gradients bit for bit with one reused workspace as
-    with workspace-free tapes; after the larger mesh no new block is made."""
+    with workspace-free tapes; after the larger mesh no new block is made.
+    Both the mesh-order masks (gathered cluster ops) and a record's
+    cluster-contiguous layout (sliced cluster ops) are run."""
     config = ModelConfig(task="segmentation", num_labels=3, num_categories=4)
     params = init_params(config, seed=2)
-    meshes = []
+    layouts = {"mesh-order": [], "cluster-contiguous": []}
     for res in ("a", "b"):
         base, labels = dumbbell(*DUMBBELL_RESOLUTIONS[res])
         cache = preprocess_mesh(deform(base, seed=[5, 0]), PreprocessParams())
-        meshes.append((cache.features, cache.level_masks, np.eye(3)[labels]))
-    assert [len(m[0]) for m in meshes] == [254, 434]
-    ws = _CheckedWorkspace()
+        layouts["mesh-order"].append((cache.features, cache.level_masks, np.eye(3)[labels]))
+        record = record_from_cache(res, cache, 1, labels)
+        layouts["cluster-contiguous"].append(
+            (record.features, record.level_masks, np.eye(3)[record.labels]))
 
     def step(feats, masks, target, workspace):
         tape = Tape(workspace=workspace)
@@ -375,14 +408,18 @@ def test_workspace_steps_match_fresh_tapes():
         assert all(g.any() for n, g in grads.items() if n.endswith(".W"))
         return logits, grads
 
-    blocks_after = []
-    for i in range(5):
-        feats, masks, target = meshes[i % 2]
-        got_logits, got = step(feats, masks, target, ws)
-        want_logits, want = step(feats, masks, target, None)
-        assert np.array_equal(got_logits, want_logits)
-        for name in params:
-            assert np.array_equal(got[name], want[name]), name
-        blocks_after.append(len(ws.seen))
-    assert blocks_after[1] > blocks_after[0]  # the 434-row mesh outgrew the first set
-    assert blocks_after[1:] == [blocks_after[1]] * 4
+    for layout, meshes in layouts.items():
+        assert [len(m[0]) for m in meshes] == [254, 434]
+        ws = _CheckedWorkspace()
+        blocks_after = []
+        for i in range(5):
+            feats, masks, target = meshes[i % 2]
+            got_logits, got = step(feats, masks, target, ws)
+            want_logits, want = step(feats, masks, target, None)
+            assert np.array_equal(got_logits, want_logits), layout
+            for name in params:
+                assert np.array_equal(got[name], want[name]), (layout, name)
+            blocks_after.append(len(ws.seen))
+        # the 434-row mesh outgrew the first set, and nothing after it
+        assert blocks_after[1] > blocks_after[0], layout
+        assert blocks_after[1:] == [blocks_after[1]] * 4, layout

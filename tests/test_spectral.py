@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse.linalg
 from scipy.linalg import eigh
 
-from meshpool.mesh import Mesh, assemble_laplacian, compute_vertex_areas, compute_vertex_normals
+from meshpool.mesh import (LaplacianOperator, Mesh, assemble_laplacian, compute_vertex_areas,
+                           compute_vertex_normals)
 from meshpool.spectral import (
     RESIDUAL_TOL,
     EigensolverError,
@@ -66,6 +67,23 @@ def test_eigenvectors_a_orthonormal(bumpy_op, bumpy_basis):
 
 def test_residuals_below_tolerance(bumpy_op, bumpy_basis):
     assert eig_residuals(bumpy_op, bumpy_basis).max() < RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("method", ["dense", "iterative"])
+def test_solve_assembles_the_stiffness_once(bumpy_op, method, monkeypatch):
+    calls = []
+    real = LaplacianOperator.stiffness
+
+    def counted(op):
+        calls.append(op)
+        return real(op)
+
+    monkeypatch.setattr(LaplacianOperator, "stiffness", counted)
+    basis = solve_eigs(bumpy_op, 8, method=method)
+    assert len(calls) == 1  # D - W serves both S and the residual check
+    # a caller without the matrix still gets it assembled, with the same result
+    given = eig_residuals(bumpy_op, basis, real(bumpy_op))
+    assert np.array_equal(eig_residuals(bumpy_op, basis), given) and len(calls) == 2
 
 
 def test_dense_and_auto_agree(tetra):

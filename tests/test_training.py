@@ -17,12 +17,14 @@ from meshpool.training import (
     evaluate_segmentation,
     forward_logits,
     load_checkpoint,
+    predict,
     record_from_cache,
     save_checkpoint,
     split_dataset,
     train,
 )
-from meshpool.cache import FeatureCache
+from meshpool.cache import FeatureCache, PreprocessParams, preprocess_mesh
+from meshpool.synth import DUMBBELL_RESOLUTIONS, deform, dumbbell
 
 CLS_CONFIG = ModelConfig(
     in_dim=4, cluster_counts=(3, 2), update_widths=(8, 8), corr_width=6,
@@ -134,18 +136,74 @@ def test_classification_category_outside_range_is_rejected(category):
 
 def test_record_from_cache_checks_labels():
     cache = FeatureCache(
-        features=np.zeros((5, 4)),
+        features=np.arange(20.0).reshape(5, 4),
         eigenvalues=np.zeros(3),
-        level_masks=[np.array([0, 1, 2, 0, 1])],
+        level_masks=[np.array([2, 1, 0, 2, 1])],
         cluster_counts=(3,),
         mesh_hash="h",
         params_fingerprint="p",
     )
-    rec = record_from_cache("m", cache, 1, labels=[0, 1, 0, 1, 0])
+    labels = [0, 1, 0, 1, 1]
+    rec = record_from_cache("m", cache, 1, labels=labels)
     assert rec.labels.dtype == np.int64
-    assert len(rec.level_masks) == 1 and rec.level_masks[0] is cache.level_masks[0]
+    # the cluster-contiguous layout: a stable sort by cluster, ids renumbered
+    # by first appearance, and ``order`` maps each row back to its vertex
+    assert list(rec.order) == [2, 1, 4, 0, 3]
+    assert len(rec.level_masks) == 1 and list(rec.level_masks[0]) == [0, 1, 1, 2, 2]
+    assert np.array_equal(rec.features, cache.features[rec.order])
+    assert np.array_equal(rec.labels, np.asarray(labels)[rec.order])
     with pytest.raises(TrainingError, match="labels"):
         record_from_cache("m", cache, 1, labels=[0, 1])
+
+
+def test_record_from_cache_rejects_levels_that_do_not_nest():
+    masks = [np.array([3, 1, 0, 2, 1, 2]), np.array([1, 0, 0, 1, 0, 1])]
+    cache = FeatureCache(np.zeros((6, 4)), np.zeros(3), masks, (4, 2), "h", "p")
+    rec = record_from_cache("m", cache, 0)
+    assert list(rec.order) == [2, 1, 4, 3, 5, 0]
+    assert [list(m) for m in rec.level_masks] == [[0, 1, 1, 2, 2, 3], [0, 0, 0, 1, 1, 1]]
+    # fine cluster 1 also takes vertex 3 of coarse cluster 1; in the layout
+    # its rows are still adjacent, across the coarse boundary
+    masks[0] = np.array([3, 1, 0, 1, 1, 2])
+    with pytest.raises(TrainingError, match="m: the level 0 clusters do not nest"):
+        record_from_cache("m", cache, 0)
+    masks[0] = np.array([0, 1, 1, 2, 2])
+    with pytest.raises(TrainingError, match="m: level 0 mask has shape"):
+        record_from_cache("m", cache, 0)
+
+
+LAYOUT_CONFIG = ModelConfig(
+    in_dim=14, cluster_counts=(6, 3), update_widths=(16, 16), corr_width=8,
+    head_hidden=(16, 16), head_final=8, task="segmentation",
+    num_labels=3, num_categories=1,
+)
+
+
+def test_layout_records_train_the_same_network():
+    # the same three dumbbells as cluster-contiguous records (sliced cluster
+    # ops) and as mesh-order records (gathered cluster ops): only the
+    # summation order differs
+    pre = PreprocessParams(n_eigenvectors=8, cluster_counts=LAYOUT_CONFIG.cluster_counts)
+    layout, mesh_order = [], []
+    for i, res in enumerate(("a", "b", "a")):
+        base, labels = dumbbell(*DUMBBELL_RESOLUTIONS[res])
+        cache = preprocess_mesh(deform(base, seed=[11, i]), pre)
+        layout.append(record_from_cache(f"d{i}", cache, 0, labels))
+        mesh_order.append(SampleRecord(f"d{i}", cache.features, cache.level_masks, 0,
+                                       labels=labels))
+    assert all(not np.all(np.diff(r.level_masks[0]) >= 0) for r in mesh_order)
+    tcfg = TrainConfig(epochs=3, lr=3e-3, batch_size=2, seed=4)
+    got, got_history = train(layout, LAYOUT_CONFIG, tcfg)
+    want, want_history = train(mesh_order, LAYOUT_CONFIG, tcfg)
+    for name in want:
+        rel = np.abs(got[name].data - want[name].data).max() / np.abs(want[name].data).max()
+        assert rel < 1e-9, name
+    assert np.allclose([h.mean_loss for h in got_history],
+                       [h.mean_loss for h in want_history], rtol=1e-12, atol=0.0)
+    for a, b in zip(layout, mesh_order):  # predictions come back in mesh order
+        assert np.array_equal(predict(got, LAYOUT_CONFIG, a), predict(got, LAYOUT_CONFIG, b))
+    assert (evaluate_segmentation(got, LAYOUT_CONFIG, layout)
+            == evaluate_segmentation(got, LAYOUT_CONFIG, mesh_order))
 
 
 # ---------------------------------------------------------------------------
