@@ -45,10 +45,10 @@ The tape does only the work a result needs:
   and put back by ``cluster_scatter`` and ``add``.
 - A ``Workspace`` keeps the large per-vertex arrays of ``dense`` (forward
   output, input gradient, scatter temporaries) across tapes, so a training
-  loop or an evaluation pass stops handing that memory back to the system
-  after every mesh. A tape given one takes those arrays from it; nothing
-  taken may be used after the workspace's ``release()``. Without a
-  workspace a tape allocates fresh arrays.
+  loop stops handing that memory back to the system after every mesh. A
+  tape given one takes those arrays from it; nothing taken may be used
+  after the workspace's ``release()``. Without a workspace a tape
+  allocates fresh arrays.
 """
 
 from __future__ import annotations
@@ -353,13 +353,16 @@ class Tape:
         out = seg.max(xs)
 
         def backward(g):
-            # a segment lists its rows in ascending order, so its first
-            # argmax is the lowest row
-            rows = seg.first_argmax(xs)
+            # a segment lists its rows in ascending order, so the lowest-row
+            # argmax is the first hit; keying the rows by n - position makes
+            # that first hit the segment max
+            n, d = xs.shape
+            hit = xs == np.repeat(out, seg.counts, axis=0)
+            rows = n - seg.reduce(np.maximum, hit * (n - np.arange(n))[:, None])
             if seg.order is not None:
                 rows = seg.order[rows]
             gx = np.zeros_like(x.data)
-            gx[rows, np.arange(g.shape[1])] = g
+            gx[rows, np.arange(d)] = g
             _accumulate(x, gx)
 
         return self._emit(out, backward, x)
@@ -509,20 +512,12 @@ class _Segments:
 
     def max(self, sorted_rows: np.ndarray) -> np.ndarray:
         """Columnwise max of each segment, one slice at a time (``reduceat``
-        along axis 0 runs column by column); every segment non-empty."""
+        along axis 0 runs column by column, which is slower on a record's
+        masks); every segment non-empty."""
         out = np.empty((len(self.bounds), sorted_rows.shape[1]))
         for j, (start, end) in enumerate(self.bounds):
             sorted_rows[start:end].max(axis=0, out=out[j])
         return out
-
-    def first_argmax(self, sorted_rows: np.ndarray) -> np.ndarray:
-        """Row (in segment order) of each segment's columnwise max, the
-        first one on a tie."""
-        rows = np.empty((len(self.bounds), sorted_rows.shape[1]), dtype=np.intp)
-        for j, (start, end) in enumerate(self.bounds):
-            np.argmax(sorted_rows[start:end], axis=0, out=rows[j])
-            rows[j] += start
-        return rows
 
     def add_rows(self, out: np.ndarray, rows: np.ndarray, workspace=None) -> None:
         """``out[i] += rows[mask[i]]`` for every row i: a slice add per

@@ -9,8 +9,7 @@ parameter dict plus Adam moments, a checkpoint written after epoch e and
 resumed reproduces the uninterrupted run bit for bit. One
 ``autodiff.Workspace`` serves a whole ``train`` run: every mesh-step's tape
 takes its large per-vertex arrays from it, and it is released once the
-step's loss and predictions have been read; each evaluation call
-(``evaluate_*``, and so the early-stop pass) reuses one the same way.
+step's loss and predictions have been read.
 
 Records built from a cache (``record_from_cache``) are cluster-contiguous:
 their vertices are stably sorted by (coarsest cluster id, ..., finest
@@ -153,39 +152,32 @@ def _forward(tape: Tape, params, config: ModelConfig, record: SampleRecord):
 
 
 def _in_mesh_order(rows: np.ndarray, record: SampleRecord, config: ModelConfig) -> np.ndarray:
-    """A copy of a record's output rows, per-vertex rows put back in the
-    mesh's vertex order."""
+    """A record's output rows, per-vertex rows put back in the mesh's
+    vertex order."""
     if record.order is None or config.task != "segmentation":
-        return rows.copy()
+        return rows
     out = np.empty_like(rows)
     out[record.order] = rows
     return out
 
 
-def forward_logits(params, config: ModelConfig, record: SampleRecord,
-                   workspace: Workspace = None) -> np.ndarray:
+def forward_logits(params, config: ModelConfig, record: SampleRecord) -> np.ndarray:
     """Inference-only forward pass on a record-free tape; per-vertex logits
     come back in the mesh's vertex order.
 
     No op records a backward closure or keeps state that only backward
     needs, so eval, export and the early-stop pass pay for the forward
-    alone. The logits are bit-identical to a recording forward's. With a
-    ``workspace`` the forward takes its large arrays from it and releases
-    them before returning, so one workspace serves a whole evaluation.
+    alone. The logits are bit-identical to a recording forward's.
     """
-    logits = _forward(Tape(record=False, workspace=workspace), params, config, record).data
-    logits = _in_mesh_order(logits, record, config)
-    if workspace is not None:
-        workspace.release()
-    return logits
+    logits = _forward(Tape(record=False), params, config, record).data
+    return _in_mesh_order(logits, record, config)
 
 
-def predict(params, config: ModelConfig, record: SampleRecord,
-            workspace: Workspace = None) -> np.ndarray:
+def predict(params, config: ModelConfig, record: SampleRecord) -> np.ndarray:
     """The predicted class of each output row (argmax over the logits):
     one per vertex in mesh vertex order for segmentation, a single row for
-    classification. ``workspace`` as for ``forward_logits``."""
-    return np.argmax(forward_logits(params, config, record, workspace), axis=1)
+    classification."""
+    return np.argmax(forward_logits(params, config, record), axis=1)
 
 
 def _mesh_truth(record: SampleRecord, config: ModelConfig) -> np.ndarray:
@@ -201,8 +193,7 @@ def _count_correct(pred: np.ndarray, truth: np.ndarray):
 
 def evaluate_accuracy(params, config: ModelConfig, records) -> float:
     """Vertex-weighted for segmentation, per-mesh for classification."""
-    workspace = Workspace()
-    counts = [_count_correct(predict(params, config, r, workspace), _mesh_truth(r, config))
+    counts = [_count_correct(predict(params, config, r), _mesh_truth(r, config))
               for r in records]
     return sum(c for c, _ in counts) / sum(t for _, t in counts)
 
@@ -284,9 +275,8 @@ class SegmentationReport:
 
 def evaluate_classification(params, config: ModelConfig, records) -> ClassificationReport:
     confusion = np.zeros((config.num_categories, config.num_categories), dtype=np.int64)
-    workspace = Workspace()
     for record in records:
-        confusion[_truth(record, config), predict(params, config, record, workspace)] += 1
+        confusion[_truth(record, config), predict(params, config, record)] += 1
     per_cat = {cat: float(confusion[cat, cat] / n)
                for cat, n in enumerate(confusion.sum(axis=1)) if n}
     accuracy = float(np.trace(confusion) / confusion.sum())
@@ -308,9 +298,8 @@ def evaluate_segmentation(params, config: ModelConfig, records) -> SegmentationR
     labels = np.arange(config.num_labels)
     totals = {}
     per_sample = {}
-    workspace = Workspace()
     for record in records:
-        pred = predict(params, config, record, workspace)
+        pred = predict(params, config, record)
         truth = _mesh_truth(record, config)
         correct, total = _count_correct(pred, truth)
         entry = totals.setdefault(record.category, {"correct": 0, "verts": 0, "ious": []})

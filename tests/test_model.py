@@ -281,9 +281,7 @@ def test_layout_record_predicts_in_mesh_order(task, dumbbell_cache):
     assert _rel(logits, mesh_logits) < 1e-12
     want = np.argmax(mesh_logits, axis=1)
     assert task == "classification" or len(np.unique(want)) == 3  # the order shows
-    ws = Workspace()
-    for _ in range(2):  # one workspace serves repeated forwards
-        assert np.array_equal(predict(params, config, record, ws), want)
+    assert np.array_equal(predict(params, config, record), want)
 
 
 class _SpyTape(Tape):
