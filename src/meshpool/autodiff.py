@@ -86,60 +86,66 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
 
-class Parameter:
-    """Trainable tensor with persistent gradient and Adam state.
+class Parameter(Tensor):
+    """A Tensor whose data and gradient are views into a ``ParameterSet``;
+    ``value`` is the parameter itself. The gradient accumulates across
+    tapes until ``adam_step`` consumes and zeroes it."""
 
-    The gradient buffer survives across tapes, so backward passes for
-    several meshes accumulate into it until ``adam_step`` consumes and
-    zeroes it.
-    """
-
-    __slots__ = ("value", "m", "v", "step")
-
-    def __init__(self, data):
-        self.value = Tensor(np.array(data, dtype=np.float64))
-        self.value.grad = np.zeros_like(self.value.data)
-        self.m = np.zeros_like(self.value.data)
-        self.v = np.zeros_like(self.value.data)
-        self.step = 0
+    __slots__ = ()
 
     @property
-    def data(self) -> np.ndarray:
-        return self.value.data
-
-    @property
-    def grad(self) -> np.ndarray:
-        return self.value.grad
+    def value(self) -> Tensor:
+        return self
 
     def zero_grad(self) -> None:
-        self.value.grad[...] = 0.0
+        self.grad[...] = 0.0
 
 
-def adam_step(param: Parameter, lr=7e-4, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
-    """One Adam update with bias correction; zeroes the gradient afterwards.
+class ParameterSet(dict):
+    """name -> Parameter, views in ``shapes`` order into the flat float64
+    ``data``, ``grad`` and Adam moments ``m`` and ``v``, plus the one Adam
+    ``step`` count. Given arrays are adopted; the others start at zero."""
 
-    Updates the moments and the value in place, with the same operations
+    def __init__(self, shapes: dict, data=None, m=None, v=None, step: int = 0):
+        super().__init__()
+        ends = np.cumsum([np.prod(shape, dtype=np.int64) for shape in shapes.values()])
+        self.data = np.zeros(ends[-1]) if data is None else data
+        self.grad = np.zeros_like(self.data)
+        self.m = np.zeros_like(self.data) if m is None else m
+        self.v = np.zeros_like(self.data) if v is None else v
+        self.step = int(step)
+        for (name, shape), start, end in zip(shapes.items(), np.r_[0, ends[:-1]], ends):
+            p = self[name] = Parameter(self.data[start:end].reshape(shape))
+            p.grad = self.grad[start:end].reshape(shape)
+
+
+def adam_step(params: ParameterSet, lr=7e-4, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+    """One Adam update of every parameter, with bias correction; zeroes the
+    gradients afterwards.
+
+    Updates the flat moments and values in place, with the same operations
     in the same order as m = beta1 m + (1 - beta1) g,
     v = beta2 v + (1 - beta2) g g, value -= lr m_hat / (sqrt(v_hat) + eps),
-    so the results are bit-identical to that textbook form.
+    so the results are bit-identical to that textbook form. One temporary
+    serves every full-length term, and the spent gradient holds the update.
     """
-    param.step += 1
-    g = param.value.grad
-    m, v = param.m, param.v
+    params.step += 1
+    g, m, v = params.grad, params.m, params.v
+    tmp = np.multiply(g, 1.0 - beta1)
     m *= beta1
-    m += (1.0 - beta1) * g
+    m += tmp
+    np.multiply(g, 1.0 - beta2, out=tmp)
+    tmp *= g
     v *= beta2
-    gg = (1.0 - beta2) * g
-    gg *= g
-    v += gg
-    update = m / (1.0 - beta1**param.step)
+    v += tmp
+    update = np.divide(m, 1.0 - beta1**params.step, out=g)
     update *= lr
-    denom = v / (1.0 - beta2**param.step)
-    np.sqrt(denom, out=denom)
-    denom += eps
-    update /= denom
-    param.value.data -= update
-    param.zero_grad()
+    np.divide(v, 1.0 - beta2**params.step, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += eps
+    update /= tmp
+    params.data -= update
+    g.fill(0.0)
 
 
 def _accumulate(t: Tensor, g: np.ndarray, rows=None) -> None:

@@ -51,55 +51,47 @@ def _pack_str(s: str) -> bytes:
     return struct.pack("<I", len(raw)) + raw
 
 
-def _encode_payload(arrays: dict) -> bytes:
-    chunks = [struct.pack("<I", len(arrays))]
+def write_container(path, arrays: dict) -> None:
+    """Atomically write a name -> ndarray mapping to ``path``. The digest
+    and the file take the payload piece by piece, each section's header
+    bytes and then a byte view of its array, copied only if not C-contiguous."""
+    pieces = [struct.pack("<I", len(arrays))]
     for name, arr in arrays.items():
         arr = np.asarray(arr)
         if arr.ndim:  # ascontiguousarray would promote 0-d to shape (1,)
             arr = np.ascontiguousarray(arr)
-        chunks.append(_pack_str(name))
-        chunks.append(_pack_str(arr.dtype.str))
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b"")
-        raw = arr.tobytes()
-        chunks.append(struct.pack("<Q", len(raw)))
-        chunks.append(raw)
-    return b"".join(chunks)
-
-
-def write_container(path, arrays: dict) -> None:
-    """Atomically write a name -> ndarray mapping to ``path``."""
-    payload = _encode_payload(arrays)
-    digest = hashlib.sha256(payload).digest()
-    blob = MAGIC + struct.pack("<I", FORMAT_VERSION) + digest + payload
+        pieces.append(_pack_str(name) + _pack_str(arr.dtype.str)
+                      + struct.pack(f"<I{arr.ndim}QQ", arr.ndim, *arr.shape, arr.nbytes))
+        pieces.append(arr.reshape(-1).view(np.uint8))
+    digest = hashlib.sha256()
+    for piece in pieces:
+        digest.update(piece)
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:
-        fh.write(blob)
+        fh.write(MAGIC + struct.pack("<I", FORMAT_VERSION) + digest.digest())
+        fh.writelines(pieces)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
 class _Cursor:
-    def __init__(self, buf: bytes):
+    def __init__(self, buf: memoryview):
         self.buf = buf
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.buf):
             raise ContainerFormatError("container truncated")
         out = self.buf[self.pos:self.pos + n]
         self.pos += n
         return out
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        return str(self.take(self.unpack("<I")[0]), "utf-8")
 
 
 def read_container(path) -> dict:
@@ -107,10 +99,11 @@ def read_container(path) -> dict:
 
     Raises ContainerFormatError on bad magic or truncation,
     ContainerVersionError on an unknown version and ContainerDigestError
-    when the payload does not match its recorded sha256.
+    when the payload does not match its recorded sha256. Each array is
+    copied once, from the bytes read.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = memoryview(fh.read())  # slices of it copy nothing
     if len(blob) < 40 or blob[:4] != MAGIC:
         raise ContainerFormatError(f"{path}: not a container file")
     version = struct.unpack("<I", blob[4:8])[0]
@@ -121,11 +114,11 @@ def read_container(path) -> dict:
         raise ContainerDigestError(f"{path}: payload digest mismatch")
     cur = _Cursor(payload)
     arrays = {}
-    for _ in range(cur.u32()):
+    for _ in range(cur.unpack("<I")[0]):
         name = cur.string()
         dtype = np.dtype(cur.string())
-        shape = tuple(cur.u64() for _ in range(cur.u32()))
-        raw = cur.take(cur.u64())
+        shape = cur.unpack(f"<{cur.unpack('<I')[0]}Q")
+        raw = cur.take(cur.unpack("<Q")[0])
         expected = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
         if len(raw) != expected:
             raise ContainerFormatError(f"{path}: section {name!r} has wrong byte count")

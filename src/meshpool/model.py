@@ -13,8 +13,8 @@ features with a globally pooled summary and the shape category, broadcast
 the same way; the classification head reduces everything to one global
 descriptor.
 
-Parameters live in a flat name -> Parameter dict so checkpointing and
-optimizer loops stay trivial.
+Parameters live in one name -> Parameter ``ParameterSet``, whose flat
+arrays the optimizer and the checkpoint handle whole.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .autodiff import Parameter, Tape, Tensor
+from .autodiff import ParameterSet, Tape, Tensor
 
 CORR_INIT_GAIN = 0.1  # keeps psi psi^T from dwarfing the pooled features
 
@@ -102,7 +102,7 @@ def parameter_shapes(config: ModelConfig):
     return shapes
 
 
-def init_params(config: ModelConfig, seed: int):
+def init_params(config: ModelConfig, seed: int) -> ParameterSet:
     """He-normal weights, zero biases, in fixed name order for determinism.
 
     Correlation-net weights are shrunk by CORR_INIT_GAIN because the block
@@ -110,16 +110,14 @@ def init_params(config: ModelConfig, seed: int):
     the second block and swamps the update branch.
     """
     rng = np.random.default_rng(seed)
-    params = {}
-    for name, shape in parameter_shapes(config).items():
+    params = ParameterSet(parameter_shapes(config))
+    for name, p in params.items():
         if name.endswith(".b"):
-            params[name] = Parameter(np.zeros(shape))
             continue
-        fan_in = shape[0]
-        w = rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
+        w = rng.standard_normal(p.data.shape) * np.sqrt(2.0 / p.data.shape[0])
         if ".corr." in name:
             w *= CORR_INIT_GAIN
-        params[name] = Parameter(w)
+        p.data[...] = w
     return params
 
 

@@ -3,10 +3,10 @@
 Training is deterministic end to end: the per-epoch sample order comes
 from a generator seeded with (seed, epoch), minibatches are realized as
 gradient accumulation over single-mesh tapes (each backward seeded with
-1/batch so the update equals the batch-mean gradient), and parameters are
-stepped in sorted name order. Because the only mutable state is the
-parameter dict plus Adam moments, a checkpoint written after epoch e and
-resumed reproduces the uninterrupted run bit for bit. One
+1/batch so the update equals the batch-mean gradient), and one Adam step
+updates the whole flat parameter set. Because the only mutable state is
+that set's values, Adam moments and step count, a checkpoint written after
+epoch e and resumed reproduces the uninterrupted run bit for bit. One
 ``autodiff.Workspace`` serves a whole ``train`` run: every mesh-step's tape
 takes its large per-vertex arrays from it, and it is released once the
 step's loss and predictions have been read.
@@ -33,12 +33,12 @@ from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
-from .autodiff import Parameter, Tape, Workspace, adam_step
+from .autodiff import ParameterSet, Tape, Workspace, adam_step
 from .binio import array_to_str, read_container, str_to_array, write_container
 from .cache import FeatureCache
 from .model import ModelConfig, init_params, model_forward, parameter_shapes
 
-CHECKPOINT_KIND = "meshpool-checkpoint"
+CHECKPOINT_KIND = "meshpool-checkpoint-2"  # 2: one flat parameter state
 
 
 class TrainingError(RuntimeError):
@@ -237,8 +237,7 @@ def train(records, config: ModelConfig, train_config: TrainConfig,
                 correct += c
                 total += t
                 workspace.release()  # the logits were its last reader
-            for name in sorted(params):
-                adam_step(params[name], cfg.lr)
+            adam_step(params, cfg.lr)
         stats = EpochStats(epoch, float(np.mean(losses)), correct / total)
         history.append(stats)
         if cfg.verbose:
@@ -353,34 +352,48 @@ def split_dataset(records, test_fraction: float = 0.25, seed: int = 0, groups=No
 
 def save_checkpoint(path, params, config: ModelConfig, epoch: int, train_seed: int) -> None:
     """Parameters plus Adam state plus the architecture, in one container."""
-    arrays = {
+    write_container(path, {
         "kind": str_to_array(CHECKPOINT_KIND),
         "config_json": str_to_array(json.dumps(asdict(config), sort_keys=True)),
         "epoch": np.array([epoch], dtype=np.int64),
         "train_seed": np.array([train_seed], dtype=np.int64),
-    }
-    for name in sorted(params):
-        p = params[name]
-        arrays[f"param::{name}"] = p.value.data
-        arrays[f"adam_m::{name}"] = p.m
-        arrays[f"adam_v::{name}"] = p.v
-        arrays[f"adam_t::{name}"] = np.array([p.step], dtype=np.int64)
-    write_container(path, arrays)
+        "value": params.data,
+        "adam_m": params.m,
+        "adam_v": params.v,
+        "adam_t": np.array([params.step], dtype=np.int64),
+    })
+
+
+def _section(path, arrays: dict, name: str, dtype, shape) -> np.ndarray:
+    """The checkpoint section ``name``, required to have ``dtype`` and ``shape``."""
+    if name not in arrays:
+        raise CheckpointError(f"{path}: missing section {name}")
+    a = arrays[name]
+    if a.dtype != dtype or a.shape != shape:
+        raise CheckpointError(f"{path}: section {name} holds {a.dtype} {a.shape}, "
+                              f"expected {np.dtype(dtype)} {shape}")
+    return a
 
 
 def load_checkpoint(path, expected_config: ModelConfig = None):
     """Returns (params, config, epoch, train_seed).
 
-    Raises CheckpointError when the file is not a checkpoint, its config
-    is not valid JSON or has an unknown, missing or bad field, or its
-    architecture differs from ``expected_config``.
+    Raises CheckpointError when the file is not a checkpoint or is of an
+    older kind, its config is not valid JSON or has an unknown, missing or
+    bad field, its architecture differs from ``expected_config``, or a
+    section is missing or has the wrong dtype or length.
     """
     try:
         arrays = read_container(path)
     except (FileNotFoundError, ValueError) as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
-    if ("kind" not in arrays or array_to_str(arrays["kind"]) != CHECKPOINT_KIND
-            or not {"config_json", "epoch", "train_seed"} <= arrays.keys()):
+    try:
+        kind = array_to_str(arrays["kind"]) if "kind" in arrays else ""
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{path}: section kind is not UTF-8 text") from exc
+    if kind != CHECKPOINT_KIND and kind.startswith("meshpool-checkpoint"):
+        raise CheckpointError(f"{path}: older checkpoint kind {kind!r}; retrain with this version")
+    if kind != CHECKPOINT_KIND or not {"config_json", "epoch", "train_seed"} <= arrays.keys():
         raise CheckpointError(f"{path}: not a checkpoint container")
     try:
         saved = json.loads(array_to_str(arrays["config_json"]))
@@ -400,20 +413,10 @@ def load_checkpoint(path, expected_config: ModelConfig = None):
         raise CheckpointError(f"{path}: checkpoint config has a bad value ({exc})") from exc
     if expected_config is not None and config.config_hash() != expected_config.config_hash():
         raise CheckpointError(f"{path}: checkpoint built for a different architecture")
-    params = {}
-    for name, shape in parameter_shapes(config).items():
-        for prefix in ("param", "adam_m", "adam_v", "adam_t"):
-            if f"{prefix}::{name}" not in arrays:
-                raise CheckpointError(f"{path}: missing section {prefix}::{name}")
-        stored = arrays[f"param::{name}"]
-        if stored.shape != shape:
-            raise CheckpointError(f"{path}: parameter {name} has shape {stored.shape}, "
-                                  f"expected {shape}")
-        p = Parameter(stored)
-        p.m = arrays[f"adam_m::{name}"].astype(np.float64, copy=True)
-        p.v = arrays[f"adam_v::{name}"].astype(np.float64, copy=True)
-        p.step = int(arrays[f"adam_t::{name}"][0])
-        params[name] = p
-    epoch = int(arrays["epoch"][0])
-    train_seed = int(arrays["train_seed"][0])
-    return params, config, epoch, train_seed
+    shapes = parameter_shapes(config)
+    size = sum(int(np.prod(shape)) for shape in shapes.values())
+    value, m, v = (_section(path, arrays, name, np.float64, (size,))
+                   for name in ("value", "adam_m", "adam_v"))
+    step, epoch, train_seed = (int(_section(path, arrays, name, np.int64, (1,))[0])
+                               for name in ("adam_t", "epoch", "train_seed"))
+    return ParameterSet(shapes, value, m, v, step), config, epoch, train_seed

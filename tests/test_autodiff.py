@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from meshpool.autodiff import (Parameter, Tape, Tensor, Workspace, _cluster_sums,
+from meshpool.autodiff import (ParameterSet, Tape, Tensor, Workspace, _cluster_sums,
                                _Segments, adam_step, set_debug_checks)
 
 from conftest import central_diff, fd_op_check, max_rel_err
@@ -200,37 +200,53 @@ def test_mask_validation_errors():
         tape.cluster_scatter(Tensor(np.zeros((2, 2))), np.array([0, 5]))
 
 
+def _two_params(w, b):
+    """A set of a matrix ``W`` and a vector ``b`` with the given values."""
+    params = ParameterSet({"W": np.shape(w), "b": np.shape(b)})
+    params["W"].data[...] = w
+    params["b"].data[...] = b
+    return params
+
+
 def test_parameter_gradients_accumulate_across_tapes():
-    p = Parameter(np.ones((2, 2)))
+    params = _two_params(np.ones((2, 3)), np.zeros(3))
+    w, b = params["W"], params["b"]
     for _ in range(2):
         tape = Tape()
-        out = tape.matmul(p.value, Tensor(np.eye(2)))
+        out = tape.bias_add(tape.matmul(Tensor(np.eye(2)), w.value), b.value)
         tape.backward(out, 1.0)
-    assert np.array_equal(p.grad, 2.0 * np.ones((2, 2)))
-    p.zero_grad()
-    assert np.array_equal(p.grad, np.zeros((2, 2)))
+    assert np.array_equal(w.grad, 2.0 * np.ones((2, 3)))
+    assert np.array_equal(b.grad, 4.0 * np.ones(3))
+    # the gradients are views into the set's one flat gradient
+    assert np.array_equal(params.grad, np.r_[2.0 * np.ones(6), 4.0 * np.ones(3)])
+    w.zero_grad()
+    assert np.array_equal(params.grad, np.r_[np.zeros(6), 4.0 * np.ones(3)])
 
 
 def test_adam_step_matches_reference():
-    p = Parameter(np.array([1.0, -2.0]))
-    g = np.array([0.5, -0.25])
-    p.value.grad[...] = g
-    adam_step(p, lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8)
+    params = _two_params([[1.0, -2.0]], [3.0])
+    start = np.array([1.0, -2.0, 3.0])
+    g = np.array([0.5, -0.25, 2.0])
+    params.grad[...] = g
+    adam_step(params, lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8)
 
     m = 0.1 * g
     v = 0.001 * g * g
-    expect = np.array([1.0, -2.0]) - 1e-2 * (m / 0.1) / (np.sqrt(v / 0.001) + 1e-8)
-    assert np.allclose(p.data, expect, atol=1e-15)
-    assert p.step == 1
-    assert np.array_equal(p.grad, np.zeros(2))
+    expect = start - 1e-2 * (m / 0.1) / (np.sqrt(v / 0.001) + 1e-8)
+    assert np.allclose(params.data, expect, atol=1e-15)
+    assert np.array_equal(params["W"].data, params.data[:2].reshape(1, 2))
+    assert params.step == 1
+    assert np.array_equal(params.grad, np.zeros(3))
 
     # second step uses the running moments and t=2 bias correction
-    p.value.grad[...] = g
-    adam_step(p, lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8)
+    params["W"].grad[...] = g[:2]
+    params["b"].grad[...] = g[2:]
+    adam_step(params, lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8)
     m2 = 0.9 * m + 0.1 * g
     v2 = 0.999 * v + 0.001 * g * g
     expect2 = expect - 1e-2 * (m2 / (1 - 0.9**2)) / (np.sqrt(v2 / (1 - 0.999**2)) + 1e-8)
-    assert np.allclose(p.data, expect2, atol=1e-15)
+    assert np.allclose(params.data, expect2, atol=1e-15)
+    assert params.step == 2
 
 
 def test_debug_checks_flag_catches_nonfinite():
@@ -384,21 +400,24 @@ def test_contiguous_segments_match_the_gathered_layout(seed):
 
 def test_adam_step_bit_identical_to_textbook_form():
     rng = np.random.default_rng(35)
-    start = rng.standard_normal((4, 3))
-    p = Parameter(start)
-    m = np.zeros_like(start)
-    v = np.zeros_like(start)
-    w = start.copy()
+    start = {"W": rng.standard_normal((4, 3)), "b": rng.standard_normal(5)}
+    params = _two_params(start["W"], start["b"])
+    m = {name: np.zeros_like(a) for name, a in start.items()}
+    v = {name: np.zeros_like(a) for name, a in start.items()}
+    w = {name: a.copy() for name, a in start.items()}
     lr, b1, b2, eps = 7e-4, 0.9, 0.999, 1e-8
     for step in range(1, 6):
-        g = rng.standard_normal((4, 3))
-        p.value.grad[...] = g
-        adam_step(p, lr, b1, b2, eps)
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        w -= lr * (m / (1.0 - b1**step)) / (np.sqrt(v / (1.0 - b2**step)) + eps)
-        assert np.array_equal(p.m, m) and np.array_equal(p.v, v)
-        assert np.array_equal(p.data, w)
+        for name in start:
+            g = rng.standard_normal(start[name].shape)
+            params[name].grad[...] = g
+            m[name] = b1 * m[name] + (1.0 - b1) * g
+            v[name] = b2 * v[name] + (1.0 - b2) * g * g
+            w[name] -= (lr * (m[name] / (1.0 - b1**step))
+                        / (np.sqrt(v[name] / (1.0 - b2**step)) + eps))
+        adam_step(params, lr, b1, b2, eps)
+        assert np.array_equal(params.m, np.r_[m["W"].ravel(), m["b"]])
+        assert np.array_equal(params.v, np.r_[v["W"].ravel(), v["b"]])
+        assert all(np.array_equal(params[name].data, w[name]) for name in start)
 
 
 # ---------------------------------------------------------------------------

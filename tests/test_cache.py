@@ -1,5 +1,7 @@
 """Binary container format and the preprocessing cache built on it."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,29 @@ def test_container_roundtrip_many_dtypes(tmp_path):
         assert back[name].dtype == arr.dtype
         assert back[name].shape == arr.shape
         assert np.array_equal(back[name], arr)
+
+
+def test_container_bytes_are_pinned(tmp_path):
+    # the file format is fixed: these bytes must not change, whatever the
+    # layout of the arrays handed in
+    base = np.arange(24, dtype=np.float64).reshape(4, 6)
+    arrays = {
+        "scalar": np.array(2.5),
+        "empty": np.zeros((0, 3), dtype=np.int32),
+        "fortran": np.asfortranarray(base),
+        "strided": base[::2, ::3],
+        "flags": np.array([True, False, True]),
+        "text": str_to_array("h\u00e9llo"),
+        "int64": np.array([-7], dtype=np.int64),
+    }
+    path = tmp_path / "c.bin"
+    write_container(path, arrays)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "2ed31d3c63ee85bf054c59e1877ded22130d3bf350b4a253c09fb355337088a1")
+    back = read_container(path)
+    assert all(back[name].dtype == arr.dtype and np.array_equal(back[name], arr)
+               for name, arr in arrays.items())
+    assert array_to_str(back["text"]) == "h\u00e9llo"
 
 
 def test_container_rejects_wrong_magic(tmp_path):

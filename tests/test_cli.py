@@ -16,10 +16,10 @@ from meshpool.binio import array_to_str, read_container, str_to_array, write_con
 from meshpool.cache import CacheMismatchError, PreprocessParams, load_cache
 from meshpool.cli import load_manifest, main
 from meshpool.mesh import load_obj, write_obj
-from meshpool.model import model_forward
+from meshpool.model import ModelConfig, init_params, model_forward
 from meshpool.ply import label_colors
 from meshpool.synth import icosphere
-from meshpool.training import load_checkpoint
+from meshpool.training import load_checkpoint, save_checkpoint
 
 SMALL = ["--eigs", "8", "--clusters", "6,3"]
 
@@ -295,13 +295,15 @@ def test_preprocess_rejects_unreferenced_vertex_in_one_line(tmp_path):
 
 
 def _ball_dataset(data, set_vertices=None, category=0, manifest=None, stack=None, flip=None,
-                  cache=None):
+                  cache=None, checkpoint=None):
     """A one-mesh classification dataset in ``data``: an icosphere OBJ whose
     vertex rows ``set_vertices = (rows, value)`` overwrites, whose face
     ``flip`` is reversed, to whose vertex and face arrays
     ``stack(ball) = (vertices, faces)`` appends rows, a manifest that
-    ``manifest`` replaces, and, with ``cache``, a preprocessed cache whose
-    container sections ``cache(arrays)`` rewrites (with a fresh digest)."""
+    ``manifest`` replaces, with ``cache``, a preprocessed cache whose
+    container sections ``cache(arrays)`` rewrites (with a fresh digest),
+    and, with ``checkpoint``, an untrained ``model.ckpt`` whose sections
+    ``checkpoint(arrays)`` rewrites the same way."""
     data.mkdir()
     ball = icosphere(2)
     # after Mesh's checks: the OBJ keeps the bad data
@@ -323,6 +325,11 @@ def _ball_dataset(data, set_vertices=None, category=0, manifest=None, stack=None
         assert main(["preprocess", "--input", str(data)]) == 0
         path = data / "cache" / "ball.mpc"
         write_container(path, cache(read_container(path)))
+    if checkpoint is not None:
+        config = ModelConfig(task="classification", num_categories=4)
+        path = data / "model.ckpt"
+        save_checkpoint(path, init_params(config, 0), config, epoch=0, train_seed=0)
+        write_container(path, checkpoint(read_container(path)))
 
 
 def _swap_fine_ids(arrays):
@@ -354,13 +361,16 @@ def _swap_fine_ids(arrays):
      "ball.obj:170: face 7 traverses edge (47, 46) in the same direction as an earlier face"),
     ("train", dict(cache=_swap_fine_ids),
      "ball: the level 0 clusters do not nest in the coarser levels"),
+    ("eval", dict(checkpoint=lambda a: dict(a, kind=str_to_array("meshpool-checkpoint"))),
+     "older checkpoint kind 'meshpool-checkpoint'; retrain with this version"),
 ], ids=["nan-vertex", "coincident-vertices", "empty-manifest", "no-samples", "category-7",
         "tset-split", "duplicate-face", "non-manifold-edge", "two-components",
-        "flipped-face", "unnested-cache"])
+        "flipped-face", "unnested-cache", "old-checkpoint"])
 def test_bad_inputs_exit_1_with_one_error_line(tmp_path, command, dataset, message):
     data = tmp_path / "data"
     _ball_dataset(data, **dataset)
-    proc = _run_meshpool("-m", "meshpool", command, "--input", str(data))
+    model = ["--model", str(data / "model.ckpt")] if command == "eval" else []
+    proc = _run_meshpool("-m", "meshpool", command, "--input", str(data), *model)
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]

@@ -71,3 +71,27 @@ def test_predict_goes_through_forward_logits(monkeypatch):
     config = ModelConfig(task="segmentation", num_labels=2, num_categories=1)
     assert training.evaluate_segmentation(None, config, [record, record]).accuracy == 1.0
     assert len(calls) == 3  # one forward per evaluated record
+
+
+def test_parameter_containers_keep_the_attributes_the_benchmark_reads(tmp_path):
+    # ``tracer._after_params`` maps ``p.value`` of every named parameter
+    # to its block, and the workloads hash ``params[name].data``
+    from meshpool import training
+    from meshpool.autodiff import Tensor
+    from meshpool.model import init_params
+
+    config = ModelConfig(in_dim=4, cluster_counts=(2,), update_widths=(4,), corr_width=3,
+                         head_hidden=(4,), head_final=4, task="classification",
+                         num_categories=2)
+    record = training.SampleRecord("r", np.ones((4, 4)), [np.array([0, 0, 1, 1])], 1)
+    trained, _ = training.train([record], config, training.TrainConfig(epochs=1))
+    path = tmp_path / "model.ckpt"
+    training.save_checkpoint(path, trained, config, epoch=0, train_seed=0)
+    loaded = training.load_checkpoint(path)[0]
+    for params in (init_params(config, 0), trained, loaded):
+        names = list(params)
+        assert names and all(isinstance(name, str) for name in names)
+        for name in names:
+            p = params[name]
+            assert isinstance(p.value, Tensor) and p.data is p.value.data
+        assert [name for name, _ in params.items()] == names

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from meshpool.binio import array_to_str, read_container, str_to_array, write_container
-from meshpool.model import ModelConfig, init_params
+from meshpool.model import ModelConfig, init_params, parameter_shapes
 from meshpool.training import (
     CheckpointError,
     SampleRecord,
@@ -296,10 +296,9 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert config == CLS_CONFIG
     assert (epoch, train_seed) == (2, 5)
     assert params_equal(params, loaded)
-    for name in params:  # optimizer state must survive too
-        assert np.array_equal(params[name].m, loaded[name].m)
-        assert np.array_equal(params[name].v, loaded[name].v)
-        assert params[name].step == loaded[name].step
+    # optimizer state must survive too
+    assert np.array_equal(params.m, loaded.m) and np.array_equal(params.v, loaded.v)
+    assert loaded.step == params.step == 3  # one batch of 8 per epoch
 
 
 def test_checkpoint_rejects_other_architecture(tmp_path):
@@ -318,6 +317,9 @@ def test_checkpoint_rejects_non_checkpoint_container(tmp_path):
     write_container(path, {"stuff": np.zeros(3)})
     with pytest.raises(CheckpointError, match="not a checkpoint"):
         load_checkpoint(path)
+
+
+CLS_SIZE = sum(np.prod(shape, dtype=int) for shape in parameter_shapes(CLS_CONFIG).values())
 
 
 def _edit_config_json(arrays, edit):
@@ -340,11 +342,25 @@ def _edit_config_json(arrays, edit):
     (lambda a: a.update(config_json=np.array([0xFF, 0x7B], dtype=np.uint8)),
      "checkpoint config is not valid JSON"),
     (lambda a: a.pop("epoch"), "not a checkpoint container"),
-    (lambda a: a.pop("adam_v::head.out.1.b"), "missing section adam_v::head.out.1.b"),
-    (lambda a: a.update({"param::head.out.1.b": np.zeros(3)}),
-     "parameter head.out.1.b has shape (3,), expected (2,)"),
+    (lambda a: a.pop("adam_v"), "missing section adam_v"),
+    (lambda a: a.update(value=np.zeros(3)),
+     f"section value holds float64 (3,), expected float64 ({CLS_SIZE},)"),
+    (lambda a: a.update(adam_m=a["adam_m"].astype(np.float32)),
+     f"section adam_m holds float32 ({CLS_SIZE},), expected float64 ({CLS_SIZE},)"),
+    (lambda a: a.update(epoch=np.zeros(0, dtype=np.int64)),
+     "section epoch holds int64 (0,), expected int64 (1,)"),
+    (lambda a: a.update(train_seed=np.zeros(0, dtype=np.int64)),
+     "section train_seed holds int64 (0,), expected int64 (1,)"),
+    (lambda a: a.update(adam_t=np.zeros(0, dtype=np.int64)),
+     "section adam_t holds int64 (0,), expected int64 (1,)"),
+    (lambda a: a.update(adam_t=np.array([1.0])),
+     "section adam_t holds float64 (1,), expected int64 (1,)"),
+    (lambda a: a.update(kind=np.array([0xFF], dtype=np.uint8)), "section kind is not UTF-8 text"),
+    (lambda a: a.update(kind=str_to_array("meshpool-checkpoint")),
+     "older checkpoint kind 'meshpool-checkpoint'; retrain with this version"),
 ], ids=["unknown-field", "missing-field", "bad-task", "bad-widths", "not-object",
-        "not-json", "not-utf8", "no-epoch", "no-moment", "bad-shape"])
+        "not-json", "not-utf8", "no-epoch", "no-moment", "bad-shape", "float32-moment",
+        "empty-epoch", "empty-seed", "empty-step", "float-step", "kind-not-utf8", "old-kind"])
 def test_checkpoint_rejects_a_bad_config_or_section(tmp_path, change, message):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, init_params(CLS_CONFIG, seed=0), CLS_CONFIG, epoch=0, train_seed=0)
