@@ -26,17 +26,17 @@ The tape does only the work a result needs:
   from the output, so a closure may reuse that array (ReLU masks it in
   place) and after backward only tensors the tape did not produce (leaves
   and parameters) hold gradients.
-- Cluster pooling and the scatter sums reduce each cluster's rows as one
-  contiguous segment, listed in ascending row order. A training or
+- Every cluster op reduces each cluster's rows as one contiguous
+  segment, listed in ascending row order, with one loop of
+  ``ufunc.reduce`` over row slices (``_Segments.reduce``). A training or
   inference record is cluster-contiguous (every level's mask is
   non-decreasing; see ``training.record_from_cache``), so its segments
-  are plain row slices of the arrays at hand: max pooling reduces slices,
-  the scatter sums run ``np.add.reduceat`` on the gradient itself and a
-  split ``dense`` adds each cluster row to its slice. Any other mask is
-  first put in that order by a stable argsort and a gathered copy, which
-  gives the same numbers for the same segment rows. A tape works out the
-  segments of each mask array once and shares them among the ops that
-  pass that array.
+  are plain row slices of the arrays at hand, and a split ``dense`` adds
+  each cluster row to its slice. Any other mask is first put in that
+  order by a stable argsort and a gathered copy, which gives the same
+  numbers for the same segment rows. A tape works out the segments of
+  each mask array once and shares them among the ops that pass that
+  array.
 - ``Tape.dense`` is a whole linear + bias (+ ReLU) layer in one record,
   for a plain input or a split one (per-vertex columns beside cluster
   columns that a mask scatters). Its forward and gradients are
@@ -44,11 +44,11 @@ The tape does only the work a result needs:
   ``relu``, with a split input's cluster part multiplied at cluster rank
   and put back by ``cluster_scatter`` and ``add``.
 - A ``Workspace`` keeps the large per-vertex arrays of ``dense`` (forward
-  output, input gradient, scatter temporaries) across tapes, so a training
-  loop stops handing that memory back to the system after every mesh. A
-  tape given one takes those arrays from it; nothing taken may be used
-  after the workspace's ``release()``. Without a workspace a tape
-  allocates fresh arrays.
+  output and input gradient) across tapes, so a training loop stops
+  handing that memory back to the system after every mesh. A tape given
+  one takes those two arrays from it; nothing taken may be used after the
+  workspace's ``release()``. Without a workspace a tape allocates fresh
+  arrays.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ class Tape:
 
     With ``record=False`` the tape only computes forwards (inference) and
     ``backward`` is an error. With a ``workspace``, ``dense`` takes its
-    large arrays from it (see ``Workspace``).
+    output and its input's gradient from it (see ``Workspace``).
     """
 
     def __init__(self, record: bool = True, workspace: "Workspace" = None):
@@ -196,7 +196,7 @@ class Tape:
         entry = self._layouts.get(id(mask))
         if entry is None or entry[1].shape != (n, p):
             entry = self._layouts[id(mask)] = (mask, _Segments(mask, n, p))
-        if not allow_empty and not entry[1].filled.all():
+        if not allow_empty and not entry[1].counts.all():
             raise ValueError("empty cluster id in mask")
         return entry[1]
 
@@ -307,7 +307,7 @@ class Tape:
             wc = w.data[k:]
             per_cluster = cluster.data @ wc
             per_cluster += b.data
-            seg.add_rows(out, per_cluster, ws)
+            seg.add_rows(out, per_cluster)
             inputs = (x, w, b, cluster)
         if relu:
             np.maximum(out, 0.0, out=out)
@@ -323,7 +323,7 @@ class Tape:
                 if b.needs_grad:
                     _accumulate(b, g.sum(axis=0))
                 return
-            gc = _cluster_sums(g, seg, ws)
+            gc = seg.reduce(np.add, g)
             if b.needs_grad:
                 _accumulate(b, gc.sum(axis=0))
             if w.needs_grad:
@@ -355,20 +355,20 @@ class Tape:
         row of its cluster-contiguous layout.
         """
         seg = self._segments(mask, x.data.shape[0], p)
-        xs = seg.sort(x.data)
-        out = seg.max(xs)
+        out = seg.reduce(np.maximum, x.data)
 
         def backward(g):
-            # a segment lists its rows in ascending order, so the lowest-row
-            # argmax is the first hit; keying the rows by n - position makes
-            # that first hit the segment max
-            n, d = xs.shape
-            hit = xs == np.repeat(out, seg.counts, axis=0)
-            rows = n - seg.reduce(np.maximum, hit * (n - np.arange(n))[:, None])
+            # a segment lists its rows in ascending order and argmax takes
+            # the first maximum, so ties go to the lowest row
+            xs = seg.sort(x.data)
+            rows = np.empty(out.shape, dtype=np.intp)
+            for j, (start, end) in enumerate(seg.bounds):
+                np.argmax(xs[start:end], axis=0, out=rows[j])
+                rows[j] += start
             if seg.order is not None:
                 rows = seg.order[rows]
             gx = np.zeros_like(x.data)
-            gx[rows, np.arange(d)] = g
+            gx[rows, np.arange(xs.shape[1])] = g
             _accumulate(x, gx)
 
         return self._emit(out, backward, x)
@@ -376,7 +376,7 @@ class Tape:
     def cluster_mean_pool(self, x: Tensor, mask: np.ndarray, p: int) -> Tensor:
         seg = self._segments(mask, x.data.shape[0], p)
         counts = seg.counts.astype(np.float64)[:, None]
-        out = seg.reduce(np.add, seg.sort(x.data))
+        out = seg.reduce(np.add, x.data)
         out /= counts
 
         def backward(g):
@@ -389,7 +389,7 @@ class Tape:
         seg = self._segments(mask, np.size(mask), cx.data.shape[0], allow_empty=True)
 
         def backward(g):
-            _accumulate(cx, _cluster_sums(g, seg))
+            _accumulate(cx, seg.reduce(np.add, g))
 
         return self._emit(cx.data[seg.mask], backward, cx)
 
@@ -419,7 +419,8 @@ class Tape:
 
 
 class Workspace:
-    """Float64 blocks reused across tapes, keyed by width.
+    """Float64 blocks reused across tapes, keyed by width: the N-row output
+    and input gradient of every ``dense``, the only arrays a tape takes.
 
     ``take(n, w)`` hands out rows :n of a C-contiguous (rows, w) block
     with rows >= n, reusing a released block and dropping one that is too
@@ -453,21 +454,6 @@ def _empty(workspace, n: int, w: int) -> np.ndarray:
     return np.empty((n, w)) if workspace is None else workspace.take(n, w)
 
 
-def _cluster_sums(g: np.ndarray, seg: "_Segments", workspace=None) -> np.ndarray:
-    """Row sums of ``g`` per cluster of ``seg``, zero for a cluster without
-    rows: the gradient of scattering cluster rows by ``seg.mask``. Only a
-    mask that is not non-decreasing needs a gathered copy of ``g``, taken
-    from ``workspace`` if given."""
-    rows = seg.sort(g, workspace)
-    filled = seg.filled
-    if filled.all():
-        return seg.reduce(np.add, rows)
-    gc = np.zeros((len(filled), g.shape[1]))
-    if filled.any():
-        gc[filled] = np.add.reduceat(rows, seg.starts[filled], axis=0)
-    return gc
-
-
 def _checked_mask(mask, n: int, p: int) -> np.ndarray:
     """``mask`` as int64, checked to hold one cluster id in [0, p) for each
     of ``n`` rows. The one mask check of every cluster op."""
@@ -483,60 +469,51 @@ class _Segments:
     """Rows grouped by cluster id.
 
     In segment order cluster j owns the contiguous rows
-    starts[j] : starts[j] + counts[j] (``bounds[j]``), listed in ascending
+    ``bounds[j] = (start, end)``, ``counts[j]`` of them, listed in ascending
     row index, so a segment reduction has a fixed order and "first" means
     lowest row. A non-decreasing mask, as every cluster-contiguous record
     has, is in segment order already: ``order`` is None and a segment is a
     slice of the rows themselves. Any other mask gets the stable argsort
     ``order`` and ``sort`` gathers a copy. Validates the mask with
-    ``_checked_mask``; ``filled`` marks the clusters that have rows.
+    ``_checked_mask``.
     """
 
-    __slots__ = ("mask", "order", "counts", "filled", "starts", "bounds")
+    __slots__ = ("mask", "order", "counts", "bounds")
 
     def __init__(self, mask, n: int, p: int):
         self.mask = mask = _checked_mask(mask, n, p)
         self.counts = np.bincount(mask, minlength=p)
-        self.filled = self.counts > 0
         in_order = (mask[1:] >= mask[:-1]).all()
         self.order = None if in_order else np.argsort(mask, kind="stable")
         ends = self.counts.cumsum()
-        self.starts = ends - self.counts
-        self.bounds = list(zip(self.starts.tolist(), ends.tolist()))
+        self.bounds = list(zip((ends - self.counts).tolist(), ends.tolist()))
 
     @property
     def shape(self):
         """(rows, clusters)."""
         return len(self.mask), len(self.counts)
 
-    def sort(self, rows: np.ndarray, workspace=None) -> np.ndarray:
+    def sort(self, rows: np.ndarray) -> np.ndarray:
         """Rows in segment order: ``rows`` itself for a non-decreasing mask,
-        otherwise a gathered copy (from ``workspace`` if given)."""
-        if self.order is None:
-            return rows
-        return np.take(rows, self.order, axis=0, out=_empty(workspace, *rows.shape))
+        otherwise a gathered copy."""
+        return rows if self.order is None else rows[self.order]
 
-    def max(self, sorted_rows: np.ndarray) -> np.ndarray:
-        """Columnwise max of each segment, one slice at a time (``reduceat``
-        along axis 0 runs column by column, which is slower on a record's
-        masks); every segment non-empty."""
-        out = np.empty((len(self.bounds), sorted_rows.shape[1]))
-        for j, (start, end) in enumerate(self.bounds):
-            sorted_rows[start:end].max(axis=0, out=out[j])
-        return out
-
-    def add_rows(self, out: np.ndarray, rows: np.ndarray, workspace=None) -> None:
+    def add_rows(self, out: np.ndarray, rows: np.ndarray) -> None:
         """``out[i] += rows[mask[i]]`` for every row i: a slice add per
-        cluster, or one gathered temporary (from ``workspace`` if given)
-        for a mask that is not non-decreasing."""
+        cluster, or one gathered temporary for a mask that is not
+        non-decreasing."""
         if self.order is None:
             for j, (start, end) in enumerate(self.bounds):
                 out[start:end] += rows[j]
         else:
-            out += np.take(rows, self.mask, axis=0, out=_empty(workspace, *out.shape))
+            out += rows[self.mask]
 
-    def reduce(self, ufunc, sorted_rows: np.ndarray) -> np.ndarray:
-        """ufunc over each cluster's sorted rows; every cluster non-empty."""
-        if len(self.counts) == 1:
-            return ufunc.reduce(sorted_rows, axis=0, keepdims=True)
-        return ufunc.reduceat(sorted_rows, self.starts, axis=0)
+    def reduce(self, ufunc, rows: np.ndarray) -> np.ndarray:
+        """``ufunc`` over each cluster's rows of ``rows`` (one row per mask
+        entry), one slice at a time; a cluster without rows gets the ufunc's
+        identity (zero for ``np.add``)."""
+        rows = self.sort(rows)
+        out = np.empty((len(self.bounds), rows.shape[1]))
+        for j, (start, end) in enumerate(self.bounds):
+            ufunc.reduce(rows[start:end], axis=0, out=out[j])
+        return out

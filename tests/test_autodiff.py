@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from meshpool.autodiff import (ParameterSet, Tape, Tensor, Workspace, _cluster_sums,
-                               _Segments, adam_step, set_debug_checks)
+from meshpool.autodiff import (ParameterSet, Tape, Tensor, Workspace, _Segments, adam_step,
+                               set_debug_checks)
 
 from conftest import central_diff, fd_op_check, max_rel_err
 
@@ -370,6 +370,13 @@ def _interleaved_and_contiguous(seed, n=60, p=7, d=5):
     return (x, mask), (x[order], mask[order]), order
 
 
+def _backward_through(tape, out, r, c):
+    """Backward from the scalar r^T out c, so d loss / d out = outer(r, c):
+    a different weight per (row, column)."""
+    tape.backward(tape.matmul(tape.matmul(Tensor(r, needs_grad=False), out),
+                              Tensor(c, needs_grad=False)))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_contiguous_segments_match_the_gathered_layout(seed):
     # a non-decreasing mask reduces slices of the rows themselves; the
@@ -384,18 +391,33 @@ def test_contiguous_segments_match_the_gathered_layout(seed):
         tape = Tape()
         t = Tensor(x)
         out = tape.cluster_max_pool(t, mask, p)
-        # d loss / d out = outer(a, b): a different weight per (cluster, column)
-        tape.backward(tape.matmul(tape.matmul(Tensor(a, needs_grad=False), out),
-                                  Tensor(b, needs_grad=False)))
+        _backward_through(tape, out, a, b)
         pooled.append(out.data)
         grads.append(t.grad)
     assert np.array_equal(pooled[0], pooled[1])
     assert np.array_equal(grads[0][order], grads[1])
-    g = rng.standard_normal((n, d))
+    # sums of real rows, whose rounding depends on the order they are added in
+    xr, r = rng.standard_normal((n, d)), rng.standard_normal((1, n))
+    layouts = ((xr, mi, r), (xr[order], mc, r[:, order]))
+    means, mean_grads = [], []
+    for x, mask, _ in layouts:
+        tape = Tape()
+        t = Tensor(x)
+        out = tape.cluster_mean_pool(t, mask, p)
+        _backward_through(tape, out, a, b)
+        means.append(out.data)
+        mean_grads.append(t.grad)
+    assert np.array_equal(means[0], means[1])
+    assert np.array_equal(mean_grads[0][order], mean_grads[1])
     for ids in (p, p + 1):  # every id used, and one id without rows
-        sums_i = _cluster_sums(g, _Segments(mi, n, ids))
-        sums_c = _cluster_sums(g[order], _Segments(mc, n, ids))
-        assert np.array_equal(sums_i, sums_c) and sums_c.shape == (ids, d)
+        sums = []
+        for x, mask, weights in layouts:
+            tape = Tape()
+            cx = Tensor(np.ones((ids, d)))
+            _backward_through(tape, tape.cluster_scatter(cx, mask), weights, b)
+            sums.append(cx.grad)
+        assert np.array_equal(sums[0], sums[1]) and sums[1].shape == (ids, d)
+        assert not sums[1][p:].any()
 
 
 def test_adam_step_bit_identical_to_textbook_form():
