@@ -10,8 +10,7 @@ from .mesh import (Mesh, MeshError, MeshLoadError, LaplacianOperator,
                    assemble_laplacian, compute_vertex_areas,
                    compute_vertex_normals, load_obj, write_obj)
 from .spectral import (EigensolverError, SpectralBasis,
-                       build_hierarchy, build_input_features,
-                       cluster_agreement, solve_eigs)
+                       build_hierarchy, build_input_features, solve_eigs)
 from .cache import (CacheMismatchError, FeatureCache, PreprocessParams,
                     get_features, load_cache, preprocess_mesh, save_cache)
 from .model import ModelConfig, init_params, model_forward
@@ -28,8 +27,7 @@ __all__ = [
     "assemble_laplacian", "compute_vertex_areas", "compute_vertex_normals",
     "load_obj", "write_obj",
     "EigensolverError", "SpectralBasis",
-    "build_hierarchy", "build_input_features", "cluster_agreement",
-    "solve_eigs",
+    "build_hierarchy", "build_input_features", "solve_eigs",
     "CacheMismatchError", "FeatureCache", "PreprocessParams", "get_features",
     "load_cache", "preprocess_mesh", "save_cache",
     "ModelConfig", "init_params", "model_forward",

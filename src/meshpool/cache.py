@@ -22,7 +22,7 @@ from .spectral import build_hierarchy, build_input_features, normalize_positions
 
 # Changes whenever the features a mesh yields change, so caches written by an
 # earlier version are rebuilt rather than reused.
-CACHE_KIND = "meshpool-cache-2"
+CACHE_KIND = "meshpool-cache-3"
 
 
 class CacheMismatchError(ValueError):
@@ -100,21 +100,36 @@ def load_cache(path, mesh: Mesh = None, params: PreprocessParams = None) -> Feat
     """Load a cache, checking it against ``mesh`` and ``params`` when given.
 
     Raises CacheMismatchError if the container is not a feature cache, lacks
-    a section, or its stored mesh hash or parameter fingerprint disagrees
-    with what the caller expects.
+    a section, holds text that is not UTF-8 or cluster ids that are not
+    int64, or its stored mesh hash or parameter fingerprint disagrees with
+    what the caller expects.
     """
     arrays = read_container(path)
-    if "kind" not in arrays or array_to_str(arrays["kind"]) != CACHE_KIND:
+
+    def text(name):
+        try:
+            return array_to_str(arrays[name])
+        except UnicodeDecodeError:
+            raise CacheMismatchError(f"{path}: section {name} is not UTF-8 text") from None
+
+    def ints(name):
+        a = arrays[name]
+        if a.dtype != np.int64 or a.ndim != 1:
+            raise CacheMismatchError(f"{path}: section {name} holds {a.dtype} {a.shape}, "
+                                     "expected int64 (n,)")
+        return a
+
+    if "kind" not in arrays or text("kind") != CACHE_KIND:
         raise CacheMismatchError(f"{path}: not a feature cache")
     try:
-        counts = tuple(int(c) for c in arrays["cluster_counts"])
+        counts = tuple(int(c) for c in ints("cluster_counts"))
         cache = FeatureCache(
             features=arrays["features"],
             eigenvalues=arrays["eigenvalues"],
-            level_masks=[arrays[f"mask_{i}"] for i in range(len(counts))],
+            level_masks=[ints(f"mask_{i}") for i in range(len(counts))],
             cluster_counts=counts,
-            mesh_hash=array_to_str(arrays["mesh_hash"]),
-            params_fingerprint=array_to_str(arrays["params_fingerprint"]),
+            mesh_hash=text("mesh_hash"),
+            params_fingerprint=text("params_fingerprint"),
         )
     except KeyError as exc:
         raise CacheMismatchError(f"{path}: cache lacks section {exc.args[0]}") from None

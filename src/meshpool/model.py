@@ -128,18 +128,13 @@ class SplitFeatures:
     building it: ``vertex`` is (N, dv), ``cluster`` is (p, dc) and ``mask``
     maps each of the N rows to its cluster row. A layer multiplies the
     cluster part once at p rows and scatters the product (``Tape.dense``
-    with ``cluster`` and ``mask``). ``data`` builds the dense matrix, for
-    inspection only.
+    with ``cluster`` and ``mask``).
     """
 
     __slots__ = ("vertex", "cluster", "mask")
 
     def __init__(self, vertex: Tensor, cluster: Tensor, mask: np.ndarray):
         self.vertex, self.cluster, self.mask = vertex, cluster, mask
-
-    @property
-    def data(self) -> np.ndarray:
-        return np.concatenate([self.vertex.data, self.cluster.data[self.mask]], axis=1)
 
 
 def _mlp_forward(tape: Tape, params, prefix, x, n_layers, final_relu=True):

@@ -16,9 +16,9 @@ of the same surface (near-degenerate pairs rotate within their
 eigenspace), while median splits of the geometry depend only on integral
 quantities and survive a remesh nearly unchanged.
 
-Import rule: scipy is imported only inside the functions that need it
-(the eigensolvers in ``solve_eigs``, the assignment in
-``cluster_agreement``), so importing this module loads numpy alone.
+Import rule: scipy is imported only inside ``solve_eigs``, the one
+function that needs it (for the eigensolvers), so importing this module
+loads numpy alone.
 """
 from __future__ import annotations
 
@@ -156,8 +156,13 @@ def solve_eigs(op: LaplacianOperator, k: int, method: str = "auto") -> SpectralB
 
 
 def normalize_positions(vertices: np.ndarray) -> np.ndarray:
-    """Center to the vertex centroid and scale the bounding-box diagonal to 1."""
-    centered = vertices - vertices.mean(axis=0)
+    """Center to the vertex centroid and scale the bounding-box diagonal to 1.
+
+    The centroid sums the rows in lexicographic order, the order
+    ``build_hierarchy`` works in, so permuting the vertices permutes the
+    result exactly.
+    """
+    centered = vertices - vertices[np.lexsort(vertices.T[::-1])].mean(axis=0)
     extent = centered.max(axis=0) - centered.min(axis=0)
     return centered / np.linalg.norm(extent)
 
@@ -319,19 +324,3 @@ def build_hierarchy(positions: np.ndarray, cluster_counts,
         masks.append(labels[unsort])
     return masks[::-1]
 
-
-def cluster_agreement(mask_a: np.ndarray, mask_b: np.ndarray) -> float:
-    """Fraction of entries on which two cluster masks agree, after the
-    cluster ids are matched by maximum-overlap assignment."""
-    from scipy.optimize import linear_sum_assignment  # slow import, used only here
-
-    mask_a = np.asarray(mask_a)
-    mask_b = np.asarray(mask_b)
-    if mask_a.shape != mask_b.shape:
-        raise ValueError("masks must have equal length")
-    pa = int(mask_a.max()) + 1
-    pb = int(mask_b.max()) + 1
-    overlap = np.zeros((pa, pb), dtype=np.int64)
-    np.add.at(overlap, (mask_a, mask_b), 1)
-    rows, cols = linear_sum_assignment(-overlap)
-    return float(overlap[rows, cols].sum()) / len(mask_a)

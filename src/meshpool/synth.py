@@ -4,7 +4,7 @@ Four shape families (icosphere, torus, capped cylinder, dumbbell) built
 from scratch, seeded shape deformations that keep per-vertex labels valid,
 and connectivity-changing remeshing (midpoint subdivision plus randomized
 edge-collapse decimation). All generators are deterministic for a fixed
-seed. Outward orientation is asserted via the signed volume.
+seed, and every generated mesh is closed and outward oriented.
 """
 
 from __future__ import annotations
@@ -32,12 +32,6 @@ class SynthSample:
     mesh: Mesh
     category: int
     labels: np.ndarray = None
-
-
-def signed_volume(mesh: Mesh) -> float:
-    """Positive for consistently outward-oriented closed meshes."""
-    tri = mesh.vertices[mesh.faces]
-    return float(np.einsum("ij,ij->", tri[:, 0], np.cross(tri[:, 1], tri[:, 2])) / 6.0)
 
 
 def icosahedron() -> Mesh:

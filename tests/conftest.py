@@ -74,6 +74,39 @@ def equilateral():
 
 
 # ---------------------------------------------------------------------------
+# oracles that only the tests need
+# ---------------------------------------------------------------------------
+
+def signed_volume(mesh: Mesh) -> float:
+    """Positive for consistently outward-oriented closed meshes."""
+    tri = mesh.vertices[mesh.faces]
+    return float(np.einsum("ij,ij->", tri[:, 0], np.cross(tri[:, 1], tri[:, 2])) / 6.0)
+
+
+def cluster_agreement(mask_a: np.ndarray, mask_b: np.ndarray) -> float:
+    """Fraction of entries on which two cluster masks agree, after the
+    cluster ids are matched by maximum-overlap assignment."""
+    from scipy.optimize import linear_sum_assignment  # slow import, used only here
+
+    mask_a = np.asarray(mask_a)
+    mask_b = np.asarray(mask_b)
+    if mask_a.shape != mask_b.shape:
+        raise ValueError("masks must have equal length")
+    pa = int(mask_a.max()) + 1
+    pb = int(mask_b.max()) + 1
+    overlap = np.zeros((pa, pb), dtype=np.int64)
+    np.add.at(overlap, (mask_a, mask_b), 1)
+    rows, cols = linear_sum_assignment(-overlap)
+    return float(overlap[rows, cols].sum()) / len(mask_a)
+
+
+def split_features_data(split) -> np.ndarray:
+    """The dense N-row matrix ``concat([vertex, cluster[mask]])`` that a
+    ``model.SplitFeatures`` stands for."""
+    return np.concatenate([split.vertex.data, split.cluster.data[split.mask]], axis=1)
+
+
+# ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
 

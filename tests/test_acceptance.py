@@ -15,7 +15,7 @@ from meshpool.autodiff import Tape, Tensor
 from meshpool.cache import PreprocessParams, preprocess_mesh
 from meshpool.mesh import assemble_laplacian
 from meshpool.model import ModelConfig, correlation_matrix, init_params, model_forward
-from meshpool.spectral import cluster_agreement, solve_eigs
+from meshpool.spectral import solve_eigs
 from meshpool.synth import (
     DUMBBELL_RESOLUTIONS,
     cylinder,
@@ -39,7 +39,7 @@ from meshpool.training import (
     train,
 )
 
-from conftest import central_diff, fd_op_check, max_rel_err
+from conftest import central_diff, cluster_agreement, fd_op_check, max_rel_err
 
 PP_DEFAULT = PreprocessParams()  # 16 eigenvectors, clusters (16, 8)
 

@@ -258,7 +258,8 @@ def test_get_features_without_cache_path(bumpy, small_params):
     assert cache.features.shape[1] == 14
 
 
-def test_load_cache_rejects_other_kinds_and_missing_sections(tmp_path, bumpy_cache):
+def test_load_cache_rejects_other_kinds_and_missing_sections(tmp_path, bumpy, small_params,
+                                                             bumpy_cache):
     path = tmp_path / "c.mpc"
     save_cache(path, bumpy_cache)
     arrays = read_container(path)
@@ -270,3 +271,17 @@ def test_load_cache_rejects_other_kinds_and_missing_sections(tmp_path, bumpy_cac
     write_container(path, dict(arrays, kind=str_to_array("meshpool-checkpoint")))
     with pytest.raises(CacheMismatchError, match="not a feature cache"):
         load_cache(path)
+    not_utf8 = np.array([0xFF, 0xFE], dtype=np.uint8)
+    for name, bad, message in (
+            ("kind", not_utf8, "section kind is not UTF-8 text"),
+            ("mesh_hash", not_utf8, "section mesh_hash is not UTF-8 text"),
+            ("mask_0", arrays["mask_0"].astype(np.float64), "section mask_0 holds float64"),
+            ("cluster_counts", arrays["cluster_counts"].astype(np.float64),
+             "section cluster_counts holds float64")):
+        write_container(path, dict(arrays, **{name: bad}))
+        with pytest.raises(CacheMismatchError, match=message):
+            load_cache(path)
+        # the typed error makes get_features rebuild the cache in place
+        rebuilt = get_features(bumpy, small_params, cache_path=path)
+        assert np.array_equal(rebuilt.features, bumpy_cache.features)
+        assert np.array_equal(load_cache(path).level_masks[0], bumpy_cache.level_masks[0])

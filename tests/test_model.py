@@ -17,7 +17,7 @@ from meshpool.model import (
 from meshpool.synth import DUMBBELL_RESOLUTIONS, deform, dumbbell
 from meshpool.training import SampleRecord, forward_logits, predict, record_from_cache
 
-from conftest import central_diff, max_rel_err
+from conftest import central_diff, max_rel_err, split_features_data
 
 TINY = ModelConfig(
     in_dim=5,
@@ -139,8 +139,8 @@ def test_single_cluster_block_closed_form():
     )
     params = init_params(config, seed=2)
     x = np.random.default_rng(4).standard_normal((1, 4))
-    out = pooling_block_forward(Tape(), params, config, 0, Tensor(x),
-                                np.zeros(1, dtype=np.int64)).data
+    out = split_features_data(pooling_block_forward(Tape(), params, config, 0, Tensor(x),
+                                                    np.zeros(1, dtype=np.int64)))
 
     relu = lambda a: np.maximum(a, 0.0)
     updated = relu(x @ params["block0.update.0.W"].data + params["block0.update.0.b"].data)
@@ -155,7 +155,8 @@ def test_identical_cluster_embeddings_mix_uniformly():
     params = init_params(TINY, seed=0)
     params["block0.corr.0.W"].value.data[...] = 0.0
     params["block0.corr.0.b"].value.data[...] = 0.5
-    out = pooling_block_forward(Tape(), params, TINY, 0, Tensor(feats), masks[0]).data
+    out = split_features_data(pooling_block_forward(Tape(), params, TINY, 0, Tensor(feats),
+                                                    masks[0]))
     mixed = out[:, TINY.update_widths[-1]:]
     assert np.allclose(mixed - mixed[0], 0.0, atol=1e-12)
 

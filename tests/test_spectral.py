@@ -12,13 +12,14 @@ from meshpool.spectral import (
     EigensolverError,
     build_hierarchy,
     build_input_features,
-    cluster_agreement,
     eig_residuals,
     eigenvector_features,
     normalize_positions,
     solve_eigs,
 )
 from meshpool.synth import DUMBBELL_RESOLUTIONS, deform, dumbbell, icosphere
+
+from conftest import cluster_agreement
 
 
 @pytest.fixture(scope="module")
@@ -327,6 +328,26 @@ def _hierarchy_inputs():
         pts = rng.standard_normal((50, 3))
         pts[rng.choice(50, 10, replace=False)] = pts[0]
         yield pts, None
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_hierarchy_of_a_permuted_icosphere_is_the_permuted_hierarchy(level):
+    # the icosphere's covariance is isotropic, so its principal axes turn with
+    # any rounding noise in the centroid; the centroid must not depend on order
+    mesh = icosphere(level)
+
+    def hierarchy(m):
+        pos = normalize_positions(m.vertices)
+        return pos, build_hierarchy(pos, (16, 8), areas=assemble_laplacian(m).areas)
+
+    pos, masks = hierarchy(mesh)
+    for seed in range(10):
+        perm = np.random.default_rng(seed).permutation(mesh.n_vertices)
+        shuffled = Mesh(mesh.vertices[perm], np.argsort(perm)[mesh.faces])
+        pos_p, masks_p = hierarchy(shuffled)
+        assert np.array_equal(pos_p, pos[perm])
+        for mask_p, mask in zip(masks_p, masks):
+            assert np.array_equal(mask_p, mask[perm])
 
 
 @pytest.mark.parametrize("counts", [(16, 8), (12, 5), (16, 8, 4), (10, 7, 3)])

@@ -17,10 +17,11 @@ from meshpool.synth import (
     make_segmentation_dataset,
     random_rotation,
     remesh,
-    signed_volume,
     subdivide_midpoint,
     torus,
 )
+
+from conftest import signed_volume
 
 
 def euler_characteristic(mesh):
