@@ -46,9 +46,16 @@ The tape does only the work a result needs:
 - A ``Workspace`` keeps the large per-vertex arrays of ``dense`` (forward
   output and input gradient) across tapes, so a training loop stops
   handing that memory back to the system after every mesh. A tape given
-  one takes those two arrays from it; nothing taken may be used after the
-  workspace's ``release()``. Without a workspace a tape allocates fresh
-  arrays.
+  one takes those two arrays from it. A forward output stays taken until
+  the workspace's ``release()``, after which nothing taken may be used.
+  An input gradient goes back as soon as it is dead: right after it is
+  added into a gradient that already existed, or else at the end of the
+  ``dense`` backward that receives it, so a later ``dense`` of the same
+  backward reuses it. Without a workspace a tape allocates fresh arrays.
+- Max-pool backward adds its routed cells into an existing input
+  gradient; only an input without one gets a zeroed array. ``adam_step``
+  walks the flat parameter arrays in ``ADAM_CHUNK`` slices with one
+  slice-sized temporary.
 """
 
 from __future__ import annotations
@@ -119,33 +126,43 @@ class ParameterSet(dict):
             p.grad = self.grad[start:end].reshape(shape)
 
 
+ADAM_CHUNK = 1 << 15  # elements per slice of the flat arrays in adam_step
+
+
 def adam_step(params: ParameterSet, lr=7e-4, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
     """One Adam update of every parameter, with bias correction; zeroes the
     gradients afterwards.
 
-    Updates the flat moments and values in place, with the same operations
-    in the same order as m = beta1 m + (1 - beta1) g,
-    v = beta2 v + (1 - beta2) g g, value -= lr m_hat / (sqrt(v_hat) + eps),
-    so the results are bit-identical to that textbook form. One temporary
-    serves every full-length term, and the spent gradient holds the update.
+    Updates the flat moments and values in place, ``ADAM_CHUNK`` elements
+    at a time, with the same operations in the same order on every element
+    as m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g,
+    value -= lr m_hat / (sqrt(v_hat) + eps), so the results are
+    bit-identical to that textbook form. One chunk-sized temporary serves
+    every term, and the spent gradient holds the update.
     """
     params.step += 1
-    g, m, v = params.grad, params.m, params.v
-    tmp = np.multiply(g, 1.0 - beta1)
-    m *= beta1
-    m += tmp
-    np.multiply(g, 1.0 - beta2, out=tmp)
-    tmp *= g
-    v *= beta2
-    v += tmp
-    update = np.divide(m, 1.0 - beta1**params.step, out=g)
-    update *= lr
-    np.divide(v, 1.0 - beta2**params.step, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    tmp += eps
-    update /= tmp
-    params.data -= update
-    g.fill(0.0)
+    correct1, correct2 = 1.0 - beta1**params.step, 1.0 - beta2**params.step
+    size = len(params.data)
+    buf = np.empty(min(size, ADAM_CHUNK))
+    for start in range(0, size, ADAM_CHUNK):
+        chunk = slice(start, start + ADAM_CHUNK)
+        g, m, v = params.grad[chunk], params.m[chunk], params.v[chunk]
+        tmp = buf[:len(g)]
+        np.multiply(g, 1.0 - beta1, out=tmp)
+        m *= beta1
+        m += tmp
+        np.multiply(g, 1.0 - beta2, out=tmp)
+        tmp *= g
+        v *= beta2
+        v += tmp
+        update = np.divide(m, correct1, out=g)
+        update *= lr
+        np.divide(v, correct2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        update /= tmp
+        params.data[chunk] -= update
+        g.fill(0.0)
 
 
 def _accumulate(t: Tensor, g: np.ndarray, rows=None) -> None:
@@ -316,20 +333,25 @@ class Tape:
             if relu:
                 np.multiply(g, out > 0.0, out=g)  # subgradient at 0 is 0
             if x.needs_grad:
-                _accumulate(x, np.matmul(g, wx.T, out=_empty(ws, n, k)))
+                gx = np.matmul(g, wx.T, out=_empty(ws, n, k, grad=True))
+                _accumulate(x, gx)
+                if x.grad is not gx and ws is not None:  # added, not adopted
+                    ws.give_back(gx)
             if w.needs_grad:
                 _accumulate(w, x.data.T @ g, None if cluster is None else slice(0, k))
             if cluster is None:
                 if b.needs_grad:
                     _accumulate(b, g.sum(axis=0))
-                return
-            gc = seg.reduce(np.add, g)
-            if b.needs_grad:
-                _accumulate(b, gc.sum(axis=0))
-            if w.needs_grad:
-                _accumulate(w, cluster.data.T @ gc, slice(k, None))
-            if cluster.needs_grad:
-                _accumulate(cluster, gc @ wc.T)
+            else:
+                gc = seg.reduce(np.add, g)
+                if b.needs_grad:
+                    _accumulate(b, gc.sum(axis=0))
+                if w.needs_grad:
+                    _accumulate(w, cluster.data.T @ gc, slice(k, None))
+                if cluster.needs_grad:
+                    _accumulate(cluster, gc @ wc.T)
+            if ws is not None:
+                ws.give_back(g)  # a no-op unless g is a gradient block it handed out
 
         return self._emit(out, backward, *inputs)
 
@@ -367,9 +389,12 @@ class Tape:
                 rows[j] += start
             if seg.order is not None:
                 rows = seg.order[rows]
-            gx = np.zeros_like(x.data)
-            gx[rows, np.arange(xs.shape[1])] = g
-            _accumulate(x, gx)
+            cols = np.arange(xs.shape[1])
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+                x.grad[rows, cols] = g
+            else:  # every other cell would gain +0.0: leave it as it is
+                x.grad[rows, cols] += g
 
         return self._emit(out, backward, x)
 
@@ -423,35 +448,54 @@ class Workspace:
     and input gradient of every ``dense``, the only arrays a tape takes.
 
     ``take(n, w)`` hands out rows :n of a C-contiguous (rows, w) block
-    with rows >= n, reusing a released block and dropping one that is too
-    small, so after the largest mesh one set of blocks serves every mesh.
-    ``release()`` makes every block taken since the last release available
-    again: nothing taken may be used after it. A released width hands its
-    blocks out again in the order they were taken, so a step that repeats
-    the previous step's requests gets the same blocks back.
+    with rows >= n, reusing a free block (the one that came back last) and
+    dropping one that is too small, so after the largest mesh one set of
+    blocks serves every mesh. A block lives one of two lifetimes:
+
+    - a forward output stays taken until ``release()``, since backward and
+      the caller (the logits) read it after the forward;
+    - a gradient, taken with ``grad=True``, comes back as soon as nothing
+      reads it, through ``give_back``. That returns only the very array
+      the take handed out (matched by ``id`` and ``is``), never a view of
+      it such as a split piece, and it ignores any other array.
+
+    ``release()`` makes every block still taken free again, in the order
+    they were taken: nothing taken may be used after it.
     """
 
     def __init__(self):
-        self._free = {}    # width -> released blocks, the next one last
-        self._taken = []   # blocks handed out since the last release
+        self._free = {}   # width -> free blocks, the next one last
+        self._taken = {}  # id(view) -> (view, block, grad), in take order
 
-    def take(self, n: int, w: int) -> np.ndarray:
+    def take(self, n: int, w: int, grad: bool = False) -> np.ndarray:
         free = self._free.get(w)
         block = free.pop() if free else None
         if block is None or block.shape[0] < n:
             block = np.empty((n, w))
-        self._taken.append(block)
-        return block[:n]
+        view = block[:n]
+        self._taken[id(view)] = (view, block, grad)  # holding the view pins its id
+        return view
+
+    def give_back(self, view: np.ndarray) -> None:
+        """Free the gradient block ``view`` now; a no-op for any array that
+        is not a gradient this workspace handed out and still counts taken."""
+        entry = self._taken.get(id(view))
+        if entry is not None and entry[0] is view and entry[2]:
+            del self._taken[id(view)]
+            self._recycle(entry[1])
 
     def release(self) -> None:
-        for block in reversed(self._taken):
-            self._free.setdefault(block.shape[1], []).append(block)
+        for _, block, _ in reversed(self._taken.values()):
+            self._recycle(block)
         self._taken.clear()
 
+    def _recycle(self, block: np.ndarray) -> None:
+        self._free.setdefault(block.shape[1], []).append(block)
 
-def _empty(workspace, n: int, w: int) -> np.ndarray:
+
+def _empty(workspace, n: int, w: int, grad: bool = False) -> np.ndarray:
     """An uninitialized (n, w) float64 array, from ``workspace`` if any."""
-    return np.empty((n, w)) if workspace is None else workspace.take(n, w)
+    return np.empty((n, w)) if workspace is None else workspace.take(n, w, grad)
 
 
 def _checked_mask(mask, n: int, p: int) -> np.ndarray:

@@ -75,17 +75,25 @@ def write_container(path, arrays: dict) -> None:
     os.replace(tmp, path)
 
 
-class _Cursor:
-    def __init__(self, buf: memoryview):
-        self.buf = buf
-        self.pos = 0
+_HASH_CHUNK = 1 << 16  # bytes per read while hashing the payload
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.buf):
+
+class _Reader:
+    """Reads a container payload from an open file, ``left`` bytes of it
+    still unread; every length is checked against ``left`` before anything
+    is read or allocated, so a corrupt length is a truncation error."""
+
+    def __init__(self, fh, left: int):
+        self.fh, self.left = fh, left
+
+    def _claim(self, n: int) -> None:
+        if n > self.left:
             raise ContainerFormatError("container truncated")
-        out = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return out
+        self.left -= n
+
+    def take(self, n: int) -> bytes:
+        self._claim(n)
+        return self.fh.read(n)
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -93,36 +101,49 @@ class _Cursor:
     def string(self) -> str:
         return str(self.take(self.unpack("<I")[0]), "utf-8")
 
+    def array(self, path, name: str, dtype: np.dtype, shape: tuple) -> np.ndarray:
+        """The next section's raw bytes, read straight into a new array."""
+        nbytes = self.unpack("<Q")[0]
+        self._claim(nbytes)
+        if nbytes != dtype.itemsize * int(np.prod(shape, dtype=np.int64)):
+            raise ContainerFormatError(f"{path}: section {name!r} has wrong byte count")
+        if dtype.hasobject:  # as np.frombuffer says
+            raise ValueError("cannot create an OBJECT array from memory buffer")
+        out = np.empty(shape, dtype=dtype)
+        if self.fh.readinto(out.reshape(-1).view(np.uint8)) != nbytes:
+            raise ContainerFormatError("container truncated")
+        return out
+
 
 def read_container(path) -> dict:
     """Read a container back into a name -> ndarray dict.
 
     Raises ContainerFormatError on bad magic or truncation,
     ContainerVersionError on an unknown version and ContainerDigestError
-    when the payload does not match its recorded sha256. Each array is
-    copied once, from the bytes read.
+    when the payload does not match its recorded sha256. The payload is
+    hashed in ``_HASH_CHUNK`` pieces and then read again, each array
+    straight into its own allocation, so the whole file is never held.
     """
     with open(path, "rb") as fh:
-        blob = memoryview(fh.read())  # slices of it copy nothing
-    if len(blob) < 40 or blob[:4] != MAGIC:
-        raise ContainerFormatError(f"{path}: not a container file")
-    version = struct.unpack("<I", blob[4:8])[0]
-    if version != FORMAT_VERSION:
-        raise ContainerVersionError(f"{path}: version {version}, expected {FORMAT_VERSION}")
-    digest, payload = blob[8:40], blob[40:]
-    if hashlib.sha256(payload).digest() != digest:
-        raise ContainerDigestError(f"{path}: payload digest mismatch")
-    cur = _Cursor(payload)
-    arrays = {}
-    for _ in range(cur.unpack("<I")[0]):
-        name = cur.string()
-        dtype = np.dtype(cur.string())
-        shape = cur.unpack(f"<{cur.unpack('<I')[0]}Q")
-        raw = cur.take(cur.unpack("<Q")[0])
-        expected = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
-        if len(raw) != expected:
-            raise ContainerFormatError(f"{path}: section {name!r} has wrong byte count")
-        arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-    if cur.pos != len(payload):
-        raise ContainerFormatError(f"{path}: trailing bytes after last section")
+        head = fh.read(40)
+        if len(head) < 40 or head[:4] != MAGIC:
+            raise ContainerFormatError(f"{path}: not a container file")
+        version = struct.unpack("<I", head[4:8])[0]
+        if version != FORMAT_VERSION:
+            raise ContainerVersionError(f"{path}: version {version}, expected {FORMAT_VERSION}")
+        digest, chunk = hashlib.sha256(), memoryview(bytearray(_HASH_CHUNK))
+        while size := fh.readinto(chunk):
+            digest.update(chunk[:size])
+        if digest.digest() != head[8:40]:
+            raise ContainerDigestError(f"{path}: payload digest mismatch")
+        fh.seek(40)
+        cur = _Reader(fh, os.fstat(fh.fileno()).st_size - 40)
+        arrays = {}
+        for _ in range(cur.unpack("<I")[0]):
+            name = cur.string()
+            dtype = np.dtype(cur.string())
+            shape = cur.unpack(f"<{cur.unpack('<I')[0]}Q")
+            arrays[name] = cur.array(path, name, dtype, shape)
+        if cur.left:
+            raise ContainerFormatError(f"{path}: trailing bytes after last section")
     return arrays

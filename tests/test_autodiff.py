@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from meshpool.autodiff import (ParameterSet, Tape, Tensor, Workspace, _Segments, adam_step,
-                               set_debug_checks)
+from meshpool.autodiff import (ADAM_CHUNK, ParameterSet, Tape, Tensor, Workspace, _Segments,
+                               adam_step, set_debug_checks)
 
 from conftest import central_diff, fd_op_check, max_rel_err
 
@@ -420,15 +420,17 @@ def test_contiguous_segments_match_the_gathered_layout(seed):
         assert not sums[1][p:].any()
 
 
-def test_adam_step_bit_identical_to_textbook_form():
-    rng = np.random.default_rng(35)
-    start = {"W": rng.standard_normal((4, 3)), "b": rng.standard_normal(5)}
+def _check_adam_against_textbook_form(shape_w, shape_b, steps, seed):
+    """``adam_step`` on a two-parameter set against the textbook update
+    written per parameter, compared with ``np.array_equal`` after each step."""
+    rng = np.random.default_rng(seed)
+    start = {"W": rng.standard_normal(shape_w), "b": rng.standard_normal(shape_b)}
     params = _two_params(start["W"], start["b"])
     m = {name: np.zeros_like(a) for name, a in start.items()}
     v = {name: np.zeros_like(a) for name, a in start.items()}
     w = {name: a.copy() for name, a in start.items()}
     lr, b1, b2, eps = 7e-4, 0.9, 0.999, 1e-8
-    for step in range(1, 6):
+    for step in range(1, steps + 1):
         for name in start:
             g = rng.standard_normal(start[name].shape)
             params[name].grad[...] = g
@@ -440,6 +442,65 @@ def test_adam_step_bit_identical_to_textbook_form():
         assert np.array_equal(params.m, np.r_[m["W"].ravel(), m["b"]])
         assert np.array_equal(params.v, np.r_[v["W"].ravel(), v["b"]])
         assert all(np.array_equal(params[name].data, w[name]) for name in start)
+        assert not params.grad.any()
+
+
+def test_adam_step_bit_identical_to_textbook_form():
+    _check_adam_against_textbook_form((4, 3), 5, steps=5, seed=35)
+
+
+def test_chunked_adam_step_bit_identical_to_textbook_form():
+    # two full chunks and a short last one, the parameter boundary inside a chunk
+    shape_w, shape_b = (3, ADAM_CHUNK // 2 + 7), ADAM_CHUNK // 2 - 3
+    size = np.prod(shape_w) + shape_b
+    assert size > 2 * ADAM_CHUNK and size % ADAM_CHUNK
+    _check_adam_against_textbook_form(shape_w, shape_b, steps=3, seed=36)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_max_pool_backward_adds_into_an_existing_gradient(seed):
+    # x already holds a gradient when the pool's backward runs: the result
+    # is that gradient plus the pool's zeros-then-assign gradient, exactly,
+    # with ties (three distinct values per column) routed as on their own
+    for x, mask in _interleaved_and_contiguous(seed)[:2]:
+        n, p, d = len(mask), int(mask.max()) + 1, x.shape[1]
+        rng = np.random.default_rng(seed + 20)
+        a, b = rng.standard_normal((1, p)), rng.standard_normal((d, 1))
+        r, c = rng.standard_normal((1, n)), rng.standard_normal((d, 1))
+        alone = Tensor(x)
+        tape = Tape()
+        _backward_through(tape, tape.cluster_max_pool(alone, mask, p), a, b)
+        earlier = Tensor(x)
+        tape = Tape()
+        _backward_through(tape, tape.scale(earlier, 1.0), r, c)
+        both = Tensor(x)
+        tape = Tape()
+        pooled = tape.cluster_max_pool(both, mask, p)
+        scaled = tape.scale(both, 1.0)  # recorded later, so its backward runs first
+        loss = tape.add(tape.matmul(tape.matmul(Tensor(a, needs_grad=False), pooled),
+                                    Tensor(b, needs_grad=False)),
+                        tape.matmul(tape.matmul(Tensor(r, needs_grad=False), scaled),
+                                    Tensor(c, needs_grad=False)))
+        tape.backward(loss)
+        assert (alone.grad != 0.0).sum() == p * d  # one routed cell per (cluster, column)
+        assert np.array_equal(both.grad, earlier.grad + alone.grad)
+
+
+def test_workspace_gives_back_only_gradient_blocks():
+    ws = Workspace()
+    out, grad = ws.take(4, 3), ws.take(4, 3, grad=True)
+    for other in (out, grad[:2], np.split(grad, [1])[0], np.empty((4, 3))):
+        ws.give_back(other)  # a forward block, views of the gradient, a fresh array
+    blocks = {id(out.base), id(grad.base)}
+    assert id(ws.take(4, 3).base) not in blocks  # nothing came back: a new block
+    ws.give_back(grad)
+    ws.give_back(grad)  # a block comes back once
+    assert ws.take(3, 3, grad=True).base is grad.base
+    assert id(ws.take(4, 3).base) not in blocks
+    ws.release()
+    taken = {id(ws.take(4, 3).base) for _ in range(4)}  # the four blocks, none twice
+    assert len(taken) == 4 and blocks < taken
+    assert id(ws.take(4, 3).base) not in taken
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Binary container format and the preprocessing cache built on it."""
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -124,6 +125,34 @@ def test_container_rejects_trailing_bytes(tmp_path):
     payload = blob[40:] + b"junk"  # keep the digest honest so parsing runs
     path.write_bytes(blob[:8] + hashlib.sha256(payload).digest() + payload)
     with pytest.raises(ContainerFormatError, match="trailing"):
+        read_container(path)
+
+
+def _write_payload(path, payload: bytes) -> None:
+    """A container file holding ``payload`` under an honest digest."""
+    path.write_bytes(b"MPC1" + struct.pack("<I", FORMAT_VERSION)
+                     + hashlib.sha256(payload).digest() + payload)
+
+
+def _packed(s: str) -> bytes:
+    return struct.pack("<I", len(s)) + s.encode()
+
+
+@pytest.mark.parametrize("section,message", [
+    (_packed("a") + _packed("<f8") + struct.pack("<IQQ", 1, 2**59, 2**62), "container truncated"),
+    (struct.pack("<I", 2**31) + b"a", "container truncated"),
+    (_packed("a") + _packed("<f8") + struct.pack("<I", 2**31), "container truncated"),
+    (_packed("a") + _packed("<f8") + struct.pack("<IQQ", 1, 3, 16) + bytes(16),
+     "section 'a' has wrong byte count"),
+    (_packed("a") + _packed("<f8") + struct.pack("<IQQ", 1, 1, 8) + bytes(4),
+     "container truncated"),
+], ids=["array-length", "name-length", "ndim", "byte-count", "short-array"])
+def test_container_bounds_declared_lengths_by_the_file(tmp_path, section, message):
+    # a length that the digest vouches for but the file cannot hold is a
+    # ContainerFormatError before anything of that length is allocated
+    path = tmp_path / "c.bin"
+    _write_payload(path, struct.pack("<I", 1) + section)
+    with pytest.raises(ContainerFormatError, match=message):
         read_container(path)
 
 

@@ -363,14 +363,22 @@ def _swap_fine_ids(arrays):
      "ball: the level 0 clusters do not nest in the coarser levels"),
     ("eval", dict(checkpoint=lambda a: dict(a, kind=str_to_array("meshpool-checkpoint"))),
      "older checkpoint kind 'meshpool-checkpoint'; retrain with this version"),
+    ("train --batch -1", {}, "batch_size must be at least 1, got -1"),
+    ("train --batch 0", {}, "batch_size must be at least 1, got 0"),
+    ("train --epochs -1", {}, "epochs must be at least 0, got -1"),
+    ("train --lr 0", {}, "lr must be finite and above 0, got 0.0"),
+    ("train --lr nan", {}, "lr must be finite and above 0, got nan"),
+    ("train --checkpoint-every -1", {}, "checkpoint_every must be at least 0, got -1"),
 ], ids=["nan-vertex", "coincident-vertices", "empty-manifest", "no-samples", "category-7",
         "tset-split", "duplicate-face", "non-manifold-edge", "two-components",
-        "flipped-face", "unnested-cache", "old-checkpoint"])
+        "flipped-face", "unnested-cache", "old-checkpoint", "batch-minus-1", "batch-0",
+        "epochs-minus-1", "lr-0", "lr-nan", "checkpoint-every-minus-1"])
 def test_bad_inputs_exit_1_with_one_error_line(tmp_path, command, dataset, message):
     data = tmp_path / "data"
     _ball_dataset(data, **dataset)
+    command, *flags = command.split()
     model = ["--model", str(data / "model.ckpt")] if command == "eval" else []
-    proc = _run_meshpool("-m", "meshpool", command, "--input", str(data), *model)
+    proc = _run_meshpool("-m", "meshpool", command, "--input", str(data), *model, *flags)
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
