@@ -43,15 +43,12 @@ The tape does only the work a result needs:
   bit-identical to the same layer built from ``matmul``, ``bias_add`` and
   ``relu``, with a split input's cluster part multiplied at cluster rank
   and put back by ``cluster_scatter`` and ``add``.
-- A ``Workspace`` keeps the large per-vertex arrays of ``dense`` (forward
-  output and input gradient) across tapes, so a training loop stops
-  handing that memory back to the system after every mesh. A tape given
-  one takes those two arrays from it. A forward output stays taken until
-  the workspace's ``release()``, after which nothing taken may be used.
-  An input gradient goes back as soon as it is dead: right after it is
-  added into a gradient that already existed, or else at the end of the
-  ``dense`` backward that receives it, so a later ``dense`` of the same
-  backward reuses it. Without a workspace a tape allocates fresh arrays.
+- A ``Workspace`` keeps the N-row forward outputs of ``dense`` across
+  tapes, so a training loop stops handing that memory back to the system
+  after every mesh. A tape given one takes those outputs from it, and they
+  stay taken until the workspace's ``release()``, after which nothing
+  taken may be used. Gradients are ordinary arrays, freed as soon as
+  backward drops them. Without a workspace a tape allocates fresh outputs.
 - Max-pool backward adds its routed cells into an existing input
   gradient; only an input without one gets a zeroed array. ``adam_step``
   walks the flat parameter arrays in ``ADAM_CHUNK`` slices with one
@@ -194,7 +191,7 @@ class Tape:
 
     With ``record=False`` the tape only computes forwards (inference) and
     ``backward`` is an error. With a ``workspace``, ``dense`` takes its
-    output and its input's gradient from it (see ``Workspace``).
+    output from it (see ``Workspace``).
     """
 
     def __init__(self, record: bool = True, workspace: "Workspace" = None):
@@ -302,8 +299,8 @@ class Tape:
         the input is the split matrix ``[x, cluster[mask]]``: x multiplies
         W's leading rows at N rows, the cluster part multiplies W's trailing
         rows (plus b) at p rows, and that product is scattered onto x's.
-        On a tape with a workspace the output and x's gradient are
-        workspace blocks, so read them before its ``release()``.
+        On a tape with a workspace the output is a workspace block, so read
+        it before the ``release()``.
         """
         kc = 0 if cluster is None else cluster.data.shape[-1]
         if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.shape != w.data.shape[1:]
@@ -313,9 +310,9 @@ class Tape:
                              f"+ {b.data.shape}")
         n, k = x.data.shape
         width = w.data.shape[1]
-        ws = self.workspace  # the closure must not hold the tape: no cycle
+        ws = self.workspace
         wx = w.data[:k]
-        out = np.matmul(x.data, wx, out=_empty(ws, n, width))
+        out = np.matmul(x.data, wx, out=None if ws is None else ws.take(n, width))
         if cluster is None:
             out += b.data
             inputs = (x, w, b)
@@ -333,10 +330,7 @@ class Tape:
             if relu:
                 np.multiply(g, out > 0.0, out=g)  # subgradient at 0 is 0
             if x.needs_grad:
-                gx = np.matmul(g, wx.T, out=_empty(ws, n, k, grad=True))
-                _accumulate(x, gx)
-                if x.grad is not gx and ws is not None:  # added, not adopted
-                    ws.give_back(gx)
+                _accumulate(x, g @ wx.T)
             if w.needs_grad:
                 _accumulate(w, x.data.T @ g, None if cluster is None else slice(0, k))
             if cluster is None:
@@ -350,8 +344,6 @@ class Tape:
                     _accumulate(w, cluster.data.T @ gc, slice(k, None))
                 if cluster.needs_grad:
                     _accumulate(cluster, gc @ wc.T)
-            if ws is not None:
-                ws.give_back(g)  # a no-op unless g is a gradient block it handed out
 
         return self._emit(out, backward, *inputs)
 
@@ -444,58 +436,34 @@ class Tape:
 
 
 class Workspace:
-    """Float64 blocks reused across tapes, keyed by width: the N-row output
-    and input gradient of every ``dense``, the only arrays a tape takes.
+    """Float64 blocks reused across tapes, keyed by width: the N-row
+    forward output of every ``dense``, the only arrays a tape takes.
 
     ``take(n, w)`` hands out rows :n of a C-contiguous (rows, w) block
-    with rows >= n, reusing a free block (the one that came back last) and
-    dropping one that is too small, so after the largest mesh one set of
-    blocks serves every mesh. A block lives one of two lifetimes:
-
-    - a forward output stays taken until ``release()``, since backward and
-      the caller (the logits) read it after the forward;
-    - a gradient, taken with ``grad=True``, comes back as soon as nothing
-      reads it, through ``give_back``. That returns only the very array
-      the take handed out (matched by ``id`` and ``is``), never a view of
-      it such as a split piece, and it ignores any other array.
-
-    ``release()`` makes every block still taken free again, in the order
-    they were taken: nothing taken may be used after it.
+    with rows >= n, reusing a free block (the one freed last) and dropping
+    one that is too small, so after the largest mesh one set of blocks
+    serves every mesh. A block stays taken until ``release()``, since
+    backward and the caller (the logits) read it after the forward;
+    ``release()`` frees every taken block, so that the next step takes
+    them in the same order, and nothing taken may be used after it.
     """
 
     def __init__(self):
         self._free = {}   # width -> free blocks, the next one last
-        self._taken = {}  # id(view) -> (view, block, grad), in take order
+        self._taken = []  # blocks in take order
 
-    def take(self, n: int, w: int, grad: bool = False) -> np.ndarray:
+    def take(self, n: int, w: int) -> np.ndarray:
         free = self._free.get(w)
         block = free.pop() if free else None
         if block is None or block.shape[0] < n:
             block = np.empty((n, w))
-        view = block[:n]
-        self._taken[id(view)] = (view, block, grad)  # holding the view pins its id
-        return view
-
-    def give_back(self, view: np.ndarray) -> None:
-        """Free the gradient block ``view`` now; a no-op for any array that
-        is not a gradient this workspace handed out and still counts taken."""
-        entry = self._taken.get(id(view))
-        if entry is not None and entry[0] is view and entry[2]:
-            del self._taken[id(view)]
-            self._recycle(entry[1])
+        self._taken.append(block)
+        return block[:n]
 
     def release(self) -> None:
-        for _, block, _ in reversed(self._taken.values()):
-            self._recycle(block)
+        for block in reversed(self._taken):
+            self._free.setdefault(block.shape[1], []).append(block)
         self._taken.clear()
-
-    def _recycle(self, block: np.ndarray) -> None:
-        self._free.setdefault(block.shape[1], []).append(block)
-
-
-def _empty(workspace, n: int, w: int, grad: bool = False) -> np.ndarray:
-    """An uninitialized (n, w) float64 array, from ``workspace`` if any."""
-    return np.empty((n, w)) if workspace is None else workspace.take(n, w, grad)
 
 
 def _checked_mask(mask, n: int, p: int) -> np.ndarray:

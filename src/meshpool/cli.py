@@ -83,7 +83,8 @@ def _checkpoint_params(args, config: ModelConfig) -> PreprocessParams:
 
 
 def load_manifest(dataset_dir: Path) -> dict:
-    """The dataset's manifest, checked for every key the manifest walk reads.
+    """The dataset's manifest, checked for every key the manifest walk reads
+    and for its optional class counts, which must be ints of at least 0.
 
     Raises ValueError naming the sample and key at fault.
     """
@@ -94,6 +95,10 @@ def load_manifest(dataset_dir: Path) -> dict:
         manifest = json.load(fh)
     if not isinstance(manifest, dict) or manifest.get("task") not in TASKS:
         raise ValueError(f"{path}: 'task' must be one of {', '.join(TASKS)}")
+    for key in ("num_labels", "num_categories"):
+        value = manifest.get(key, 0)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ValueError(f"{path}: {key!r} must be an integer of at least 0, got {value!r}")
     if not isinstance(manifest.get("samples"), list):
         raise ValueError(f"{path}: 'samples' must be a list")
     for i, entry in enumerate(manifest["samples"]):
@@ -230,8 +235,6 @@ def _cmd_train(args) -> int:
     manifest = load_manifest(dataset_dir)
     params_pre = _params_from_args(args)
     config = _model_config_from(manifest, params_pre)
-    records = _sample_records(dataset_dir, manifest, params_pre)
-
     out_path = Path(args.output) if args.output else dataset_dir / "model.ckpt"
     train_config = TrainConfig(
         epochs=args.epochs, lr=args.lr, batch_size=args.batch, seed=args.seed,
@@ -239,6 +242,7 @@ def _cmd_train(args) -> int:
         checkpoint_path=str(out_path), checkpoint_every=args.checkpoint_every,
         verbose=args.verbose,
     )
+    records = _sample_records(dataset_dir, manifest, params_pre)
     params, start_epoch = None, 0
     if args.resume:
         params, config, last_epoch, _ = load_checkpoint(args.resume, expected_config=config)

@@ -293,17 +293,6 @@ class LaplacianOperator:
 
         return (sparse.diags(self.degrees) - self.weights).tocsr()
 
-    def validate(self, atol: float = 1e-9) -> None:
-        asym = self.weights - self.weights.T
-        if asym.nnz and np.any(asym.data != 0.0):
-            raise MeshError("cotangent weight matrix is not exactly symmetric")
-        rowsums = np.asarray(self.weights.sum(axis=1)).ravel()
-        if not np.allclose(rowsums, self.degrees, rtol=0.0, atol=0.0):
-            raise MeshError("degree diagonal does not equal the weight row sums")
-        null = self.stiffness() @ np.ones(self.n_vertices)
-        if np.abs(null).max() >= atol:
-            raise MeshError("constant vector is not in the null space of D - W")
-
 
 def assemble_laplacian(mesh: Mesh) -> LaplacianOperator:
     """Assemble the half-cotangent edge weights of a triangle mesh.

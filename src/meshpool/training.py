@@ -8,13 +8,13 @@ updates the whole flat parameter set. Because the only mutable state is
 that set's values, Adam moments and step count, a checkpoint written after
 epoch e and resumed reproduces the uninterrupted run bit for bit. One
 ``autodiff.Workspace`` serves a whole ``train`` run: every mesh-step's tape
-takes its large per-vertex arrays from it. Each input-gradient block goes
-back during backward once it is dead; the forward outputs go back when
-the workspace is released, after the step's loss and predictions (read
-from the logits, the last forward output) have been read. ``train``
-rejects a negative ``epochs`` or ``checkpoint_every``, a ``batch_size``
-below 1 and an ``lr`` that is not a finite number above 0 before it
-touches a record.
+takes the N-row outputs of its dense layers from it, and they go back
+when the workspace is released, after the step's loss and predictions
+(read from the logits, the last forward output) have been read; the
+gradients are ordinary arrays. A ``TrainConfig`` rejects a negative
+``epochs`` or ``checkpoint_every``, a ``batch_size`` below 1 and an
+``lr`` that is not a finite number above 0 when it is made, so a bad
+setting fails before any record is loaded.
 
 Records built from a cache (``record_from_cache``) are cluster-contiguous:
 their vertices are stably sorted by (coarsest cluster id, ..., finest
@@ -129,6 +129,18 @@ class TrainConfig:
     checkpoint_every: int = 0  # epochs between checkpoints; 0 disables
     verbose: bool = False
 
+    def __post_init__(self):
+        """Raises TrainingError naming the field when ``epochs`` or
+        ``checkpoint_every`` is negative, ``batch_size`` is below 1 or
+        ``lr`` is not a finite number above 0."""
+        for name, bad, rule in (
+                ("epochs", self.epochs < 0, "at least 0"),
+                ("batch_size", self.batch_size < 1, "at least 1"),
+                ("lr", not (math.isfinite(self.lr) and self.lr > 0), "finite and above 0"),
+                ("checkpoint_every", self.checkpoint_every < 0, "at least 0")):
+            if bad:
+                raise TrainingError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+
 
 @dataclass
 class EpochStats:
@@ -210,17 +222,9 @@ def train(records, config: ModelConfig, train_config: TrainConfig,
 
     Pass ``params`` and ``start_epoch`` from a loaded checkpoint to resume;
     the result is bit-identical to never having stopped because epoch
-    shuffles depend only on (seed, epoch). Raises TrainingError naming the
-    field when ``epochs`` or ``checkpoint_every`` is negative, ``batch_size``
-    is below 1 or ``lr`` is not a finite number above 0.
+    shuffles depend only on (seed, epoch).
     """
     cfg = train_config
-    for name, bad, rule in (("epochs", cfg.epochs < 0, "at least 0"),
-                            ("batch_size", cfg.batch_size < 1, "at least 1"),
-                            ("lr", not (math.isfinite(cfg.lr) and cfg.lr > 0), "finite and above 0"),
-                            ("checkpoint_every", cfg.checkpoint_every < 0, "at least 0")):
-        if bad:
-            raise TrainingError(f"{name} must be {rule}, got {getattr(cfg, name)!r}")
     if not records:
         raise TrainingError("no training samples")
     truths = [_truth(record, config) for record in records]

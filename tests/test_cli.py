@@ -369,10 +369,13 @@ def _swap_fine_ids(arrays):
     ("train --lr 0", {}, "lr must be finite and above 0, got 0.0"),
     ("train --lr nan", {}, "lr must be finite and above 0, got nan"),
     ("train --checkpoint-every -1", {}, "checkpoint_every must be at least 0, got -1"),
+    ("train", dict(manifest={"task": "classification", "num_labels": "3", "samples": [
+        {"name": "ball", "obj": "ball.obj", "category": 0, "split": "train"}]}),
+     "'num_labels' must be an integer of at least 0, got '3'"),
 ], ids=["nan-vertex", "coincident-vertices", "empty-manifest", "no-samples", "category-7",
         "tset-split", "duplicate-face", "non-manifold-edge", "two-components",
         "flipped-face", "unnested-cache", "old-checkpoint", "batch-minus-1", "batch-0",
-        "epochs-minus-1", "lr-0", "lr-nan", "checkpoint-every-minus-1"])
+        "epochs-minus-1", "lr-0", "lr-nan", "checkpoint-every-minus-1", "num-labels-string"])
 def test_bad_inputs_exit_1_with_one_error_line(tmp_path, command, dataset, message):
     data = tmp_path / "data"
     _ball_dataset(data, **dataset)
@@ -382,6 +385,8 @@ def test_bad_inputs_exit_1_with_one_error_line(tmp_path, command, dataset, messa
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
+    if flags:  # a bad train setting is rejected before any sample is preprocessed
+        assert not list(data.glob("cache/*.mpc"))
 
 
 @pytest.mark.parametrize("change,message", [
@@ -390,6 +395,16 @@ def test_bad_inputs_exit_1_with_one_error_line(tmp_path, command, dataset, messa
     (lambda m: m["samples"][0].pop("split"), "sample 0 has no 'split'"),
     (lambda m: m["samples"].append("ball.obj"), "sample 1 has no 'name'"),
     (lambda m: m["samples"][0].update(split="tset"), "sample 0 has split 'tset'"),
+    (lambda m: m.update(num_labels="3"),
+     "'num_labels' must be an integer of at least 0, got '3'"),
+    (lambda m: m.update(num_categories=None),
+     "'num_categories' must be an integer of at least 0, got None"),
+    (lambda m: m.update(num_labels=1.5),
+     "'num_labels' must be an integer of at least 0, got 1.5"),
+    (lambda m: m.update(num_labels=True),
+     "'num_labels' must be an integer of at least 0, got True"),
+    (lambda m: m.update(num_categories=-1),
+     "'num_categories' must be an integer of at least 0, got -1"),
 ])
 def test_load_manifest_names_the_bad_key(tmp_path, change, message):
     _ball_dataset(tmp_path / "data")

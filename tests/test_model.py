@@ -358,16 +358,17 @@ def test_split_weights_match_finite_differences(task):
 
 class _CheckedWorkspace(Workspace):
     """A Workspace that fails a test when it hands out a block that is still
-    live (taken, and neither given back nor released). It keeps every block
-    it ever handed out, and (takes, distinct blocks) of each released step."""
+    live (taken and not yet released) or frees a block twice. It keeps
+    every block it ever handed out, and (takes, distinct blocks) of each
+    released step."""
 
     def __init__(self):
         super().__init__()
         self.live, self.seen, self.step_blocks, self.steps = [], [], [], []
         self.takes = 0
 
-    def take(self, n, w, grad=False):
-        view = super().take(n, w, grad)
+    def take(self, n, w):
+        view = super().take(n, w)
         assert not any(view.base is block for block in self.live), "live block handed out"
         self.live.append(view.base)
         self.takes += 1
@@ -376,14 +377,12 @@ class _CheckedWorkspace(Workspace):
                 blocks.append(view.base)
         return view
 
-    def _recycle(self, block):
-        assert any(block is b for b in self.live), "block freed twice"
-        self.live = [b for b in self.live if b is not block]
-        super()._recycle(block)
-
     def release(self):
         super().release()
-        assert not self.live
+        freed = [block for blocks in self._free.values() for block in blocks]
+        assert len({id(block) for block in freed}) == len(freed), "block freed twice"
+        assert all(any(block is b for b in freed) for block in self.live)
+        self.live = []
         self.steps.append((self.takes, len(self.step_blocks)))
         self.step_blocks, self.takes = [], 0
 
@@ -392,7 +391,7 @@ def test_workspace_steps_match_fresh_tapes():
     """Training steps on alternating 254- and 434-vertex meshes give the same
     logits and parameter gradients bit for bit with one reused workspace as
     with workspace-free tapes; after the larger mesh no new block is made,
-    and a step reuses its dead gradient blocks.
+    and a step takes a distinct block for each dense output.
     Both the mesh-order masks (gathered cluster ops) and a record's
     cluster-contiguous layout (sliced cluster ops) are run."""
     config = ModelConfig(task="segmentation", num_labels=3, num_categories=4)
@@ -434,7 +433,6 @@ def test_workspace_steps_match_fresh_tapes():
         # the 434-row mesh outgrew the first set, and nothing after it
         assert blocks_after[1] > blocks_after[0], layout
         assert blocks_after[1:] == [blocks_after[1]] * 4, layout
-        # a step makes 18 takes; with every gradient block held until the
-        # release that was 18 distinct blocks, but a dead one serves again
+        # one take per dense layer, each into a block of its own
         for takes, distinct in ws.steps[1::2]:  # the 434-row steps
-            assert takes == 18 and distinct < 18, layout
+            assert takes == 10 and distinct == 10, layout
