@@ -34,9 +34,8 @@ The tape does only the work a result needs:
   are plain row slices of the arrays at hand, and a split ``dense`` adds
   each cluster row to its slice. Any other mask is first put in that
   order by a stable argsort and a gathered copy, which gives the same
-  numbers for the same segment rows. A tape works out the segments of
-  each mask array once and shares them among the ops that pass that
-  array.
+  numbers for the same segment rows. Each op works out the segments of
+  the mask it is passed when it runs, so a mask may change between ops.
 - ``Tape.dense`` is a whole linear + bias (+ ReLU) layer in one record,
   for a plain input or a split one (per-vertex columns beside cluster
   columns that a mask scatters). Its forward and gradients are
@@ -58,14 +57,6 @@ The tape does only the work a result needs:
 from __future__ import annotations
 
 import numpy as np
-
-_DEBUG_CHECKS = False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """When on, every forward op asserts its output is finite."""
-    global _DEBUG_CHECKS
-    _DEBUG_CHECKS = bool(enabled)
 
 
 class Tensor:
@@ -180,43 +171,23 @@ def _accumulate(t: Tensor, g: np.ndarray, rows=None) -> None:
         t.grad += g
 
 
-def _check(out: np.ndarray) -> np.ndarray:
-    if _DEBUG_CHECKS and not np.all(np.isfinite(out)):
-        raise FloatingPointError("non-finite value produced by a forward op")
-    return out
-
-
 class Tape:
     """Ordered record of executed ops; one backward pass per tape.
 
     With ``record=False`` the tape only computes forwards (inference) and
     ``backward`` is an error. With a ``workspace``, ``dense`` takes its
-    output from it (see ``Workspace``).
+    output from it (see ``Workspace``). The records are the tape's only
+    state: a cluster op builds the segments of its mask when it runs.
     """
 
     def __init__(self, record: bool = True, workspace: "Workspace" = None):
         self.record = bool(record)
         self.workspace = workspace
         self._records = []  # (output tensor, backward closure)
-        self._layouts = {}  # id(mask) -> (mask, _Segments), see _segments
-
-    def _segments(self, mask, n: int, p: int, allow_empty: bool = False) -> "_Segments":
-        """The segments of ``mask`` over n rows and p clusters, built once
-        per tape and mask array, so a record's level mask serves every op
-        of its level. The entry holds the mask, so no other array can take
-        its id while the tape lives; a mask must not change in place
-        meanwhile. Unless ``allow_empty``, a cluster without rows is an
-        error."""
-        entry = self._layouts.get(id(mask))
-        if entry is None or entry[1].shape != (n, p):
-            entry = self._layouts[id(mask)] = (mask, _Segments(mask, n, p))
-        if not allow_empty and not entry[1].counts.all():
-            raise ValueError("empty cluster id in mask")
-        return entry[1]
 
     def _emit(self, data, backward, *inputs) -> Tensor:
         tracked = self.record and any(t.needs_grad for t in inputs)
-        out = Tensor(_check(data), needs_grad=tracked)
+        out = Tensor(data, needs_grad=tracked)
         if tracked:
             self._records.append((out, backward))
         return out
@@ -317,7 +288,7 @@ class Tape:
             out += b.data
             inputs = (x, w, b)
         else:
-            seg = self._segments(mask, n, cluster.data.shape[0], allow_empty=True)
+            seg = _Segments(mask, n, cluster.data.shape[0])
             wc = w.data[k:]
             per_cluster = cluster.data @ wc
             per_cluster += b.data
@@ -368,7 +339,7 @@ class Tape:
         ties break to the lowest row of x, which for a record is the lowest
         row of its cluster-contiguous layout.
         """
-        seg = self._segments(mask, x.data.shape[0], p)
+        seg = _Segments(mask, x.data.shape[0], p, allow_empty=False)
         out = seg.reduce(np.maximum, x.data)
 
         def backward(g):
@@ -391,7 +362,7 @@ class Tape:
         return self._emit(out, backward, x)
 
     def cluster_mean_pool(self, x: Tensor, mask: np.ndarray, p: int) -> Tensor:
-        seg = self._segments(mask, x.data.shape[0], p)
+        seg = _Segments(mask, x.data.shape[0], p, allow_empty=False)
         counts = seg.counts.astype(np.float64)[:, None]
         out = seg.reduce(np.add, x.data)
         out /= counts
@@ -403,7 +374,7 @@ class Tape:
 
     def cluster_scatter(self, cx: Tensor, mask: np.ndarray) -> Tensor:
         """Row i of the output is the cluster feature of mask[i]."""
-        seg = self._segments(mask, np.size(mask), cx.data.shape[0], allow_empty=True)
+        seg = _Segments(mask, np.size(mask), cx.data.shape[0])
 
         def backward(g):
             _accumulate(cx, seg.reduce(np.add, g))
@@ -466,17 +437,6 @@ class Workspace:
         self._taken.clear()
 
 
-def _checked_mask(mask, n: int, p: int) -> np.ndarray:
-    """``mask`` as int64, checked to hold one cluster id in [0, p) for each
-    of ``n`` rows. The one mask check of every cluster op."""
-    mask = np.asarray(mask, dtype=np.int64)
-    if mask.shape != (n,):
-        raise ValueError(f"mask length {mask.shape} does not match {n} rows")
-    if n and (mask.min() < 0 or mask.max() >= p):
-        raise ValueError("mask id out of range")
-    return mask
-
-
 class _Segments:
     """Rows grouped by cluster id.
 
@@ -486,24 +446,28 @@ class _Segments:
     lowest row. A non-decreasing mask, as every cluster-contiguous record
     has, is in segment order already: ``order`` is None and a segment is a
     slice of the rows themselves. Any other mask gets the stable argsort
-    ``order`` and ``sort`` gathers a copy. Validates the mask with
-    ``_checked_mask``.
+    ``order`` and ``sort`` gathers a copy.
+
+    Every cluster op builds its own, and this is its one mask check: the
+    mask must hold one cluster id in [0, p) for each of ``n`` rows, and
+    unless ``allow_empty`` every cluster must have a row.
     """
 
     __slots__ = ("mask", "order", "counts", "bounds")
 
-    def __init__(self, mask, n: int, p: int):
-        self.mask = mask = _checked_mask(mask, n, p)
+    def __init__(self, mask, n: int, p: int, allow_empty: bool = True):
+        self.mask = mask = np.asarray(mask, dtype=np.int64)
+        if mask.shape != (n,):
+            raise ValueError(f"mask length {mask.shape} does not match {n} rows")
+        if n and (mask.min() < 0 or mask.max() >= p):
+            raise ValueError("mask id out of range")
         self.counts = np.bincount(mask, minlength=p)
+        if not (allow_empty or self.counts.all()):
+            raise ValueError("empty cluster id in mask")
         in_order = (mask[1:] >= mask[:-1]).all()
         self.order = None if in_order else np.argsort(mask, kind="stable")
         ends = self.counts.cumsum()
         self.bounds = list(zip((ends - self.counts).tolist(), ends.tolist()))
-
-    @property
-    def shape(self):
-        """(rows, clusters)."""
-        return len(self.mask), len(self.counts)
 
     def sort(self, rows: np.ndarray) -> np.ndarray:
         """Rows in segment order: ``rows`` itself for a non-decreasing mask,

@@ -11,6 +11,7 @@ never leaves a half-written container behind.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 
@@ -83,12 +84,12 @@ class _Reader:
     still unread; every length is checked against ``left`` before anything
     is read or allocated, so a corrupt length is a truncation error."""
 
-    def __init__(self, fh, left: int):
-        self.fh, self.left = fh, left
+    def __init__(self, path, fh, left: int):
+        self.path, self.fh, self.left = path, fh, left
 
     def _claim(self, n: int) -> None:
         if n > self.left:
-            raise ContainerFormatError("container truncated")
+            raise ContainerFormatError(f"{self.path}: container truncated")
         self.left -= n
 
     def take(self, n: int) -> bytes:
@@ -98,29 +99,49 @@ class _Reader:
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def string(self) -> str:
-        return str(self.take(self.unpack("<I")[0]), "utf-8")
+    def string(self, what: str) -> str:
+        try:
+            return str(self.take(self.unpack("<I")[0]), "utf-8")
+        except UnicodeDecodeError:
+            raise ContainerFormatError(f"{self.path}: {what} is not UTF-8") from None
 
-    def array(self, path, name: str, dtype: np.dtype, shape: tuple) -> np.ndarray:
-        """The next section's raw bytes, read straight into a new array."""
+    def section(self, index: int) -> tuple:
+        """(name, array) of the next section, its raw bytes read straight
+        into a new array once the dtype, shape and byte count agree."""
+        name = self.string(f"the name of section {index}")
+        where = f"{self.path}: section {name!r}"
+        code = self.string(f"the dtype of section {name!r}")
+        try:
+            dtype = np.dtype(code)
+        except (TypeError, ValueError, SyntaxError):  # np.dtype's parse errors
+            raise ContainerFormatError(f"{where} has unknown dtype {code!r}") from None
+        if dtype.itemsize == 0 or dtype.hasobject:
+            raise ContainerFormatError(f"{where} has dtype {code!r}, which cannot hold "
+                                       "array data")
+        shape = self.unpack(f"<{self.unpack('<I')[0]}Q")
         nbytes = self.unpack("<Q")[0]
         self._claim(nbytes)
-        if nbytes != dtype.itemsize * int(np.prod(shape, dtype=np.int64)):
-            raise ContainerFormatError(f"{path}: section {name!r} has wrong byte count")
-        if dtype.hasobject:  # as np.frombuffer says
-            raise ValueError("cannot create an OBJECT array from memory buffer")
-        out = np.empty(shape, dtype=dtype)
+        if nbytes != dtype.itemsize * math.prod(shape):
+            raise ContainerFormatError(f"{where} has wrong byte count")
+        try:  # numpy refuses an ndim or a dimension it cannot index
+            out = np.empty(shape, dtype=dtype)
+        except ValueError as exc:
+            raise ContainerFormatError(f"{where} has shape {shape}: {exc}") from None
         if self.fh.readinto(out.reshape(-1).view(np.uint8)) != nbytes:
-            raise ContainerFormatError("container truncated")
-        return out
+            raise ContainerFormatError(f"{self.path}: container truncated")
+        return name, out
 
 
 def read_container(path) -> dict:
     """Read a container back into a name -> ndarray dict.
 
-    Raises ContainerFormatError on bad magic or truncation,
-    ContainerVersionError on an unknown version and ContainerDigestError
-    when the payload does not match its recorded sha256. The payload is
+    Raises ContainerFormatError on bad magic, truncation or a section whose
+    name or dtype is not UTF-8, whose dtype numpy does not know or holds no
+    bytes or Python objects, or whose shape and byte count disagree; each
+    names the path, and the section where it has a name, and is raised
+    before that section's array is allocated. Raises ContainerVersionError
+    on an unknown version and ContainerDigestError when the payload does
+    not match its recorded sha256. The payload is
     hashed in ``_HASH_CHUNK`` pieces and then read again, each array
     straight into its own allocation, so the whole file is never held.
     """
@@ -137,13 +158,8 @@ def read_container(path) -> dict:
         if digest.digest() != head[8:40]:
             raise ContainerDigestError(f"{path}: payload digest mismatch")
         fh.seek(40)
-        cur = _Reader(fh, os.fstat(fh.fileno()).st_size - 40)
-        arrays = {}
-        for _ in range(cur.unpack("<I")[0]):
-            name = cur.string()
-            dtype = np.dtype(cur.string())
-            shape = cur.unpack(f"<{cur.unpack('<I')[0]}Q")
-            arrays[name] = cur.array(path, name, dtype, shape)
+        cur = _Reader(path, fh, os.fstat(fh.fileno()).st_size - 40)
+        arrays = dict(cur.section(i) for i in range(cur.unpack("<I")[0]))
         if cur.left:
             raise ContainerFormatError(f"{path}: trailing bytes after last section")
     return arrays

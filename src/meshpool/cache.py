@@ -100,9 +100,10 @@ def load_cache(path, mesh: Mesh = None, params: PreprocessParams = None) -> Feat
     """Load a cache, checking it against ``mesh`` and ``params`` when given.
 
     Raises CacheMismatchError if the container is not a feature cache, lacks
-    a section, holds text that is not UTF-8 or cluster ids that are not
-    int64, or its stored mesh hash or parameter fingerprint disagrees with
-    what the caller expects.
+    a section, holds text that is not UTF-8, features that are not float64
+    (N, d), eigenvalues that are not float64 1-D or cluster counts and
+    masks that are not int64 1-D (each mask N long), or its stored mesh
+    hash or parameter fingerprint disagrees with what the caller expects.
     """
     arrays = read_container(path)
 
@@ -112,21 +113,24 @@ def load_cache(path, mesh: Mesh = None, params: PreprocessParams = None) -> Feat
         except UnicodeDecodeError:
             raise CacheMismatchError(f"{path}: section {name} is not UTF-8 text") from None
 
-    def ints(name):
+    def section(name, dtype, ndim, rows=None):
         a = arrays[name]
-        if a.dtype != np.int64 or a.ndim != 1:
+        if a.dtype != dtype or a.ndim != ndim or rows not in (None, len(a)):
+            of_rows = "" if rows is None else f" of {rows} rows"
             raise CacheMismatchError(f"{path}: section {name} holds {a.dtype} {a.shape}, "
-                                     "expected int64 (n,)")
+                                     f"expected {np.dtype(dtype)} {ndim}-D{of_rows}")
         return a
 
     if "kind" not in arrays or text("kind") != CACHE_KIND:
         raise CacheMismatchError(f"{path}: not a feature cache")
     try:
-        counts = tuple(int(c) for c in ints("cluster_counts"))
+        counts = tuple(int(c) for c in section("cluster_counts", np.int64, 1))
+        features = section("features", np.float64, 2)
         cache = FeatureCache(
-            features=arrays["features"],
-            eigenvalues=arrays["eigenvalues"],
-            level_masks=[ints(f"mask_{i}") for i in range(len(counts))],
+            features=features,
+            eigenvalues=section("eigenvalues", np.float64, 1),
+            level_masks=[section(f"mask_{i}", np.int64, 1, len(features))
+                         for i in range(len(counts))],
             cluster_counts=counts,
             mesh_hash=text("mesh_hash"),
             params_fingerprint=text("params_fingerprint"),

@@ -236,22 +236,24 @@ def _cmd_train(args) -> int:
     params_pre = _params_from_args(args)
     config = _model_config_from(manifest, params_pre)
     out_path = Path(args.output) if args.output else dataset_dir / "model.ckpt"
+    params, start_epoch, seed = None, 0, 0 if args.seed is None else args.seed
+    if args.resume:  # a resumed run keeps the seed it was started with
+        params, config, last_epoch, seed = load_checkpoint(args.resume, expected_config=config)
+        if args.seed not in (None, seed):
+            raise CheckpointError(f"--seed {args.seed} disagrees with the checkpoint's {seed}")
+        start_epoch = last_epoch + 1
+        print(f"resuming from {args.resume} at epoch {start_epoch}")
     train_config = TrainConfig(
-        epochs=args.epochs, lr=args.lr, batch_size=args.batch, seed=args.seed,
+        epochs=args.epochs, lr=args.lr, batch_size=args.batch, seed=seed,
         early_stop_train_accuracy=args.early_stop,
         checkpoint_path=str(out_path), checkpoint_every=args.checkpoint_every,
         verbose=args.verbose,
     )
     records = _sample_records(dataset_dir, manifest, params_pre)
-    params, start_epoch = None, 0
-    if args.resume:
-        params, config, last_epoch, _ = load_checkpoint(args.resume, expected_config=config)
-        start_epoch = last_epoch + 1
-        print(f"resuming from {args.resume} at epoch {start_epoch}")
     params, history = train(records["train"], config, train_config,
                             params=params, start_epoch=start_epoch)
     final_epoch = history[-1].epoch if history else start_epoch - 1
-    save_checkpoint(out_path, params, config, final_epoch, args.seed)
+    save_checkpoint(out_path, params, config, final_epoch, seed)
 
     history_path = out_path.with_suffix(".history.json")
     with open(history_path, "w") as fh:
@@ -336,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train on the manifest's train split")
     p.add_argument("--input", required=True, help="dataset directory")
     p.add_argument("--output", default=None, help="checkpoint path (default INPUT/model.ckpt)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="training seed (default 0, or the checkpoint's with --resume)")
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--lr", type=float, default=7e-4)
     p.add_argument("--batch", type=int, default=8)

@@ -403,8 +403,8 @@ def load_checkpoint(path, expected_config: ModelConfig = None):
     """
     try:
         arrays = read_container(path)
-    except (FileNotFoundError, ValueError) as exc:
-        raise CheckpointError(f"{path}: {exc}") from exc
+    except (FileNotFoundError, ValueError) as exc:  # each names the path
+        raise CheckpointError(str(exc)) from exc
     try:
         kind = array_to_str(arrays["kind"]) if "kind" in arrays else ""
     except UnicodeDecodeError as exc:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from meshpool.autodiff import (ADAM_CHUNK, ParameterSet, Tape, Tensor, Workspace, _Segments,
-                               adam_step, set_debug_checks)
+                               adam_step)
 
 from conftest import central_diff, fd_op_check, max_rel_err
 
@@ -249,17 +249,17 @@ def test_adam_step_matches_reference():
     assert params.step == 2
 
 
-def test_debug_checks_flag_catches_nonfinite():
-    set_debug_checks(True)
-    try:
-        tape = Tape()
-        with pytest.raises(FloatingPointError):
-            tape.scale(Tensor(np.array([[np.inf]])), 1.0)
-    finally:
-        set_debug_checks(False)
-    # off by default: the same op passes silently
-    out = Tape().scale(Tensor(np.array([[np.inf]])), 1.0)
-    assert np.isinf(out.data).all()
+def test_a_mask_changed_in_place_is_read_afresh():
+    # a tape keeps no segments between ops, so the second pool sees the
+    # mask as it is now, as a fresh tape does
+    x = Tensor(np.arange(12.0).reshape(6, 2))
+    mask = np.array([0, 0, 0, 1, 1, 1])
+    tape = Tape()
+    assert np.array_equal(tape.cluster_max_pool(x, mask, 2).data, [[4, 5], [10, 11]])
+    mask[:] = [1, 1, 1, 0, 0, 0]
+    again = tape.cluster_max_pool(x, mask, 2).data
+    assert np.array_equal(again, Tape().cluster_max_pool(x, mask, 2).data)
+    assert np.array_equal(again, [[10, 11], [4, 5]])
 
 
 def test_matmul_shape_validation():

@@ -1,6 +1,8 @@
 """Binary container format and the preprocessing cache built on it."""
 
 import hashlib
+import math
+import random
 import struct
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from meshpool.binio import (
     FORMAT_VERSION,
     ContainerDigestError,
+    ContainerError,
     ContainerFormatError,
     ContainerVersionError,
     array_to_str,
@@ -26,6 +29,8 @@ from meshpool.cache import (
     preprocess_mesh,
     save_cache,
 )
+from meshpool.model import ModelConfig, init_params
+from meshpool.training import CheckpointError, load_checkpoint, save_checkpoint
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +139,9 @@ def _write_payload(path, payload: bytes) -> None:
                      + hashlib.sha256(payload).digest() + payload)
 
 
-def _packed(s: str) -> bytes:
-    return struct.pack("<I", len(s)) + s.encode()
+def _packed(s) -> bytes:
+    raw = s.encode() if isinstance(s, str) else s
+    return struct.pack("<I", len(raw)) + raw
 
 
 @pytest.mark.parametrize("section,message", [
@@ -146,14 +152,158 @@ def _packed(s: str) -> bytes:
      "section 'a' has wrong byte count"),
     (_packed("a") + _packed("<f8") + struct.pack("<IQQ", 1, 1, 8) + bytes(4),
      "container truncated"),
-], ids=["array-length", "name-length", "ndim", "byte-count", "short-array"])
+    (_packed("a") + _packed("<zz") + struct.pack("<IQQ", 1, 1, 8) + bytes(8),
+     "section 'a' has unknown dtype '<zz'"),
+    (_packed("a") + _packed("V0") + struct.pack("<IQQ", 1, 3, 0),
+     "section 'a' has dtype 'V0', which cannot hold array data"),
+    (_packed("a") + _packed("S0") + struct.pack("<IQQ", 1, 2**40, 0),
+     "section 'a' has dtype 'S0', which cannot hold array data"),
+    (_packed("a") + _packed("|O") + struct.pack("<IQQ", 1, 1, 8) + bytes(8),
+     "section 'a' has dtype '|O', which cannot hold array data"),
+    (struct.pack("<I", 2) + b"\xff\xfe" + _packed("<f8") + struct.pack("<IQQ", 1, 1, 8)
+     + bytes(8), "the name of section 0 is not UTF-8"),
+    (_packed("a") + struct.pack("<I", 1) + b"\xff" + struct.pack("<IQQ", 1, 1, 8) + bytes(8),
+     "the dtype of section 'a' is not UTF-8"),
+    (_packed("a") + _packed("<f8") + struct.pack("<I65Q", 65, *[1] * 65) + struct.pack("<Q", 8)
+     + bytes(8), r"section 'a' has shape \(1, 1,"),
+    (_packed("a") + _packed("<f8") + struct.pack("<IQQQ", 2, 0, 2**63, 0),
+     r"section 'a' has shape \(0, 9223372036854775808\)"),
+], ids=["array-length", "name-length", "ndim", "byte-count", "short-array", "unknown-dtype",
+        "void-0", "bytes-0", "object", "name-not-utf8", "dtype-not-utf8", "ndim-65",
+        "huge-dimension"])
 def test_container_bounds_declared_lengths_by_the_file(tmp_path, section, message):
-    # a length that the digest vouches for but the file cannot hold is a
-    # ContainerFormatError before anything of that length is allocated
+    # a length that the digest vouches for but the file cannot hold, or a
+    # section header that numpy cannot turn into an array, is a
+    # ContainerFormatError naming the file, raised before anything of that
+    # length is allocated
     path = tmp_path / "c.bin"
     _write_payload(path, struct.pack("<I", 1) + section)
-    with pytest.raises(ContainerFormatError, match=message):
+    with pytest.raises(ContainerFormatError, match=message) as caught:
         read_container(path)
+    assert str(caught.value).startswith(f"{path}: ")
+
+
+def _sections(payload: bytes) -> list:
+    """A valid payload as [name, dtype, ndim, shape, byte count, data] per
+    section."""
+    sections, at = [], 4
+    for _ in range(struct.unpack_from("<I", payload)[0]):
+        strings = []
+        for _ in range(2):
+            size = struct.unpack_from("<I", payload, at)[0]
+            strings.append(payload[at + 4:at + 4 + size])
+            at += 4 + size
+        ndim = struct.unpack_from("<I", payload, at)[0]
+        shape = list(struct.unpack_from(f"<{ndim}Q", payload, at + 4))
+        nbytes = struct.unpack_from("<Q", payload, at + 4 + 8 * ndim)[0]
+        at += 12 + 8 * ndim
+        sections.append([*strings, ndim, shape, nbytes, payload[at:at + nbytes]])
+        at += nbytes
+    return sections
+
+
+def _payload(count: int, sections) -> bytes:
+    """The inverse of ``_sections``, declaring ``count`` sections; a section's
+    ndim and byte count are written as given, whatever its shape and data,
+    and every number wraps to the width of its field."""
+    u32, u64 = (1 << 32) - 1, (1 << 64) - 1
+    parts = [struct.pack("<I", count & u32)]
+    for name, code, ndim, shape, nbytes, data in sections:
+        parts += [_packed(name), _packed(code),
+                  struct.pack(f"<I{len(shape)}QQ", ndim & u32, *(d & u64 for d in shape),
+                              nbytes & u64), data]
+    return b"".join(parts)
+
+
+_FUZZ_ITEMSIZES = {code: np.dtype(code.decode()).itemsize for code in (
+    b"<f8", b">f8", b"<f4", b"<i8", b"<i4", b"<u8", b"|u1", b"|b1", b"<c16", b"<M8[s]", b"|V8",
+    b"|S8", b"<U2", b"i4,f4", b"(2,)<f4")}
+_FUZZ_CODES = [*_FUZZ_ITEMSIZES, b"|V0", b"|S0", b"<U0", b"|O", b"f8,O", b"(2147483648,)f8",
+               b"<zz", b"i4,", b"(", b"\xff", b""]
+_FUZZ_COUNTS = [0, 1, 2, 7, 8, 9, 64, 65, 2**31, 2**32 - 1]  # u32 fields
+_FUZZ_LENGTHS = [0, 1, 2, 8, 2**31, 2**32, 2**40, 2**62, 2**63, 2**64 - 1]  # u64 fields
+
+
+def _mutate(rng: random.Random, count: int, sections) -> int:
+    """Change one header field of one section in place, or the section
+    count; returns the count to declare."""
+    section = rng.choice(sections)
+    name, code, ndim, shape, nbytes, data = section
+    what = rng.randrange(8)
+    if what == 0:
+        return rng.choice(_FUZZ_COUNTS + [count - 1, count + 1])
+    if what == 1:
+        section[0] = rng.choice([b"", b"\xff\xfe", b"kind", b"features", b"value",
+                                 rng.choice(sections)[0], name + b"\x80"])
+    elif what == 2:
+        section[1] = rng.choice(_FUZZ_CODES)
+    elif what == 3:
+        section[2] = rng.choice(_FUZZ_COUNTS + [ndim - 1, ndim + 1])
+    elif what == 4:
+        value = rng.choice(_FUZZ_LENGTHS)
+        if shape:
+            i = rng.randrange(len(shape))
+            shape[i] = rng.choice([value, max(shape[i] - 1, 0), shape[i] + 1])
+        else:
+            shape.append(value)
+    elif what == 5:
+        section[4] = rng.choice(_FUZZ_LENGTHS + [max(nbytes - 1, 0), nbytes + 1])
+    elif what == 6:  # the same bytes under a dtype of the same itemsize
+        size = _FUZZ_ITEMSIZES.get(code)
+        section[1] = rng.choice([c for c, s in _FUZZ_ITEMSIZES.items() if s == size] or [code])
+    else:  # the same elements under another shape
+        elements = math.prod(shape)
+        section[3] = rng.choice([[elements], [1, elements], [elements, 1], []
+                                 if elements == 1 else [elements]])
+        section[2] = len(section[3])
+    return count
+
+
+def _fuzz_bases(tmp_path):
+    """(name, valid container path, loader): a small container, a feature
+    cache and a checkpoint, each with the loader its files go through."""
+    small = tmp_path / "small.bin"
+    write_container(small, {"a": np.arange(6.0).reshape(2, 3), "b": np.arange(3, dtype=np.int32),
+                            "s": np.float64(1.5)})
+    cache = tmp_path / "cache.mpc"
+    rng = np.random.default_rng(3)
+    save_cache(cache, FeatureCache(rng.standard_normal((5, 7)), rng.standard_normal(2),
+                                   [np.array([0, 0, 1, 1, 1])], (2,), "mesh", "params"))
+    checkpoint = tmp_path / "model.ckpt"
+    config = ModelConfig(in_dim=7, cluster_counts=(2,), update_widths=(3,), corr_width=2,
+                         head_hidden=(3,), head_final=3)
+    save_checkpoint(checkpoint, init_params(config, 0), config, 0, 0)
+    return [("container", small, read_container), ("cache", cache, load_cache),
+            ("checkpoint", checkpoint, load_checkpoint)]
+
+
+FUZZ_SEED, FUZZ_CASES = 17, 600  # cases per base container
+
+
+def test_fuzzed_container_headers_load_or_raise_typed_errors(tmp_path):
+    # every case recomputes the digest, so the mutation reaches the parser;
+    # a crash is reported as (base, case, exception) and never re-seeded away
+    rng = random.Random(FUZZ_SEED)
+    path = tmp_path / "fuzzed.bin"
+    crashes, outcomes = [], set()
+    for base, valid, load in _fuzz_bases(tmp_path):
+        payload = valid.read_bytes()[40:]
+        for case in range(FUZZ_CASES):
+            sections = _sections(payload)
+            count = len(sections)
+            for _ in range(rng.randint(1, 3)):
+                count = _mutate(rng, count, sections)
+            _write_payload(path, _payload(count, sections))
+            try:
+                load(path)
+                outcomes.add("loaded")
+            except (ContainerError, CacheMismatchError, CheckpointError) as exc:
+                outcomes.add(type(exc).__name__)
+            except Exception as exc:  # any other exception is a crash
+                crashes.append((base, case, repr(exc)))
+    assert crashes == []
+    assert {"loaded", "ContainerFormatError", "CacheMismatchError",
+            "CheckpointError"} <= outcomes
 
 
 def test_container_write_is_atomic(tmp_path):
@@ -301,16 +451,24 @@ def test_load_cache_rejects_other_kinds_and_missing_sections(tmp_path, bumpy, sm
     with pytest.raises(CacheMismatchError, match="not a feature cache"):
         load_cache(path)
     not_utf8 = np.array([0xFF, 0xFE], dtype=np.uint8)
+    n = len(arrays["features"])
     for name, bad, message in (
             ("kind", not_utf8, "section kind is not UTF-8 text"),
             ("mesh_hash", not_utf8, "section mesh_hash is not UTF-8 text"),
             ("mask_0", arrays["mask_0"].astype(np.float64), "section mask_0 holds float64"),
             ("cluster_counts", arrays["cluster_counts"].astype(np.float64),
-             "section cluster_counts holds float64")):
+             "section cluster_counts holds float64"),
+            ("features", arrays["features"].astype(np.float32),
+             f"section features holds float32 \\({n}, 14\\), expected float64 2-D"),
+            ("mask_0", arrays["mask_0"][:-5],
+             f"section mask_0 holds int64 \\({n - 5},\\), expected int64 1-D of {n} rows"),
+            ("eigenvalues", arrays["eigenvalues"][None],
+             "section eigenvalues holds float64 \\(1, 9\\), expected float64 1-D")):
         write_container(path, dict(arrays, **{name: bad}))
         with pytest.raises(CacheMismatchError, match=message):
             load_cache(path)
         # the typed error makes get_features rebuild the cache in place
         rebuilt = get_features(bumpy, small_params, cache_path=path)
         assert np.array_equal(rebuilt.features, bumpy_cache.features)
-        assert np.array_equal(load_cache(path).level_masks[0], bumpy_cache.level_masks[0])
+        healed = read_container(path)[name]
+        assert healed.dtype == arrays[name].dtype and np.array_equal(healed, arrays[name])

@@ -126,6 +126,45 @@ def test_train_resume_continues_epoch_count(tmp_path, capsys):
     assert summary["epochs_run"] == 2  # epochs 1 and 2 of the 3 requested
 
 
+def test_resume_takes_the_seed_the_checkpoint_stores(tmp_path, capsys):
+    data = tmp_path / "seg"
+    main(["synth", "--output", str(data), "--task", "segmentation",
+          "--count", "4", "--seed", "8"])
+
+    def trained(name, *flags):
+        path = data / name
+        assert main(["train", "--input", str(data), "--output", str(path), *flags] + SMALL) == 0
+        return load_checkpoint(path)
+
+    trained("half.ckpt", "--seed", "5", "--epochs", "2")
+    whole, _, epoch, seed = trained("whole.ckpt", "--seed", "5", "--epochs", "4")
+    for flags in ((), ("--seed", "5")):  # without --seed, or with the same one
+        resumed, _, resumed_epoch, resumed_seed = trained(
+            "resumed.ckpt", "--resume", str(data / "half.ckpt"), "--epochs", "4", *flags)
+        assert (resumed_epoch, resumed_seed) == (epoch, seed) == (3, 5)
+        for name in ("data", "m", "v"):
+            assert np.array_equal(getattr(resumed, name), getattr(whole, name))
+
+
+def test_resume_with_another_seed_or_a_bad_checkpoint_fails_before_preprocessing(
+        tmp_path, capsys):
+    data = tmp_path / "seg"
+    main(["synth", "--output", str(data), "--task", "segmentation",
+          "--count", "4", "--seed", "8"])
+    config = ModelConfig(in_dim=14, cluster_counts=(6, 3), num_categories=1)
+    save_checkpoint(data / "seed5.ckpt", init_params(config, 0), config, epoch=0, train_seed=5)
+    (data / "junk.ckpt").write_bytes(b"not a checkpoint")
+    capsys.readouterr()
+    for checkpoint, flags, message in (
+            ("seed5.ckpt", ["--seed", "3"], "error: --seed 3 disagrees with the checkpoint's 5"),
+            ("junk.ckpt", [], "junk.ckpt: not a container file")):
+        assert main(["train", "--input", str(data), "--epochs", "2", "--resume",
+                     str(data / checkpoint), *flags] + SMALL) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and message in err
+        assert not list(data.glob("cache/*.mpc"))
+
+
 def test_cache_reuse_and_stale_params(tmp_path, capsys):
     data = tmp_path / "seg"
     main(["synth", "--output", str(data), "--task", "segmentation",
