@@ -456,7 +456,7 @@ class _Segments:
     __slots__ = ("mask", "order", "counts", "bounds")
 
     def __init__(self, mask, n: int, p: int, allow_empty: bool = True):
-        self.mask = mask = np.asarray(mask, dtype=np.int64)
+        self.mask = mask = np.array(mask, dtype=np.int64)  # a copy: backward reads it later
         if mask.shape != (n,):
             raise ValueError(f"mask length {mask.shape} does not match {n} rows")
         if n and (mask.min() < 0 or mask.max() >= p):

@@ -102,8 +102,9 @@ def load_cache(path, mesh: Mesh = None, params: PreprocessParams = None) -> Feat
     Raises CacheMismatchError if the container is not a feature cache, lacks
     a section, holds text that is not UTF-8, features that are not float64
     (N, d), eigenvalues that are not float64 1-D or cluster counts and
-    masks that are not int64 1-D (each mask N long), or its stored mesh
-    hash or parameter fingerprint disagrees with what the caller expects.
+    masks that are not int64 1-D (each mask N long, with the ids [0, p) of
+    its level's count p), or its stored mesh hash, cluster counts or
+    parameter fingerprint disagree with what the caller expects.
     """
     arrays = read_container(path)
 
@@ -137,10 +138,16 @@ def load_cache(path, mesh: Mesh = None, params: PreprocessParams = None) -> Feat
         )
     except KeyError as exc:
         raise CacheMismatchError(f"{path}: cache lacks section {exc.args[0]}") from None
+    for i, (mask, count) in enumerate(zip(cache.level_masks, counts)):
+        ids = np.unique(mask)  # sorted: it is arange(count) iff each id is used
+        if len(ids) != count or not np.array_equal(ids, np.arange(count)):
+            raise CacheMismatchError(f"{path}: section mask_{i} ids are not [0, {count})")
     if mesh is not None and cache.mesh_hash != mesh.content_hash():
         raise CacheMismatchError(f"{path}: cached features belong to a different mesh")
     if params is not None and cache.params_fingerprint != params.fingerprint():
         raise CacheMismatchError(f"{path}: cache built with different preprocessing parameters")
+    if params is not None and counts != params.cluster_counts:
+        raise CacheMismatchError(f"{path}: section cluster_counts is not {params.cluster_counts}")
     return cache
 
 

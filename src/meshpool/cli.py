@@ -26,9 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .binio import ContainerError
-from .cache import CacheMismatchError, PreprocessParams, get_features
-from .mesh import MeshError, load_obj, write_obj
+from .cache import PreprocessParams, get_features
+from .mesh import load_obj, write_obj
 from .model import TASKS, ModelConfig
 from .ply import label_colors, write_ply
 from .spectral import EigensolverError
@@ -376,8 +375,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MeshError, EigensolverError, TrainingError, CheckpointError,
-            CacheMismatchError, ContainerError, FileNotFoundError, ValueError) as exc:
+    except (EigensolverError, TrainingError, OSError, ValueError) as exc:
+        # ValueError covers MeshError and the container, cache and checkpoint errors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

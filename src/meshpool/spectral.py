@@ -5,7 +5,8 @@ the smallest eigenpairs. ``A`` is the lumped, diagonal vertex-area matrix,
 so the problem is solved in standard form: ``S u = lam u`` with
 ``S = A^-1/2 (D - W) A^-1/2`` and ``x = A^-1/2 u`` (the symmetric reduction
 of the ARPACK Users' Guide, Lehoucq, Sorensen & Yang 1998), which spares
-shift-invert Lanczos every mass-matrix product. The module also assembles
+shift-invert Lanczos every mass-matrix product; N and k alone pick it or
+a dense solve (see ``solve_eigs``). The module also assembles
 the per-vertex network input (normalized positions, normals, absolute
 low-frequency eigenvector values) and builds the pooling hierarchy, a list
 of nested per-level cluster masks at a decreasing sequence of cluster
@@ -35,8 +36,8 @@ SIGMA_SHIFT = -0.01
 # Relative eigenpair residual accepted from either solver path.
 RESIDUAL_TOL = 1e-6
 
-# Problems smaller than this go straight to the dense solver in "auto" mode;
-# ARPACK subspaces degenerate when k+1 approaches N.
+# Problems smaller than this go straight to the dense solver, as do those
+# asking for k+1 = N pairs: ARPACK subspaces degenerate when k+1 approaches N.
 DENSE_CUTOFF = 50
 
 # Largest problem the dense path accepts.
@@ -82,13 +83,15 @@ def eig_residuals(op: LaplacianOperator, basis: SpectralBasis, stiffness=None) -
     return num / np.linalg.norm(ax, axis=0)
 
 
-def solve_eigs(op: LaplacianOperator, k: int, method: str = "auto") -> SpectralBasis:
+def solve_eigs(op: LaplacianOperator, k: int) -> SpectralBasis:
     """Smallest k+1 eigenpairs of ``(D - W) x = lam * A x``.
 
-    Both paths solve the standard symmetric problem ``S u = lam u`` with
-    ``S = A^-1/2 (D - W) A^-1/2``, whose entries are scaled by the single
-    product ``s[row] * s[col]`` (``s = 1 / sqrt(areas)``) so that S is
-    exactly symmetric, and map the vectors back as ``x = s * u``. The
+    N and k alone pick the path: a dense symmetric eigendecomposition when
+    ``N < DENSE_CUTOFF`` or ``k + 1 = N``, shift-invert Lanczos (ARPACK)
+    otherwise. Both solve the standard symmetric problem ``S u = lam u``
+    with ``S = A^-1/2 (D - W) A^-1/2``, whose entries are scaled by the
+    single product ``s[row] * s[col]`` (``s = 1 / sqrt(areas)``) so that S
+    is exactly symmetric, and map the vectors back as ``x = s * u``. The
     columns of x are then area-orthonormal. Residuals are checked on the
     generalized problem in mesh coordinates.
 
@@ -97,18 +100,15 @@ def solve_eigs(op: LaplacianOperator, k: int, method: str = "auto") -> SpectralB
     op : LaplacianOperator
     k : int
         Number of nonconstant modes; k+1 pairs are returned.
-    method : {"auto", "iterative", "dense"}
-        "iterative" is shift-invert Lanczos (ARPACK); "dense" is a direct
-        symmetric eigendecomposition, accepted up to N=3000. "auto" picks
-        the iterative path except for small problems.
 
     Raises
     ------
     ValueError
         If ``k + 1 > N``.
     EigensolverError
-        On non-convergence (carries the achieved residual) or when a
-        solution fails the residual tolerance.
+        When the dense path meets more than ``DENSE_LIMIT`` vertices, on
+        non-convergence (carries the achieved residual) or when a solution
+        fails the residual tolerance.
     """
     from scipy.linalg import eigh
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
@@ -119,22 +119,16 @@ def solve_eigs(op: LaplacianOperator, k: int, method: str = "auto") -> SpectralB
         raise ValueError("k must be nonnegative")
     if want > n:
         raise ValueError(f"requested {want} modes from a mesh with {n} vertices")
-    if method not in ("auto", "iterative", "dense"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "dense" if (n < DENSE_CUTOFF or want > n - 1) else "iterative"
 
     s = 1.0 / np.sqrt(op.areas)
     K = op.stiffness()  # assembled once: scaled into S, and the residual check
     S = K.copy()
     S.data *= s[np.repeat(np.arange(n), np.diff(S.indptr))] * s[S.indices]
-    if method == "dense":
+    if n < DENSE_CUTOFF or want > n - 1:
         if n > DENSE_LIMIT:
             raise EigensolverError(f"dense solver refused for N={n} > {DENSE_LIMIT}")
         vals, vecs = eigh(S.toarray(), subset_by_index=[0, want - 1])
     else:
-        if want > n - 1:
-            raise ValueError(f"iterative solver needs k + 1 <= N - 1, got {want} of N={n}")
         v0 = np.random.default_rng(_V0_SEED).standard_normal(n)
         try:
             vals, vecs = eigsh(S.tocsc(), k=want, sigma=SIGMA_SHIFT, which="LM", v0=v0)
@@ -267,8 +261,7 @@ def _split_round(proj: np.ndarray, w: np.ndarray, k: int, labels: np.ndarray,
     return new_labels, n_clusters + added, rounds + 1
 
 
-def build_hierarchy(positions: np.ndarray, cluster_counts,
-                    areas: np.ndarray = None) -> list:
+def build_hierarchy(positions: np.ndarray, cluster_counts, areas: np.ndarray) -> list:
     """Nested divisive clusterings of the vertex ``positions``, one per level.
 
     Returns one (N,) int64 mask per entry of ``cluster_counts``, which must
@@ -300,7 +293,7 @@ def build_hierarchy(positions: np.ndarray, cluster_counts,
         raise ValueError(f"cluster count {counts[-1]} not in [1, {n}]")
     if counts[0] > n:
         raise ValueError("more clusters than vertices")
-    w = np.ones(n) if areas is None else np.asarray(areas, dtype=np.float64)
+    w = np.asarray(areas, dtype=np.float64)
     if w.shape != (n,) or not (w > 0.0).all():
         raise ValueError("weights must be positive, one per point")
     # Rounding drops accumulation-order noise inherited from upstream sums

@@ -396,14 +396,14 @@ def _section(path, arrays: dict, name: str, dtype, shape) -> np.ndarray:
 def load_checkpoint(path, expected_config: ModelConfig = None):
     """Returns (params, config, epoch, train_seed).
 
-    Raises CheckpointError when the file is not a checkpoint or is of an
-    older kind, its config is not valid JSON or has an unknown, missing or
-    bad field, its architecture differs from ``expected_config``, or a
+    Raises CheckpointError when the file cannot be read, is not a checkpoint
+    or is of an older kind, its config is not valid JSON or has an unknown,
+    missing or bad field, its architecture differs from ``expected_config``, or a
     section is missing or has the wrong dtype or length.
     """
     try:
         arrays = read_container(path)
-    except (FileNotFoundError, ValueError) as exc:  # each names the path
+    except (OSError, ValueError) as exc:  # each names the path
         raise CheckpointError(str(exc)) from exc
     try:
         kind = array_to_str(arrays["kind"]) if "kind" in arrays else ""

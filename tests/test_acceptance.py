@@ -15,7 +15,7 @@ from meshpool.autodiff import Tape, Tensor
 from meshpool.cache import PreprocessParams, preprocess_mesh
 from meshpool.mesh import assemble_laplacian
 from meshpool.model import ModelConfig, correlation_matrix, init_params, model_forward
-from meshpool.spectral import solve_eigs
+from meshpool.spectral import DENSE_CUTOFF, solve_eigs
 from meshpool.synth import (
     DUMBBELL_RESOLUTIONS,
     cylinder,
@@ -110,9 +110,9 @@ def test_criterion_2_eigensolver_vs_dense_oracle(criterion_report):
               dumbbell(14, 20)[0], deform(icosphere(2), seed=21)]
     worst_rel = worst_ortho = 0.0
     for mesh in meshes:
-        assert mesh.n_vertices <= 2000
+        assert DENSE_CUTOFF <= mesh.n_vertices <= 2000  # so the solve is iterative
         op = assemble_laplacian(mesh)
-        basis = solve_eigs(op, 16, method="iterative")
+        basis = solve_eigs(op, 16)
         dv, _ = eigh(op.stiffness().toarray(), np.diag(op.areas))
         dv = dv[:17]
         rel = np.abs(basis.eigenvalues - dv) / np.maximum(np.abs(dv), 1e-3)

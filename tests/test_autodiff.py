@@ -262,6 +262,22 @@ def test_a_mask_changed_in_place_is_read_afresh():
     assert np.array_equal(again, [[10, 11], [4, 5]])
 
 
+def test_a_mask_changed_in_place_after_the_forward_keeps_its_gradient():
+    # backward routes the gradient through the mask the forward saw
+    mask = np.array([0, 1, 0, 1, 1, 1])
+
+    def first_column_grad(change):
+        x, tape = Tensor(np.arange(12.0).reshape(6, 2)), Tape()
+        out = tape.cluster_mean_pool(x, mask, 2)
+        change()
+        tape.backward(out)
+        return x.grad[:, 0]
+
+    kept = first_column_grad(lambda: mask.__setitem__(slice(None), [1, 0, 1, 0, 0, 0]))
+    assert np.array_equal(kept, [0.5, 0.25, 0.5, 0.25, 0.25, 0.25])
+    assert np.array_equal(kept, first_column_grad(lambda: None))
+
+
 def test_matmul_shape_validation():
     tape = Tape()
     with pytest.raises(ValueError, match="matmul"):

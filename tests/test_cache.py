@@ -280,6 +280,18 @@ def _fuzz_bases(tmp_path):
 FUZZ_SEED, FUZZ_CASES = 17, 600  # cases per base container
 
 
+def _outcome(load, path) -> str:
+    """"loaded", the class name of the typed error ``load(path)`` raised, or
+    "crash: <exception>" for any other exception."""
+    try:
+        load(path)
+        return "loaded"
+    except (ContainerError, CacheMismatchError, CheckpointError) as exc:
+        return type(exc).__name__
+    except Exception as exc:  # any other exception is a crash
+        return f"crash: {exc!r}"
+
+
 def test_fuzzed_container_headers_load_or_raise_typed_errors(tmp_path):
     # every case recomputes the digest, so the mutation reaches the parser;
     # a crash is reported as (base, case, exception) and never re-seeded away
@@ -294,13 +306,49 @@ def test_fuzzed_container_headers_load_or_raise_typed_errors(tmp_path):
             for _ in range(rng.randint(1, 3)):
                 count = _mutate(rng, count, sections)
             _write_payload(path, _payload(count, sections))
-            try:
-                load(path)
-                outcomes.add("loaded")
-            except (ContainerError, CacheMismatchError, CheckpointError) as exc:
-                outcomes.add(type(exc).__name__)
-            except Exception as exc:  # any other exception is a crash
-                crashes.append((base, case, repr(exc)))
+            outcome = _outcome(load, path)
+            if outcome.startswith("crash"):
+                crashes.append((base, case, outcome))
+            outcomes.add(outcome)
+    assert crashes == []
+    assert {"loaded", "ContainerFormatError", "CacheMismatchError",
+            "CheckpointError"} <= outcomes
+
+
+FUZZ_DATA_CASES = 200  # truncations and byte flips per base container
+
+
+def test_fuzzed_array_data_loads_or_raises_typed_errors(tmp_path):
+    # each case cuts the file inside one section's array data or inverts one
+    # byte of it, under a recomputed digest; a truncation never loads, an
+    # inverted mask byte is an id outside its level, and a crash is reported
+    # as (base, case, exception) and never re-seeded away
+    rng = random.Random(FUZZ_SEED)
+    path = tmp_path / "fuzzed.bin"
+    crashes, outcomes = [], set()
+    for base, valid, load in _fuzz_bases(tmp_path):
+        payload = valid.read_bytes()[40:]
+        for case in range(FUZZ_DATA_CASES):
+            sections = _sections(payload)
+            count = len(sections)
+            i = rng.choice([j for j, section in enumerate(sections) if section[5]])
+            name, data = sections[i][0], sections[i][5]
+            at, truncate = rng.randrange(len(data)), rng.random() < 0.5
+            if truncate:
+                sections[i][5] = data[:at]
+                sections = sections[:i + 1]
+            else:
+                sections[i][5] = data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1:]
+            _write_payload(path, _payload(count, sections))
+            outcome = _outcome(load, path)
+            if outcome.startswith("crash"):
+                crashes.append((base, case, outcome))
+            outcomes.add(outcome)
+            if truncate:
+                expected = "CheckpointError" if base == "checkpoint" else "ContainerFormatError"
+                assert outcome == expected, (base, case, name)
+            elif base == "cache" and name.startswith(b"mask_"):
+                assert outcome == "CacheMismatchError", (base, case, name)
     assert crashes == []
     assert {"loaded", "ContainerFormatError", "CacheMismatchError",
             "CheckpointError"} <= outcomes
@@ -463,12 +511,20 @@ def test_load_cache_rejects_other_kinds_and_missing_sections(tmp_path, bumpy, sm
             ("mask_0", arrays["mask_0"][:-5],
              f"section mask_0 holds int64 \\({n - 5},\\), expected int64 1-D of {n} rows"),
             ("eigenvalues", arrays["eigenvalues"][None],
-             "section eigenvalues holds float64 \\(1, 9\\), expected float64 1-D")):
+             "section eigenvalues holds float64 \\(1, 9\\), expected float64 1-D"),
+            ("mask_0", np.where(np.arange(n) == 5, 99, arrays["mask_0"]),
+             "section mask_0 ids are not \\[0, 6\\)"),
+            ("mask_1", np.maximum(arrays["mask_1"], 1),  # id 0 unused
+             "section mask_1 ids are not \\[0, 3\\)"),
+            ("cluster_counts", np.array([6]),
+             "section cluster_counts is not \\(6, 3\\)")):
         write_container(path, dict(arrays, **{name: bad}))
         with pytest.raises(CacheMismatchError, match=message):
-            load_cache(path)
+            load_cache(path, params=small_params)
         # the typed error makes get_features rebuild the cache in place
         rebuilt = get_features(bumpy, small_params, cache_path=path)
         assert np.array_equal(rebuilt.features, bumpy_cache.features)
-        healed = read_container(path)[name]
-        assert healed.dtype == arrays[name].dtype and np.array_equal(healed, arrays[name])
+        healed = read_container(path)
+        for key in (name, "mask_0", "mask_1"):
+            assert healed[key].dtype == arrays[key].dtype
+            assert np.array_equal(healed[key], arrays[key])

@@ -334,7 +334,7 @@ def test_preprocess_rejects_unreferenced_vertex_in_one_line(tmp_path):
 
 
 def _ball_dataset(data, set_vertices=None, category=0, manifest=None, stack=None, flip=None,
-                  cache=None, checkpoint=None):
+                  cache=None, checkpoint=None, dirs=()):
     """A one-mesh classification dataset in ``data``: an icosphere OBJ whose
     vertex rows ``set_vertices = (rows, value)`` overwrites, whose face
     ``flip`` is reversed, to whose vertex and face arrays
@@ -342,7 +342,8 @@ def _ball_dataset(data, set_vertices=None, category=0, manifest=None, stack=None
     ``manifest`` replaces, with ``cache``, a preprocessed cache whose
     container sections ``cache(arrays)`` rewrites (with a fresh digest),
     and, with ``checkpoint``, an untrained ``model.ckpt`` whose sections
-    ``checkpoint(arrays)`` rewrites the same way."""
+    ``checkpoint(arrays)`` rewrites the same way, plus a directory at each
+    path in ``dirs``."""
     data.mkdir()
     ball = icosphere(2)
     # after Mesh's checks: the OBJ keeps the bad data
@@ -369,6 +370,8 @@ def _ball_dataset(data, set_vertices=None, category=0, manifest=None, stack=None
         path = data / "model.ckpt"
         save_checkpoint(path, init_params(config, 0), config, epoch=0, train_seed=0)
         write_container(path, checkpoint(read_container(path)))
+    for path in dirs:
+        (data / path).mkdir(parents=True)
 
 
 def _swap_fine_ids(arrays):
@@ -411,10 +414,13 @@ def _swap_fine_ids(arrays):
     ("train", dict(manifest={"task": "classification", "num_labels": "3", "samples": [
         {"name": "ball", "obj": "ball.obj", "category": 0, "split": "train"}]}),
      "'num_labels' must be an integer of at least 0, got '3'"),
+    ("eval", dict(dirs=["model.ckpt"]), "Is a directory"),
+    ("preprocess", dict(dirs=["cache/ball.mpc"]), "Is a directory"),
 ], ids=["nan-vertex", "coincident-vertices", "empty-manifest", "no-samples", "category-7",
         "tset-split", "duplicate-face", "non-manifold-edge", "two-components",
         "flipped-face", "unnested-cache", "old-checkpoint", "batch-minus-1", "batch-0",
-        "epochs-minus-1", "lr-0", "lr-nan", "checkpoint-every-minus-1", "num-labels-string"])
+        "epochs-minus-1", "lr-0", "lr-nan", "checkpoint-every-minus-1", "num-labels-string",
+        "model-is-a-directory", "cache-is-a-directory"])
 def test_bad_inputs_exit_1_with_one_error_line(tmp_path, command, dataset, message):
     data = tmp_path / "data"
     _ball_dataset(data, **dataset)

@@ -54,7 +54,7 @@ def test_first_mode_is_constant(bumpy_basis):
 
 
 def test_iterative_matches_dense(bumpy_op):
-    it = solve_eigs(bumpy_op, 12, method="iterative")
+    it = solve_eigs(bumpy_op, 12)
     dv, _ = dense_reference(bumpy_op, 12)
     rel = np.abs(it.eigenvalues - dv) / np.maximum(np.abs(dv), 1e-3)
     assert rel.max() < 1e-8
@@ -70,8 +70,9 @@ def test_residuals_below_tolerance(bumpy_op, bumpy_basis):
     assert eig_residuals(bumpy_op, bumpy_basis).max() < RESIDUAL_TOL
 
 
-@pytest.mark.parametrize("method", ["dense", "iterative"])
-def test_solve_assembles_the_stiffness_once(bumpy_op, method, monkeypatch):
+@pytest.mark.parametrize("mesh", ["icosa", "bumpy"], ids=["dense", "iterative"])
+def test_solve_assembles_the_stiffness_once(mesh, request, monkeypatch):
+    op = assemble_laplacian(request.getfixturevalue(mesh))
     calls = []
     real = LaplacianOperator.stiffness
 
@@ -80,24 +81,23 @@ def test_solve_assembles_the_stiffness_once(bumpy_op, method, monkeypatch):
         return real(op)
 
     monkeypatch.setattr(LaplacianOperator, "stiffness", counted)
-    basis = solve_eigs(bumpy_op, 8, method=method)
+    basis = solve_eigs(op, 8)
     assert len(calls) == 1  # D - W serves both S and the residual check
     # a caller without the matrix still gets it assembled, with the same result
-    given = eig_residuals(bumpy_op, basis, real(bumpy_op))
-    assert np.array_equal(eig_residuals(bumpy_op, basis), given) and len(calls) == 2
+    given = eig_residuals(op, basis, real(op))
+    assert np.array_equal(eig_residuals(op, basis), given) and len(calls) == 2
 
 
 def test_dense_and_auto_agree(tetra):
-    # 4 vertices: auto must fall back to the dense path
+    # 4 vertices: the solve takes the dense path
     op = assemble_laplacian(tetra)
-    auto = solve_eigs(op, 2, method="auto")
-    dense = solve_eigs(op, 2, method="dense")
-    assert np.allclose(auto.eigenvalues, dense.eigenvalues, atol=1e-12)
+    dv, _ = dense_reference(op, 2)
+    assert np.allclose(solve_eigs(op, 2).eigenvalues, dv, atol=1e-12)
 
 
 def test_repeated_solves_are_bit_identical(bumpy_op):
-    a = solve_eigs(bumpy_op, 8, method="iterative")
-    b = solve_eigs(bumpy_op, 8, method="iterative")
+    a = solve_eigs(bumpy_op, 8)
+    b = solve_eigs(bumpy_op, 8)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
@@ -108,14 +108,12 @@ def test_mode_count_validation(tetra):
         solve_eigs(op, 4)
     with pytest.raises(ValueError):
         solve_eigs(op, -1)
-    with pytest.raises(ValueError, match="method"):
-        solve_eigs(op, 1, method="magic")
 
 
 def test_dense_path_refuses_large_mesh():
     op = assemble_laplacian(icosphere(5))  # 10242 vertices, over the dense cap
     with pytest.raises(EigensolverError, match="dense"):
-        solve_eigs(op, 4, method="dense")
+        solve_eigs(op, op.n_vertices - 1)  # k + 1 = N pairs go to the dense path
 
 
 def test_eigensolver_error_carries_residual():
@@ -123,14 +121,18 @@ def test_eigensolver_error_carries_residual():
     assert err.residual == 0.5
 
 
-@pytest.fixture(scope="module")
-def uneven_op():
+def stretched_op(level):
     # a sphere stretched by exp(2z): vertex areas span three orders of magnitude
-    ball = icosphere(3)
+    ball = icosphere(level)
     v = ball.vertices * np.exp(2.0 * ball.vertices[:, 2:3])
     op = assemble_laplacian(Mesh(v, ball.faces))
     assert op.areas.max() / op.areas.min() > 1e3
     return op
+
+
+@pytest.fixture(scope="module")
+def uneven_op():
+    return stretched_op(3)
 
 
 def test_iterative_solver_gets_an_exactly_symmetric_standard_matrix(uneven_op, monkeypatch):
@@ -142,7 +144,7 @@ def test_iterative_solver_gets_an_exactly_symmetric_standard_matrix(uneven_op, m
         return real(A, *args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
-    solve_eigs(uneven_op, 8, method="iterative")
+    solve_eigs(uneven_op, 8)
     (S, kwargs), = seen
     assert kwargs.get("M") is None  # standard form: no mass matrix
     assert (S != S.T).nnz == 0
@@ -151,14 +153,15 @@ def test_iterative_solver_gets_an_exactly_symmetric_standard_matrix(uneven_op, m
     assert np.abs(S.toarray() - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
-@pytest.mark.parametrize("method", ["dense", "iterative"])
-def test_standard_form_matches_generalized_oracle_on_uneven_areas(uneven_op, method):
-    basis = solve_eigs(uneven_op, 12, method=method)
-    dv, _ = dense_reference(uneven_op, 12)
+@pytest.mark.parametrize("level", [1, 3], ids=["dense", "iterative"])  # 42, 642 vertices
+def test_standard_form_matches_generalized_oracle_on_uneven_areas(level):
+    op = stretched_op(level)
+    basis = solve_eigs(op, 12)
+    dv, _ = dense_reference(op, 12)
     rel = np.abs(basis.eigenvalues - dv) / np.maximum(np.abs(dv), 1e-3)
     assert rel.max() < 1e-8
     phi = basis.eigenvectors
-    gram = phi.T @ (uneven_op.areas[:, None] * phi)
+    gram = phi.T @ (op.areas[:, None] * phi)
     assert np.abs(gram - np.eye(len(gram))).max() < 1e-6
 
 
@@ -170,7 +173,7 @@ def test_unconverged_solve_reports_residual_in_mesh_coordinates(uneven_op, monke
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
     with pytest.raises(EigensolverError, match=r"did not converge \(8/9 modes\)") as err:
-        solve_eigs(uneven_op, 8, method="iterative")
+        solve_eigs(uneven_op, 8)
     assert err.value.residual < 1e-8
 
 
@@ -213,7 +216,7 @@ def test_build_input_features_layout(bumpy, bumpy_basis):
 def test_divisive_ids_dense_and_nonempty():
     pts = np.random.default_rng(3).standard_normal((50, 3))
     for k in (1, 2, 3, 7, 16, 50):
-        labels = build_hierarchy(pts, (k,))[0]
+        labels = build_hierarchy(pts, (k,), np.ones(len(pts)))[0]
         assert labels.shape == (50,)
         assert np.bincount(labels, minlength=k).min() >= 1
         assert labels.max() == k - 1
@@ -221,8 +224,8 @@ def test_divisive_ids_dense_and_nonempty():
 
 def test_divisive_is_deterministic():
     pts = np.random.default_rng(4).standard_normal((80, 3))
-    a = build_hierarchy(pts, (9,))[0]
-    assert np.array_equal(a, build_hierarchy(pts, (9,))[0])
+    a = build_hierarchy(pts, (9,), np.ones(len(pts)))[0]
+    assert np.array_equal(a, build_hierarchy(pts, (9,), np.ones(len(pts)))[0])
 
 
 def test_divisive_permutation_equivariant_exactly():
@@ -240,7 +243,7 @@ def test_divisive_weights_shift_the_split():
     # heavy weights on the right half pull the median split to the right
     t = np.linspace(0.0, 1.0, 40)
     pts = np.column_stack([t, np.zeros(40), np.zeros(40)])
-    even = build_hierarchy(pts, (2,))[0]
+    even = build_hierarchy(pts, (2,), np.ones(len(pts)))[0]
     sizes_even = np.bincount(even)
     # inclusive median boundary may tip one extra point to a side
     assert abs(sizes_even[0] - sizes_even[1]) <= 2
@@ -253,18 +256,18 @@ def test_divisive_weights_shift_the_split():
 def test_divisive_splits_both_kinds_of_ties():
     # all-identical coordinates still produce k nonempty clusters
     pts = np.zeros((6, 3))
-    labels = build_hierarchy(pts, (3,))[0]
+    labels = build_hierarchy(pts, (3,), np.ones(len(pts)))[0]
     assert np.bincount(labels, minlength=3).min() >= 1
 
 
 def test_divisive_validation():
     pts = np.random.default_rng(6).standard_normal((10, 3))
     with pytest.raises(ValueError, match=r"cluster count 0 not in \[1, 10\]"):
-        build_hierarchy(pts, (0,))[0]
+        build_hierarchy(pts, (0,), np.ones(len(pts)))[0]
     with pytest.raises(ValueError, match="more clusters than vertices"):
-        build_hierarchy(pts, (11,))[0]
+        build_hierarchy(pts, (11,), np.ones(len(pts)))[0]
     with pytest.raises(ValueError, match="2-D"):
-        build_hierarchy(pts[0], (2,))[0]
+        build_hierarchy(pts[0], (2,), np.ones(len(pts)))[0]
     with pytest.raises(ValueError, match="weights must be positive, one per point"):
         build_hierarchy(pts, (2,), areas=np.zeros(10))[0]
     with pytest.raises(ValueError, match="weights must be positive, one per point"):
@@ -298,11 +301,11 @@ def test_build_hierarchy_spatial(bumpy, bumpy_op):
 def test_build_hierarchy_validation(bumpy):
     pos = normalize_positions(bumpy.vertices)
     with pytest.raises(ValueError, match="decrease"):
-        build_hierarchy(pos, (8, 8))
+        build_hierarchy(pos, (8, 8), np.ones(len(pos)))
     with pytest.raises(ValueError):
-        build_hierarchy(pos, ())
+        build_hierarchy(pos, (), np.ones(len(pos)))
     with pytest.raises(ValueError, match="vertices"):
-        build_hierarchy(pos, (10_000, 8))
+        build_hierarchy(pos, (10_000, 8), np.ones(len(pos)))
 
 
 def test_hierarchy_stable_under_position_noise(bumpy, bumpy_op):
@@ -327,7 +330,7 @@ def _hierarchy_inputs():
     for _ in range(4):
         pts = rng.standard_normal((50, 3))
         pts[rng.choice(50, 10, replace=False)] = pts[0]
-        yield pts, None
+        yield pts, np.ones(len(pts))
 
 
 @pytest.mark.parametrize("level", [2, 3])
