@@ -139,8 +139,9 @@ def load_cache(path, mesh: Mesh = None, params: PreprocessParams = None) -> Feat
     except KeyError as exc:
         raise CacheMismatchError(f"{path}: cache lacks section {exc.args[0]}") from None
     for i, (mask, count) in enumerate(zip(cache.level_masks, counts)):
-        ids = np.unique(mask)  # sorted: it is arange(count) iff each id is used
-        if len(ids) != count or not np.array_equal(ids, np.arange(count)):
+        # count <= N first, so that bincount allocates at most N entries
+        if not (0 < count <= len(mask) and mask.min() == 0 and mask.max() == count - 1
+                and np.bincount(mask).all()):
             raise CacheMismatchError(f"{path}: section mask_{i} ids are not [0, {count})")
     if mesh is not None and cache.mesh_hash != mesh.content_hash():
         raise CacheMismatchError(f"{path}: cached features belong to a different mesh")

@@ -106,9 +106,8 @@ def solve_eigs(op: LaplacianOperator, k: int) -> SpectralBasis:
     ValueError
         If ``k + 1 > N``.
     EigensolverError
-        When the dense path meets more than ``DENSE_LIMIT`` vertices, on
-        non-convergence (carries the achieved residual) or when a solution
-        fails the residual tolerance.
+        When refused (dense path, ``N > DENSE_LIMIT``), on non-convergence
+        (carries the achieved residual) or on a failed residual check.
     """
     from scipy.linalg import eigh
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
