@@ -42,12 +42,8 @@ The tape does only the work a result needs:
   bit-identical to the same layer built from ``matmul``, ``bias_add`` and
   ``relu``, with a split input's cluster part multiplied at cluster rank
   and put back by ``cluster_scatter`` and ``add``.
-- A ``Workspace`` keeps the N-row forward outputs of ``dense`` across
-  tapes, so a training loop stops handing that memory back to the system
-  after every mesh. A tape given one takes those outputs from it, and they
-  stay taken until the workspace's ``release()``, after which nothing
-  taken may be used. Gradients are ordinary arrays, freed as soon as
-  backward drops them. Without a workspace a tape allocates fresh outputs.
+- Every op allocates its output afresh and the output tensor owns it, so
+  a result stays valid for as long as the caller holds it.
 - Max-pool backward adds its routed cells into an existing input
   gradient; only an input without one gets a zeroed array. ``adam_step``
   walks the flat parameter arrays in ``ADAM_CHUNK`` slices with one
@@ -175,14 +171,12 @@ class Tape:
     """Ordered record of executed ops; one backward pass per tape.
 
     With ``record=False`` the tape only computes forwards (inference) and
-    ``backward`` is an error. With a ``workspace``, ``dense`` takes its
-    output from it (see ``Workspace``). The records are the tape's only
-    state: a cluster op builds the segments of its mask when it runs.
+    ``backward`` is an error. The records are the tape's only state: a
+    cluster op builds the segments of its mask when it runs.
     """
 
-    def __init__(self, record: bool = True, workspace: "Workspace" = None):
+    def __init__(self, record: bool = True):
         self.record = bool(record)
-        self.workspace = workspace
         self._records = []  # (output tensor, backward closure)
 
     def _emit(self, data, backward, *inputs) -> Tensor:
@@ -270,8 +264,7 @@ class Tape:
         the input is the split matrix ``[x, cluster[mask]]``: x multiplies
         W's leading rows at N rows, the cluster part multiplies W's trailing
         rows (plus b) at p rows, and that product is scattered onto x's.
-        On a tape with a workspace the output is a workspace block, so read
-        it before the ``release()``.
+        The bias, scatter and ReLU work in place on the fresh x @ W product.
         """
         kc = 0 if cluster is None else cluster.data.shape[-1]
         if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.shape != w.data.shape[1:]
@@ -280,10 +273,8 @@ class Tape:
             raise ValueError(f"dense shapes {x.data.shape} + {kc} x {w.data.shape} "
                              f"+ {b.data.shape}")
         n, k = x.data.shape
-        width = w.data.shape[1]
-        ws = self.workspace
         wx = w.data[:k]
-        out = np.matmul(x.data, wx, out=None if ws is None else ws.take(n, width))
+        out = np.matmul(x.data, wx)
         if cluster is None:
             out += b.data
             inputs = (x, w, b)
@@ -404,37 +395,6 @@ class Tape:
             _accumulate(logits, (g / rows) * (np.exp(log_probs) - y))
 
         return self._emit(loss, backward, logits)
-
-
-class Workspace:
-    """Float64 blocks reused across tapes, keyed by width: the N-row
-    forward output of every ``dense``, the only arrays a tape takes.
-
-    ``take(n, w)`` hands out rows :n of a C-contiguous (rows, w) block
-    with rows >= n, reusing a free block (the one freed last) and dropping
-    one that is too small, so after the largest mesh one set of blocks
-    serves every mesh. A block stays taken until ``release()``, since
-    backward and the caller (the logits) read it after the forward;
-    ``release()`` frees every taken block, so that the next step takes
-    them in the same order, and nothing taken may be used after it.
-    """
-
-    def __init__(self):
-        self._free = {}   # width -> free blocks, the next one last
-        self._taken = []  # blocks in take order
-
-    def take(self, n: int, w: int) -> np.ndarray:
-        free = self._free.get(w)
-        block = free.pop() if free else None
-        if block is None or block.shape[0] < n:
-            block = np.empty((n, w))
-        self._taken.append(block)
-        return block[:n]
-
-    def release(self) -> None:
-        for block in reversed(self._taken):
-            self._free.setdefault(block.shape[1], []).append(block)
-        self._taken.clear()
 
 
 class _Segments:

@@ -160,6 +160,9 @@ def _split_results(params, config: ModelConfig, records: dict) -> dict:
 
 
 def _cmd_synth(args) -> int:
+    for flag, value, least in (("--count", args.count, 1), ("--seed", args.seed, 0)):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     if args.task == "classification":

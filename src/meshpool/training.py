@@ -6,15 +6,13 @@ gradient accumulation over single-mesh tapes (each backward seeded with
 1/batch so the update equals the batch-mean gradient), and one Adam step
 updates the whole flat parameter set. Because the only mutable state is
 that set's values, Adam moments and step count, a checkpoint written after
-epoch e and resumed reproduces the uninterrupted run bit for bit. One
-``autodiff.Workspace`` serves a whole ``train`` run: every mesh-step's tape
-takes the N-row outputs of its dense layers from it, and they go back
-when the workspace is released, after the step's loss and predictions
-(read from the logits, the last forward output) have been read; the
-gradients are ordinary arrays. A ``TrainConfig`` rejects a negative
-``epochs`` or ``checkpoint_every``, a ``batch_size`` below 1 and an
-``lr`` that is not a finite number above 0 when it is made, so a bad
-setting fails before any record is loaded.
+epoch e and resumed reproduces the uninterrupted run bit for bit. Each
+mesh-step builds a fresh ``Tape``; its outputs and gradients are ordinary
+arrays that are freed once the step no longer holds them. A
+``TrainConfig`` rejects a negative ``epochs``, ``checkpoint_every`` or
+``seed``, a ``batch_size`` below 1 and an ``lr`` that is not a finite
+number above 0 when it is made, so a bad setting fails before any record
+is loaded.
 
 Records built from a cache (``record_from_cache``) are cluster-contiguous:
 their vertices are stably sorted by (coarsest cluster id, ..., finest
@@ -39,7 +37,7 @@ from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
-from .autodiff import ParameterSet, Tape, Workspace, adam_step
+from .autodiff import ParameterSet, Tape, adam_step
 from .binio import array_to_str, read_container, str_to_array, write_container
 from .cache import FeatureCache
 from .model import ModelConfig, init_params, model_forward, parameter_shapes
@@ -130,14 +128,15 @@ class TrainConfig:
     verbose: bool = False
 
     def __post_init__(self):
-        """Raises TrainingError naming the field when ``epochs`` or
-        ``checkpoint_every`` is negative, ``batch_size`` is below 1 or
-        ``lr`` is not a finite number above 0."""
+        """Raises TrainingError naming the field when ``epochs``,
+        ``checkpoint_every`` or ``seed`` is negative, ``batch_size`` is
+        below 1 or ``lr`` is not a finite number above 0."""
         for name, bad, rule in (
                 ("epochs", self.epochs < 0, "at least 0"),
                 ("batch_size", self.batch_size < 1, "at least 1"),
                 ("lr", not (math.isfinite(self.lr) and self.lr > 0), "finite and above 0"),
-                ("checkpoint_every", self.checkpoint_every < 0, "at least 0")):
+                ("checkpoint_every", self.checkpoint_every < 0, "at least 0"),
+                ("seed", self.seed < 0, "at least 0")):
             if bad:
                 raise TrainingError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
@@ -231,7 +230,6 @@ def train(records, config: ModelConfig, train_config: TrainConfig,
     if params is None:
         params = init_params(config, cfg.seed)
     history = []
-    workspace = Workspace()
     for epoch in range(start_epoch, cfg.epochs):
         rng = np.random.default_rng([cfg.seed, epoch])
         order = rng.permutation(len(records))
@@ -241,7 +239,7 @@ def train(records, config: ModelConfig, train_config: TrainConfig,
             batch = order[start:start + cfg.batch_size]
             for idx in batch:
                 record, truth = records[idx], truths[idx]
-                tape = Tape(workspace=workspace)
+                tape = Tape()
                 logits = _forward(tape, params, config, record)
                 target = np.zeros(logits.data.shape)
                 target[np.arange(len(truth)), truth] = 1.0
@@ -254,7 +252,6 @@ def train(records, config: ModelConfig, train_config: TrainConfig,
                 c, t = _count_correct(np.argmax(logits.data, axis=1), truth)
                 correct += c
                 total += t
-                workspace.release()  # the logits were its last reader
             adam_step(params, cfg.lr)
         stats = EpochStats(epoch, float(np.mean(losses)), correct / total)
         history.append(stats)
@@ -398,8 +395,10 @@ def load_checkpoint(path, expected_config: ModelConfig = None):
 
     Raises CheckpointError when the file cannot be read, is not a checkpoint
     or is of an older kind, its config is not valid JSON or has an unknown,
-    missing or bad field, its architecture differs from ``expected_config``, or a
-    section is missing or has the wrong dtype or length.
+    missing or bad field, its architecture differs from ``expected_config``, a
+    section is missing or has the wrong dtype or length, or a counter is out
+    of range: ``epoch`` below -1 (the value ``train`` saves after 0 epochs),
+    ``adam_t`` or ``train_seed`` below 0.
     """
     try:
         arrays = read_container(path)
@@ -437,4 +436,9 @@ def load_checkpoint(path, expected_config: ModelConfig = None):
                    for name in ("value", "adam_m", "adam_v"))
     step, epoch, train_seed = (int(_section(path, arrays, name, np.int64, (1,))[0])
                                for name in ("adam_t", "epoch", "train_seed"))
+    for name, count, least in (("adam_t", step, 0), ("epoch", epoch, -1),
+                               ("train_seed", train_seed, 0)):
+        if count < least:
+            raise CheckpointError(f"{path}: section {name} holds {count}, "
+                                  f"expected at least {least}")
     return ParameterSet(shapes, value, m, v, step), config, epoch, train_seed

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from meshpool.autodiff import (ADAM_CHUNK, ParameterSet, Tape, Tensor, Workspace, _Segments,
-                               adam_step)
+from meshpool.autodiff import ADAM_CHUNK, ParameterSet, Tape, Tensor, _Segments, adam_step
 
 from conftest import central_diff, fd_op_check, max_rel_err
 
@@ -503,7 +502,7 @@ def test_max_pool_backward_adds_into_an_existing_gradient(seed):
 
 
 # ---------------------------------------------------------------------------
-# fused dense layer and the buffer workspace
+# fused dense layer
 # ---------------------------------------------------------------------------
 
 def dense_inputs(seed, split):
@@ -593,34 +592,16 @@ def test_record_free_dense_records_nothing():
     assert constant._records == []
 
 
-def test_workspace_reuses_blocks_in_take_order():
-    ws = Workspace()
-    first = [ws.take(5, 3), ws.take(4, 3), ws.take(2, 7)]
-    assert [a.shape for a in first] == [(5, 3), (4, 3), (2, 7)]
-    assert all(a.flags.c_contiguous and a.dtype == np.float64 for a in first)
-    ws.release()
-    again = [ws.take(5, 3), ws.take(4, 3), ws.take(2, 7)]
-    assert all(a.base is b.base for a, b in zip(again, first))
-    ws.release()
-    bigger = ws.take(6, 3)  # the 5-row block is too small: dropped for a new one
-    assert bigger.shape == (6, 3) and bigger.base is not first[0].base
-    assert ws.take(4, 3).base is first[1].base
-    ws.release()
-    assert ws.take(1, 3).base is bigger.base
-
-
-def test_workspace_leaves_leaf_gradients_alone():
-    """A leaf's dense input gradient is its own array: a later step on the
-    same workspace, after a release, neither overwrites nor shares it."""
+def test_later_tapes_leave_a_leaf_gradient_alone():
+    """A leaf's dense input gradient is its own array: a later tape's step
+    on another leaf neither overwrites nor shares it."""
     x, w, b, _ = dense_inputs(44, False)
-    ws = Workspace()
     grads = []
     for step in range(2):
         leaf = Tensor(x + step)
-        tape = Tape(workspace=ws)
+        tape = Tape()
         out = tape.dense(leaf, Tensor(w, needs_grad=False), Tensor(b, needs_grad=False), True)
         tape.backward(tape.softmax_cross_entropy(out, np.eye(5)[np.arange(9) % 5]))
-        ws.release()
         grads.append((leaf.grad, leaf.grad.copy()))
     (first, kept), (second, _) = grads
     assert np.array_equal(first, kept)

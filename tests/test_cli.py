@@ -411,6 +411,9 @@ def _swap_fine_ids(arrays):
     ("train --lr 0", {}, "lr must be finite and above 0, got 0.0"),
     ("train --lr nan", {}, "lr must be finite and above 0, got nan"),
     ("train --checkpoint-every -1", {}, "checkpoint_every must be at least 0, got -1"),
+    ("train --seed -1", {}, "seed must be at least 0, got -1"),
+    ("eval", dict(checkpoint=lambda a: dict(a, epoch=np.array([-5], dtype=np.int64))),
+     "section epoch holds -5, expected at least -1"),
     ("train", dict(manifest={"task": "classification", "num_labels": "3", "samples": [
         {"name": "ball", "obj": "ball.obj", "category": 0, "split": "train"}]}),
      "'num_labels' must be an integer of at least 0, got '3'"),
@@ -419,7 +422,8 @@ def _swap_fine_ids(arrays):
 ], ids=["nan-vertex", "coincident-vertices", "empty-manifest", "no-samples", "category-7",
         "tset-split", "duplicate-face", "non-manifold-edge", "two-components",
         "flipped-face", "unnested-cache", "old-checkpoint", "batch-minus-1", "batch-0",
-        "epochs-minus-1", "lr-0", "lr-nan", "checkpoint-every-minus-1", "num-labels-string",
+        "epochs-minus-1", "lr-0", "lr-nan", "checkpoint-every-minus-1", "seed-minus-1",
+        "negative-checkpoint-epoch", "num-labels-string",
         "model-is-a-directory", "cache-is-a-directory"])
 def test_bad_inputs_exit_1_with_one_error_line(tmp_path, command, dataset, message):
     data = tmp_path / "data"
@@ -470,6 +474,18 @@ def test_cli_error_paths(tmp_path, capsys):
         main(["train", "--input", str(tmp_path), "--clusters", "a,b"])
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--seed", "-2"], "--seed must be at least 0, got -2"),
+    (["--count", "-1"], "--count must be at least 1, got -1"),
+    (["--count", "0"], "--count must be at least 1, got 0"),
+], ids=["seed-minus-2", "count-minus-1", "count-0"])
+def test_synth_rejects_a_negative_seed_or_count(tmp_path, capsys, flags, message):
+    out = tmp_path / "data"
+    assert main(["synth", "--output", str(out), *flags]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()  # rejected before anything is written
 
 
 def test_export_level_out_of_range(tmp_path, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from meshpool.autodiff import Tape, Tensor, Workspace
+from meshpool.autodiff import Tape, Tensor
 from meshpool.cache import PreprocessParams, preprocess_mesh
 from meshpool.model import (
     CORR_INIT_GAIN,
@@ -354,85 +354,3 @@ def test_split_weights_match_finite_differences(task):
     for name in split:
         fd = central_diff(lambda w: loss(name, w), params[name].data, eps=1e-6)
         assert max_rel_err(fd, grads[name]) < 1e-6, name
-
-
-class _CheckedWorkspace(Workspace):
-    """A Workspace that fails a test when it hands out a block that is still
-    live (taken and not yet released) or frees a block twice. It keeps
-    every block it ever handed out, and (takes, distinct blocks) of each
-    released step."""
-
-    def __init__(self):
-        super().__init__()
-        self.live, self.seen, self.step_blocks, self.steps = [], [], [], []
-        self.takes = 0
-
-    def take(self, n, w):
-        view = super().take(n, w)
-        assert not any(view.base is block for block in self.live), "live block handed out"
-        self.live.append(view.base)
-        self.takes += 1
-        for blocks in (self.seen, self.step_blocks):
-            if not any(view.base is block for block in blocks):
-                blocks.append(view.base)
-        return view
-
-    def release(self):
-        super().release()
-        freed = [block for blocks in self._free.values() for block in blocks]
-        assert len({id(block) for block in freed}) == len(freed), "block freed twice"
-        assert all(any(block is b for b in freed) for block in self.live)
-        self.live = []
-        self.steps.append((self.takes, len(self.step_blocks)))
-        self.step_blocks, self.takes = [], 0
-
-
-def test_workspace_steps_match_fresh_tapes():
-    """Training steps on alternating 254- and 434-vertex meshes give the same
-    logits and parameter gradients bit for bit with one reused workspace as
-    with workspace-free tapes; after the larger mesh no new block is made,
-    and a step takes a distinct block for each dense output.
-    Both the mesh-order masks (gathered cluster ops) and a record's
-    cluster-contiguous layout (sliced cluster ops) are run."""
-    config = ModelConfig(task="segmentation", num_labels=3, num_categories=4)
-    params = init_params(config, seed=2)
-    layouts = {"mesh-order": [], "cluster-contiguous": []}
-    for res in ("a", "b"):
-        base, labels = dumbbell(*DUMBBELL_RESOLUTIONS[res])
-        cache = preprocess_mesh(deform(base, seed=[5, 0]), PreprocessParams())
-        layouts["mesh-order"].append((cache.features, cache.level_masks, np.eye(3)[labels]))
-        record = record_from_cache(res, cache, 1, labels)
-        layouts["cluster-contiguous"].append(
-            (record.features, record.level_masks, np.eye(3)[record.labels]))
-
-    def step(feats, masks, target, workspace):
-        tape = Tape(workspace=workspace)
-        logits = model_forward(tape, params, config, feats, masks, category=1)
-        tape.backward(tape.softmax_cross_entropy(logits, target))
-        logits = logits.data.copy()  # a workspace block: read before the release
-        if workspace is not None:
-            workspace.release()
-        grads = {n: p.grad.copy() for n, p in params.items()}
-        for p in params.values():
-            p.zero_grad()
-        assert all(g.any() for n, g in grads.items() if n.endswith(".W"))
-        return logits, grads
-
-    for layout, meshes in layouts.items():
-        assert [len(m[0]) for m in meshes] == [254, 434]
-        ws = _CheckedWorkspace()
-        blocks_after = []
-        for i in range(5):
-            feats, masks, target = meshes[i % 2]
-            got_logits, got = step(feats, masks, target, ws)
-            want_logits, want = step(feats, masks, target, None)
-            assert np.array_equal(got_logits, want_logits), layout
-            for name in params:
-                assert np.array_equal(got[name], want[name]), (layout, name)
-            blocks_after.append(len(ws.seen))
-        # the 434-row mesh outgrew the first set, and nothing after it
-        assert blocks_after[1] > blocks_after[0], layout
-        assert blocks_after[1:] == [blocks_after[1]] * 4, layout
-        # one take per dense layer, each into a block of its own
-        for takes, distinct in ws.steps[1::2]:  # the 434-row steps
-            assert takes == 10 and distinct == 10, layout

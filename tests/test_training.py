@@ -358,9 +358,16 @@ def _edit_config_json(arrays, edit):
     (lambda a: a.update(kind=np.array([0xFF], dtype=np.uint8)), "section kind is not UTF-8 text"),
     (lambda a: a.update(kind=str_to_array("meshpool-checkpoint")),
      "older checkpoint kind 'meshpool-checkpoint'; retrain with this version"),
+    (lambda a: a.update(epoch=np.array([-5], dtype=np.int64)),
+     "section epoch holds -5, expected at least -1"),
+    (lambda a: a.update(adam_t=np.array([-1], dtype=np.int64)),
+     "section adam_t holds -1, expected at least 0"),
+    (lambda a: a.update(train_seed=np.array([-7], dtype=np.int64)),
+     "section train_seed holds -7, expected at least 0"),
 ], ids=["unknown-field", "missing-field", "bad-task", "bad-widths", "not-object",
         "not-json", "not-utf8", "no-epoch", "no-moment", "bad-shape", "float32-moment",
-        "empty-epoch", "empty-seed", "empty-step", "float-step", "kind-not-utf8", "old-kind"])
+        "empty-epoch", "empty-seed", "empty-step", "float-step", "kind-not-utf8", "old-kind",
+        "epoch-minus-5", "step-minus-1", "seed-minus-7"])
 def test_checkpoint_rejects_a_bad_config_or_section(tmp_path, change, message):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, init_params(CLS_CONFIG, seed=0), CLS_CONFIG, epoch=0, train_seed=0)
@@ -370,6 +377,13 @@ def test_checkpoint_rejects_a_bad_config_or_section(tmp_path, change, message):
     with pytest.raises(CheckpointError) as info:
         load_checkpoint(path)
     assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
+
+
+def test_checkpoint_after_zero_epochs_loads(tmp_path):
+    """``train`` with 0 epochs saves epoch -1, the one negative epoch."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_params(CLS_CONFIG, seed=0), CLS_CONFIG, epoch=-1, train_seed=0)
+    assert load_checkpoint(path)[2] == -1
 
 
 def test_resume_matches_uninterrupted_run(tmp_path):
