@@ -8,17 +8,14 @@ records in exact reverse execution order and accumulates gradients
 additively at fan-out points. All reductions have a fixed order, so identical inputs give
 bit-identical outputs.
 
-The tape does only the work a result needs:
+How the tape works:
 
-- Every tensor carries a ``needs_grad`` flag. Leaves set it themselves
-  (the model's input features and category one-hot do not need a
-  gradient); an op's output needs one only when one of its inputs does and
-  the tape records. An op whose inputs all lack gradients records no
-  backward closure, and backward never computes a gradient for a tensor
-  that does not need one.
-- ``Tape(record=False)`` runs record-free forwards for inference: no op
-  records a closure, and state that only backward uses (ReLU masks, max
-  pool argmax rows, softmax probabilities) is never computed.
+- On a recording tape every op records a backward closure, and backward
+  gives every input of every op its gradient, leaves included. The one
+  switch is ``Tape(record=False)``, which runs record-free forwards for
+  inference: no op records a closure, and state that only backward uses
+  (ReLU masks, max pool argmax rows, softmax probabilities) is never
+  computed.
 - The first gradient that reaches a tensor is adopted as its gradient
   array instead of being added to zeros. An op copies a gradient only
   where adopting it would make two tensors share one gradient array.
@@ -56,18 +53,13 @@ import numpy as np
 
 
 class Tensor:
-    """A dense float64 array plus a gradient slot filled during backward.
+    """A dense float64 array plus a gradient slot filled during backward."""
 
-    ``needs_grad`` marks a leaf whose gradient someone reads; pass False
-    for constant inputs so backward skips their gradient products.
-    """
+    __slots__ = ("data", "grad")
 
-    __slots__ = ("data", "grad", "needs_grad")
-
-    def __init__(self, data, needs_grad: bool = True):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.needs_grad = bool(needs_grad)
 
     @property
     def shape(self):
@@ -87,9 +79,6 @@ class Parameter(Tensor):
     @property
     def value(self) -> Tensor:
         return self
-
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
 
 
 class ParameterSet(dict):
@@ -155,8 +144,6 @@ def _accumulate(t: Tensor, g: np.ndarray, rows=None) -> None:
     A tensor without a gradient yet adopts ``g`` itself, so callers must
     not hand the same array to two tensors.
     """
-    if not t.needs_grad:
-        return
     if rows is not None:
         if t.grad is None:
             t.grad = np.zeros_like(t.data)
@@ -179,15 +166,14 @@ class Tape:
         self.record = bool(record)
         self._records = []  # (output tensor, backward closure)
 
-    def _emit(self, data, backward, *inputs) -> Tensor:
-        tracked = self.record and any(t.needs_grad for t in inputs)
-        out = Tensor(data, needs_grad=tracked)
-        if tracked:
+    def _emit(self, data, backward) -> Tensor:
+        out = Tensor(data)
+        if self.record:
             self._records.append((out, backward))
         return out
 
     def backward(self, loss: Tensor, seed: float = 1.0) -> None:
-        """Accumulate d(seed * loss)/dx into every leaf that needs it.
+        """Accumulate d(seed * loss)/dx into every leaf the loss reads.
 
         Gradients of the tape's own outputs are consumed on the way and
         read None afterwards.
@@ -207,18 +193,16 @@ class Tape:
             raise ValueError(f"matmul shapes {a.data.shape} x {b.data.shape}")
 
         def backward(g):
-            if a.needs_grad:
-                _accumulate(a, g @ b.data.T)
-            if b.needs_grad:
-                _accumulate(b, a.data.T @ g)
+            _accumulate(a, g @ b.data.T)
+            _accumulate(b, a.data.T @ g)
 
-        return self._emit(a.data @ b.data, backward, a, b)
+        return self._emit(a.data @ b.data, backward)
 
     def transpose(self, x: Tensor) -> Tensor:
         def backward(g):
             _accumulate(x, g.T)
 
-        return self._emit(x.data.T.copy(), backward, x)
+        return self._emit(x.data.T.copy(), backward)
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         if a.data.shape != b.data.shape:
@@ -228,7 +212,7 @@ class Tape:
             _accumulate(a, g)
             _accumulate(b, g.copy() if a.grad is g else g)
 
-        return self._emit(a.data + b.data, backward, a, b)
+        return self._emit(a.data + b.data, backward)
 
     def scale(self, x: Tensor, s: float) -> Tensor:
         s = float(s)
@@ -236,7 +220,7 @@ class Tape:
         def backward(g):
             _accumulate(x, g * s)
 
-        return self._emit(x.data * s, backward, x)
+        return self._emit(x.data * s, backward)
 
     def bias_add(self, x: Tensor, b: Tensor) -> Tensor:
         if b.data.ndim != 1 or x.data.ndim != 2 or x.data.shape[1] != b.data.shape[0]:
@@ -244,17 +228,16 @@ class Tape:
 
         def backward(g):
             _accumulate(x, g)
-            if b.needs_grad:
-                _accumulate(b, g.sum(axis=0))
+            _accumulate(b, g.sum(axis=0))
 
-        return self._emit(x.data + b.data[None, :], backward, x, b)
+        return self._emit(x.data + b.data[None, :], backward)
 
     def relu(self, x: Tensor) -> Tensor:
         def backward(g):
             np.multiply(g, x.data > 0.0, out=g)  # subgradient at 0 is 0
             _accumulate(x, g)
 
-        return self._emit(np.maximum(x.data, 0.0), backward, x)
+        return self._emit(np.maximum(x.data, 0.0), backward)
 
     def dense(self, x: Tensor, w: Tensor, b: Tensor, relu: bool,
               cluster: Tensor = None, mask=None) -> Tensor:
@@ -277,37 +260,29 @@ class Tape:
         out = np.matmul(x.data, wx)
         if cluster is None:
             out += b.data
-            inputs = (x, w, b)
         else:
             seg = _Segments(mask, n, cluster.data.shape[0])
             wc = w.data[k:]
             per_cluster = cluster.data @ wc
             per_cluster += b.data
             seg.add_rows(out, per_cluster)
-            inputs = (x, w, b, cluster)
         if relu:
             np.maximum(out, 0.0, out=out)
 
         def backward(g):
             if relu:
                 np.multiply(g, out > 0.0, out=g)  # subgradient at 0 is 0
-            if x.needs_grad:
-                _accumulate(x, g @ wx.T)
-            if w.needs_grad:
-                _accumulate(w, x.data.T @ g, None if cluster is None else slice(0, k))
+            _accumulate(x, g @ wx.T)
+            _accumulate(w, x.data.T @ g, None if cluster is None else slice(0, k))
             if cluster is None:
-                if b.needs_grad:
-                    _accumulate(b, g.sum(axis=0))
+                _accumulate(b, g.sum(axis=0))
             else:
                 gc = seg.reduce(np.add, g)
-                if b.needs_grad:
-                    _accumulate(b, gc.sum(axis=0))
-                if w.needs_grad:
-                    _accumulate(w, cluster.data.T @ gc, slice(k, None))
-                if cluster.needs_grad:
-                    _accumulate(cluster, gc @ wc.T)
+                _accumulate(b, gc.sum(axis=0))
+                _accumulate(w, cluster.data.T @ gc, slice(k, None))
+                _accumulate(cluster, gc @ wc.T)
 
-        return self._emit(out, backward, *inputs)
+        return self._emit(out, backward)
 
     def concat(self, parts, axis: int = 1) -> Tensor:
         parts = list(parts)
@@ -320,8 +295,7 @@ class Tape:
             for p, piece in zip(parts, np.split(g, splits, axis=axis)):
                 _accumulate(p, piece)
 
-        return self._emit(np.concatenate([p.data for p in parts], axis=axis),
-                          backward, *parts)
+        return self._emit(np.concatenate([p.data for p in parts], axis=axis), backward)
 
     def cluster_max_pool(self, x: Tensor, mask: np.ndarray, p: int) -> Tensor:
         """Columnwise max over each cluster's rows.
@@ -350,7 +324,7 @@ class Tape:
             else:  # every other cell would gain +0.0: leave it as it is
                 x.grad[rows, cols] += g
 
-        return self._emit(out, backward, x)
+        return self._emit(out, backward)
 
     def cluster_mean_pool(self, x: Tensor, mask: np.ndarray, p: int) -> Tensor:
         seg = _Segments(mask, x.data.shape[0], p, allow_empty=False)
@@ -361,7 +335,7 @@ class Tape:
         def backward(g):
             _accumulate(x, (g / counts)[seg.mask])
 
-        return self._emit(out, backward, x)
+        return self._emit(out, backward)
 
     def cluster_scatter(self, cx: Tensor, mask: np.ndarray) -> Tensor:
         """Row i of the output is the cluster feature of mask[i]."""
@@ -370,7 +344,7 @@ class Tape:
         def backward(g):
             _accumulate(cx, seg.reduce(np.add, g))
 
-        return self._emit(cx.data[seg.mask], backward, cx)
+        return self._emit(cx.data[seg.mask], backward)
 
     def global_max_pool(self, x: Tensor) -> Tensor:
         return self.cluster_max_pool(x, np.zeros(x.data.shape[0], dtype=np.int64), 1)
@@ -394,7 +368,7 @@ class Tape:
         def backward(g):
             _accumulate(logits, (g / rows) * (np.exp(log_probs) - y))
 
-        return self._emit(loss, backward, logits)
+        return self._emit(loss, backward)
 
 
 class _Segments:

@@ -84,6 +84,9 @@ def _checkpoint_params(args, config: ModelConfig) -> PreprocessParams:
 def load_manifest(dataset_dir: Path) -> dict:
     """The dataset's manifest, checked for every key the manifest walk reads
     and for its optional class counts, which must be ints of at least 0.
+    A sample's ``name`` must be a bare file name, so its cache stays in
+    ``<dataset>/cache``; ``obj`` and any ``labels`` are strings and
+    ``category`` is an int.
 
     Raises ValueError naming the sample and key at fault.
     """
@@ -104,6 +107,18 @@ def load_manifest(dataset_dir: Path) -> dict:
         for key in ("name", "obj", "category", "split"):
             if not isinstance(entry, dict) or key not in entry:
                 raise ValueError(f"{path}: sample {i} has no {key!r}")
+        name, category = entry["name"], entry["category"]
+        # a bare file name: no separator of this platform, not "." or ".."
+        if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+            raise ValueError(f"{path}: sample {i} 'name' must be a file name "
+                             f"without a directory, got {name!r}")
+        for key in ("obj", "labels"):  # labels are optional
+            if not isinstance(entry.get(key, ""), str):
+                raise ValueError(f"{path}: sample {i} {key!r} must be a string, "
+                                 f"got {entry[key]!r}")
+        if isinstance(category, bool) or not isinstance(category, int):
+            raise ValueError(f"{path}: sample {i} 'category' must be an integer, "
+                             f"got {category!r}")
         if entry["split"] not in SPLITS:
             raise ValueError(f"{path}: sample {i} has split {entry['split']!r}, "
                              f"not one of {', '.join(SPLITS)}")

@@ -198,7 +198,7 @@ def seg_head_forward(tape: Tape, params, config: ModelConfig, x,
     """Per-vertex logits from the per-vertex branch and one summary row
     (global max pool plus category one-hot) broadcast to every vertex."""
     h = _mlp_forward(tape, params, "head.mlp", x, len(config.head_hidden))
-    onehot = Tensor(_category_onehot(config, category), needs_grad=False)
+    onehot = Tensor(_category_onehot(config, category))
     summary = tape.concat([tape.global_max_pool(h), onehot], axis=1)
     fused = SplitFeatures(h, summary, np.zeros(h.data.shape[0], dtype=np.int64))
     return _mlp_forward(tape, params, "head.out", fused, 2, final_relu=False)
@@ -220,7 +220,7 @@ def model_forward(tape: Tape, params, config: ModelConfig, features,
     """
     if len(level_masks) != config.n_blocks:
         raise ValueError(f"expected {config.n_blocks} cluster masks, got {len(level_masks)}")
-    x = features if isinstance(features, Tensor) else Tensor(features, needs_grad=False)
+    x = features if isinstance(features, Tensor) else Tensor(features)
     if x.data.ndim != 2 or x.data.shape[1] != config.in_dim:
         raise ValueError(f"features must be (N, {config.in_dim}), got {x.data.shape}")
     for level, mask in enumerate(level_masks):

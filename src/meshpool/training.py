@@ -39,10 +39,10 @@ import numpy as np
 
 from .autodiff import ParameterSet, Tape, adam_step
 from .binio import array_to_str, read_container, str_to_array, write_container
-from .cache import FeatureCache
+from .cache import CACHE_KIND, FeatureCache
 from .model import ModelConfig, init_params, model_forward, parameter_shapes
 
-CHECKPOINT_KIND = "meshpool-checkpoint-2"  # 2: one flat parameter state
+CHECKPOINT_KIND = "meshpool-checkpoint-3"  # 3: records the feature kind it was trained on
 
 
 class TrainingError(RuntimeError):
@@ -366,9 +366,11 @@ def split_dataset(records, test_fraction: float = 0.25, seed: int = 0, groups=No
 
 
 def save_checkpoint(path, params, config: ModelConfig, epoch: int, train_seed: int) -> None:
-    """Parameters plus Adam state plus the architecture, in one container."""
+    """Parameters plus Adam state plus the architecture and the feature
+    kind (``cache.CACHE_KIND``) it was trained on, in one container."""
     write_container(path, {
         "kind": str_to_array(CHECKPOINT_KIND),
+        "feature_kind": str_to_array(CACHE_KIND),
         "config_json": str_to_array(json.dumps(asdict(config), sort_keys=True)),
         "epoch": np.array([epoch], dtype=np.int64),
         "train_seed": np.array([train_seed], dtype=np.int64),
@@ -377,6 +379,14 @@ def save_checkpoint(path, params, config: ModelConfig, epoch: int, train_seed: i
         "adam_v": params.v,
         "adam_t": np.array([params.step], dtype=np.int64),
     })
+
+
+def _text(path, arrays: dict, name: str) -> str:
+    """The text of checkpoint section ``name``, or "" when there is none."""
+    try:
+        return array_to_str(arrays[name]) if name in arrays else ""
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{path}: section {name} is not UTF-8 text") from exc
 
 
 def _section(path, arrays: dict, name: str, dtype, shape) -> np.ndarray:
@@ -394,24 +404,27 @@ def load_checkpoint(path, expected_config: ModelConfig = None):
     """Returns (params, config, epoch, train_seed).
 
     Raises CheckpointError when the file cannot be read, is not a checkpoint
-    or is of an older kind, its config is not valid JSON or has an unknown,
-    missing or bad field, its architecture differs from ``expected_config``, a
-    section is missing or has the wrong dtype or length, or a counter is out
-    of range: ``epoch`` below -1 (the value ``train`` saves after 0 epochs),
-    ``adam_t`` or ``train_seed`` below 0.
+    or is of an older kind, names no feature kind or another one than this
+    version's ``CACHE_KIND``, its config is not valid JSON or has an
+    unknown, missing or bad field, its architecture differs from
+    ``expected_config``, a section is missing or has the wrong dtype or
+    length, or a counter is out of range: ``epoch`` below -1 (the value
+    ``train`` saves after 0 epochs), ``adam_t`` or ``train_seed`` below 0.
     """
     try:
         arrays = read_container(path)
     except (OSError, ValueError) as exc:  # each names the path
         raise CheckpointError(str(exc)) from exc
-    try:
-        kind = array_to_str(arrays["kind"]) if "kind" in arrays else ""
-    except UnicodeDecodeError as exc:
-        raise CheckpointError(f"{path}: section kind is not UTF-8 text") from exc
+    kind = _text(path, arrays, "kind")
     if kind != CHECKPOINT_KIND and kind.startswith("meshpool-checkpoint"):
         raise CheckpointError(f"{path}: older checkpoint kind {kind!r}; retrain with this version")
     if kind != CHECKPOINT_KIND or not {"config_json", "epoch", "train_seed"} <= arrays.keys():
         raise CheckpointError(f"{path}: not a checkpoint container")
+    feature_kind = _text(path, arrays, "feature_kind")
+    if feature_kind != CACHE_KIND:
+        found = f"feature kind {feature_kind!r}" if "feature_kind" in arrays else "no feature kind"
+        raise CheckpointError(f"{path}: checkpoint names {found}, this version builds "
+                              f"{CACHE_KIND!r}; retrain with this version")
     try:
         saved = json.loads(array_to_str(arrays["config_json"]))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:

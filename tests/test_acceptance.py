@@ -225,8 +225,7 @@ def test_criterion_4_gradient_suite(criterion_report):
     tape, loss = loss_value()
     tape.backward(loss, 1.0)
     grads = {n: params[n].grad.copy() for n in params}
-    for n in params:
-        params[n].zero_grad()
+    params.grad.fill(0.0)
 
     eps = 1e-5
     worst_model = 0.0

@@ -218,7 +218,7 @@ def test_parameter_gradients_accumulate_across_tapes():
     assert np.array_equal(b.grad, 4.0 * np.ones(3))
     # the gradients are views into the set's one flat gradient
     assert np.array_equal(params.grad, np.r_[2.0 * np.ones(6), 4.0 * np.ones(3)])
-    w.zero_grad()
+    w.grad.fill(0.0)
     assert np.array_equal(params.grad, np.r_[np.zeros(6), 4.0 * np.ones(3)])
 
 
@@ -298,22 +298,8 @@ def test_matmul_shape_validation():
 
 
 # ---------------------------------------------------------------------------
-# lean tape: needs-grad flags, record-free forwards, adopted gradients
+# lean tape: record-free forwards, adopted gradients
 # ---------------------------------------------------------------------------
-
-def test_constant_leaves_get_no_gradient_and_record_nothing():
-    rng = np.random.default_rng(32)
-    tape = Tape()
-    const = Tensor(rng.standard_normal((4, 3)), needs_grad=False)
-    w = Tensor(rng.standard_normal((3, 2)))
-    pooled = tape.cluster_max_pool(const, np.array([0, 1, 0, 1]), 2)
-    assert not pooled.needs_grad and tape._records == []
-    out = tape.matmul(const, w)
-    tape.backward(tape.softmax_cross_entropy(out, np.eye(2)[[0, 1, 1, 0]]))
-    assert const.grad is None and pooled.grad is None
-    assert w.grad.shape == (3, 2)
-    assert len(tape._records) == 2  # matmul and the loss
-
 
 def test_record_free_tape_matches_recording_forward():
     rng = np.random.default_rng(33)
@@ -326,7 +312,7 @@ def test_record_free_tape_matches_recording_forward():
 
     free = Tape(record=False)
     outs = run(free)
-    assert free._records == [] and not any(o.needs_grad for o in outs)
+    assert free._records == []
     for got, want in zip(outs, run(Tape())):
         assert np.array_equal(got.data, want.data)
     with pytest.raises(RuntimeError, match="records nothing"):
@@ -388,8 +374,7 @@ def _interleaved_and_contiguous(seed, n=60, p=7, d=5):
 def _backward_through(tape, out, r, c):
     """Backward from the scalar r^T out c, so d loss / d out = outer(r, c):
     a different weight per (row, column)."""
-    tape.backward(tape.matmul(tape.matmul(Tensor(r, needs_grad=False), out),
-                              Tensor(c, needs_grad=False)))
+    tape.backward(tape.matmul(tape.matmul(Tensor(r), out), Tensor(c)))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -492,10 +477,8 @@ def test_max_pool_backward_adds_into_an_existing_gradient(seed):
         tape = Tape()
         pooled = tape.cluster_max_pool(both, mask, p)
         scaled = tape.scale(both, 1.0)  # recorded later, so its backward runs first
-        loss = tape.add(tape.matmul(tape.matmul(Tensor(a, needs_grad=False), pooled),
-                                    Tensor(b, needs_grad=False)),
-                        tape.matmul(tape.matmul(Tensor(r, needs_grad=False), scaled),
-                                    Tensor(c, needs_grad=False)))
+        loss = tape.add(tape.matmul(tape.matmul(Tensor(a), pooled), Tensor(b)),
+                        tape.matmul(tape.matmul(Tensor(r), scaled), Tensor(c)))
         tape.backward(loss)
         assert (alone.grad != 0.0).sum() == p * d  # one routed cell per (cluster, column)
         assert np.array_equal(both.grad, earlier.grad + alone.grad)
@@ -583,13 +566,9 @@ def test_record_free_dense_records_nothing():
     x, w, b, (cluster, mask) = dense_inputs(43, True)
     free = Tape(record=False)
     out = free.dense(Tensor(x), Tensor(w), Tensor(b), True, Tensor(cluster), mask)
-    assert free._records == [] and not out.needs_grad
+    assert free._records == []
     want = Tape().dense(Tensor(x), Tensor(w), Tensor(b), True, Tensor(cluster), mask)
     assert np.array_equal(out.data, want.data)
-    constant = Tape()
-    constant.dense(Tensor(x, needs_grad=False), Tensor(w[:4], needs_grad=False),
-                   Tensor(b, needs_grad=False), True)
-    assert constant._records == []
 
 
 def test_later_tapes_leave_a_leaf_gradient_alone():
@@ -600,7 +579,7 @@ def test_later_tapes_leave_a_leaf_gradient_alone():
     for step in range(2):
         leaf = Tensor(x + step)
         tape = Tape()
-        out = tape.dense(leaf, Tensor(w, needs_grad=False), Tensor(b, needs_grad=False), True)
+        out = tape.dense(leaf, Tensor(w), Tensor(b), True)
         tape.backward(tape.softmax_cross_entropy(out, np.eye(5)[np.arange(9) % 5]))
         grads.append((leaf.grad, leaf.grad.copy()))
     (first, kept), (second, _) = grads

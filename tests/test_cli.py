@@ -419,12 +419,15 @@ def _swap_fine_ids(arrays):
      "'num_labels' must be an integer of at least 0, got '3'"),
     ("eval", dict(dirs=["model.ckpt"]), "Is a directory"),
     ("preprocess", dict(dirs=["cache/ball.mpc"]), "Is a directory"),
+    ("preprocess", dict(manifest={"task": "classification", "samples": [
+        {"name": "../escape", "obj": "ball.obj", "category": 0, "split": "train"}]}),
+     "sample 0 'name' must be a file name without a directory, got '../escape'"),
 ], ids=["nan-vertex", "coincident-vertices", "empty-manifest", "no-samples", "category-7",
         "tset-split", "duplicate-face", "non-manifold-edge", "two-components",
         "flipped-face", "unnested-cache", "old-checkpoint", "batch-minus-1", "batch-0",
         "epochs-minus-1", "lr-0", "lr-nan", "checkpoint-every-minus-1", "seed-minus-1",
         "negative-checkpoint-epoch", "num-labels-string",
-        "model-is-a-directory", "cache-is-a-directory"])
+        "model-is-a-directory", "cache-is-a-directory", "name-escapes-the-cache"])
 def test_bad_inputs_exit_1_with_one_error_line(tmp_path, command, dataset, message):
     data = tmp_path / "data"
     _ball_dataset(data, **dataset)
@@ -436,6 +439,7 @@ def test_bad_inputs_exit_1_with_one_error_line(tmp_path, command, dataset, messa
     assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
     if flags:  # a bad train setting is rejected before any sample is preprocessed
         assert not list(data.glob("cache/*.mpc"))
+    assert all(p.parent == data / "cache" for p in tmp_path.rglob("*.mpc"))
 
 
 @pytest.mark.parametrize("change,message", [
@@ -454,6 +458,20 @@ def test_bad_inputs_exit_1_with_one_error_line(tmp_path, command, dataset, messa
      "'num_labels' must be an integer of at least 0, got True"),
     (lambda m: m.update(num_categories=-1),
      "'num_categories' must be an integer of at least 0, got -1"),
+    (lambda m: m["samples"][0].update(obj=5), "sample 0 'obj' must be a string, got 5"),
+    (lambda m: m["samples"][0].update(labels=7), "sample 0 'labels' must be a string, got 7"),
+    (lambda m: m["samples"][0].update(category=[0]), "sample 0 'category' must be an integer"),
+    (lambda m: m["samples"][0].update(category=True),
+     "sample 0 'category' must be an integer, got True"),
+    (lambda m: m["samples"][0].update(category="0"),
+     "sample 0 'category' must be an integer, got '0'"),
+    (lambda m: m["samples"][0].update(name="../../escape"),
+     "sample 0 'name' must be a file name without a directory, got '../../escape'"),
+    (lambda m: m["samples"][0].update(name="sub/ball"), "sample 0 'name' must be a file name"),
+    (lambda m: m["samples"][0].update(name=".."), "sample 0 'name' must be a file name"),
+    (lambda m: m["samples"][0].update(name="."), "sample 0 'name' must be a file name"),
+    (lambda m: m["samples"][0].update(name=""), "sample 0 'name' must be a file name"),
+    (lambda m: m["samples"][0].update(name=3), "sample 0 'name' must be a file name"),
 ])
 def test_load_manifest_names_the_bad_key(tmp_path, change, message):
     _ball_dataset(tmp_path / "data")
@@ -462,6 +480,26 @@ def test_load_manifest_names_the_bad_key(tmp_path, change, message):
     (tmp_path / "data" / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match=message):
         load_manifest(tmp_path / "data")
+
+
+@pytest.mark.parametrize("command", [
+    "eval --input {data} --model {ckpt}",
+    "export --input {data}/ball.obj --output {data}/ball.ply --what labels --model {ckpt}",
+    "train --input {data} --epochs 1 --resume {ckpt}",
+], ids=["eval", "export-labels", "train-resume"])
+def test_checkpoint_of_other_features_is_refused_before_preprocessing(tmp_path, capsys,
+                                                                      command):
+    data = tmp_path / "data"
+    # with a cache directory present, export too would write a cache there
+    _ball_dataset(data, checkpoint=lambda a: dict(
+        a, feature_kind=str_to_array("meshpool-cache-0")), dirs=["cache"])
+    ckpt = data / "model.ckpt"
+    assert main([word.format(data=data, ckpt=ckpt) for word in command.split()]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {ckpt}: checkpoint names "
+                                                   "feature kind 'meshpool-cache-0'")
+    assert lines[0].endswith("retrain with this version")
+    assert not list(tmp_path.rglob("*.mpc")) and not list(tmp_path.rglob("*.ply"))
 
 
 def test_cli_error_paths(tmp_path, capsys):

@@ -23,7 +23,7 @@ from meshpool.training import (
     split_dataset,
     train,
 )
-from meshpool.cache import FeatureCache, PreprocessParams, preprocess_mesh
+from meshpool.cache import CACHE_KIND, FeatureCache, PreprocessParams, preprocess_mesh
 from meshpool.synth import DUMBBELL_RESOLUTIONS, deform, dumbbell
 
 CLS_CONFIG = ModelConfig(
@@ -364,10 +364,18 @@ def _edit_config_json(arrays, edit):
      "section adam_t holds -1, expected at least 0"),
     (lambda a: a.update(train_seed=np.array([-7], dtype=np.int64)),
      "section train_seed holds -7, expected at least 0"),
+    (lambda a: a.update(feature_kind=str_to_array("meshpool-cache-0")),
+     "checkpoint names feature kind 'meshpool-cache-0', this version builds "
+     f"{CACHE_KIND!r}; retrain with this version"),
+    (lambda a: a.pop("feature_kind"),
+     f"checkpoint names no feature kind, this version builds {CACHE_KIND!r}; retrain"),
+    (lambda a: a.update(feature_kind=np.array([0xFF], dtype=np.uint8)),
+     "section feature_kind is not UTF-8 text"),
 ], ids=["unknown-field", "missing-field", "bad-task", "bad-widths", "not-object",
         "not-json", "not-utf8", "no-epoch", "no-moment", "bad-shape", "float32-moment",
         "empty-epoch", "empty-seed", "empty-step", "float-step", "kind-not-utf8", "old-kind",
-        "epoch-minus-5", "step-minus-1", "seed-minus-7"])
+        "epoch-minus-5", "step-minus-1", "seed-minus-7", "other-feature-kind",
+        "no-feature-kind", "feature-kind-not-utf8"])
 def test_checkpoint_rejects_a_bad_config_or_section(tmp_path, change, message):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, init_params(CLS_CONFIG, seed=0), CLS_CONFIG, epoch=0, train_seed=0)
