@@ -39,6 +39,9 @@ How the tape works:
   bit-identical to the same layer built from ``matmul``, ``bias_add`` and
   ``relu``, with a split input's cluster part multiplied at cluster rank
   and put back by ``cluster_scatter`` and ``add``.
+- A weight gradient (``x.T @ g`` in ``matmul`` and ``dense`` backward)
+  is summed over fixed ``GRAD_CHUNK``-row chunks in row order, so trained
+  weights do not depend on the BLAS thread count.
 - Every op allocates its output afresh and the output tensor owns it, so
   a result stays valid for as long as the caller holds it.
 - Max-pool backward adds its routed cells into an existing input
@@ -138,6 +141,23 @@ def adam_step(params: ParameterSet, lr=7e-4, beta1=0.9, beta2=0.999, eps=1e-8) -
         g.fill(0.0)
 
 
+GRAD_CHUNK = 256  # rows per partial product of a weight gradient
+
+
+def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``x.T @ g`` summed over ``GRAD_CHUNK``-row chunks in row order.
+
+    OpenBLAS sums one product over many rows in an order that depends on
+    its thread count, while a product over at most ``GRAD_CHUNK`` rows
+    rounds the same at 1, 2 and 4 threads (tests/test_training.py checks
+    whole trainings). Up to ``GRAD_CHUNK`` rows this is ``x.T @ g`` itself.
+    """
+    out = x[:GRAD_CHUNK].T @ g[:GRAD_CHUNK]
+    for start in range(GRAD_CHUNK, len(x), GRAD_CHUNK):
+        out += x[start:start + GRAD_CHUNK].T @ g[start:start + GRAD_CHUNK]
+    return out
+
+
 def _accumulate(t: Tensor, g: np.ndarray, rows=None) -> None:
     """Add ``g`` into ``t.grad`` (into ``t.grad[rows]`` when rows is a slice).
 
@@ -194,7 +214,7 @@ class Tape:
 
         def backward(g):
             _accumulate(a, g @ b.data.T)
-            _accumulate(b, a.data.T @ g)
+            _accumulate(b, _weight_grad(a.data, g))
 
         return self._emit(a.data @ b.data, backward)
 
@@ -273,13 +293,13 @@ class Tape:
             if relu:
                 np.multiply(g, out > 0.0, out=g)  # subgradient at 0 is 0
             _accumulate(x, g @ wx.T)
-            _accumulate(w, x.data.T @ g, None if cluster is None else slice(0, k))
+            _accumulate(w, _weight_grad(x.data, g), None if cluster is None else slice(0, k))
             if cluster is None:
                 _accumulate(b, g.sum(axis=0))
             else:
                 gc = seg.reduce(np.add, g)
                 _accumulate(b, gc.sum(axis=0))
-                _accumulate(w, cluster.data.T @ gc, slice(k, None))
+                _accumulate(w, _weight_grad(cluster.data, gc), slice(k, None))
                 _accumulate(cluster, gc @ wc.T)
 
         return self._emit(out, backward)
@@ -349,24 +369,25 @@ class Tape:
     def global_max_pool(self, x: Tensor) -> Tensor:
         return self.cluster_max_pool(x, np.zeros(x.data.shape[0], dtype=np.int64), 1)
 
-    def softmax_cross_entropy(self, logits: Tensor, target_onehot) -> Tensor:
+    def softmax_cross_entropy(self, logits: Tensor, labels) -> Tensor:
         """Mean over rows of the cross entropy between softmax(logits) and
-        the one-hot targets; numerically stable via the log-sum-exp shift."""
-        y = np.asarray(target_onehot, dtype=np.float64)
-        z = logits.data
-        if y.shape != z.shape:
-            raise ValueError(f"target shape {y.shape} vs logits {z.shape}")
-        rows = len(z)
-        row_sums = y.sum(axis=1)
-        if not (np.all((y == 0.0) | (y == 1.0)) and np.all(row_sums == 1.0)):
-            raise ValueError("targets must be one-hot rows")
+        ``labels``, one class id in [0, C) per row; numerically stable via
+        the log-sum-exp shift."""
+        z, labels = logits.data, np.array(labels)  # a copy: backward reads it later
+        rows, n_classes = z.shape
+        if not (labels.shape == (rows,) and labels.dtype.kind in "iu" and rows
+                and 0 <= labels.min() and labels.max() < n_classes):
+            raise ValueError(f"labels must be {rows} class ids in [0, {n_classes})")
+        picked = (np.arange(rows), labels)
         shifted = z - z.max(axis=1, keepdims=True)
         lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         log_probs = shifted - lse
-        loss = -(y * log_probs).sum() / rows
+        loss = -log_probs[picked].sum() / rows
 
         def backward(g):
-            _accumulate(logits, (g / rows) * (np.exp(log_probs) - y))
+            grad = np.exp(log_probs)
+            grad[picked] -= 1.0
+            _accumulate(logits, (g / rows) * grad)
 
         return self._emit(loss, backward)
 

@@ -85,8 +85,9 @@ def load_manifest(dataset_dir: Path) -> dict:
     """The dataset's manifest, checked for every key the manifest walk reads
     and for its optional class counts, which must be ints of at least 0.
     A sample's ``name`` must be a bare file name, so its cache stays in
-    ``<dataset>/cache``; ``obj`` and any ``labels`` are strings and
-    ``category`` is an int.
+    ``<dataset>/cache``, and no other sample's, so no two samples share a
+    cache; ``obj`` and any ``labels`` are strings and ``category`` is an
+    int.
 
     Raises ValueError naming the sample and key at fault.
     """
@@ -103,6 +104,7 @@ def load_manifest(dataset_dir: Path) -> dict:
             raise ValueError(f"{path}: {key!r} must be an integer of at least 0, got {value!r}")
     if not isinstance(manifest.get("samples"), list):
         raise ValueError(f"{path}: 'samples' must be a list")
+    first = {}  # sample name -> index of the first sample with it
     for i, entry in enumerate(manifest["samples"]):
         for key in ("name", "obj", "category", "split"):
             if not isinstance(entry, dict) or key not in entry:
@@ -112,6 +114,9 @@ def load_manifest(dataset_dir: Path) -> dict:
         if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
             raise ValueError(f"{path}: sample {i} 'name' must be a file name "
                              f"without a directory, got {name!r}")
+        if first.setdefault(name, i) != i:
+            raise ValueError(f"{path}: samples {first[name]} and {i} are both named "
+                             f"{name!r}; each would overwrite the other's cache")
         for key in ("obj", "labels"):  # labels are optional
             if not isinstance(entry.get(key, ""), str):
                 raise ValueError(f"{path}: sample {i} {key!r} must be a string, "

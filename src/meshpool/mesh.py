@@ -1,14 +1,15 @@
 """Triangle meshes and their cotangent Laplace operator.
 
 A mesh is a vertex array plus counter-clockwise triangle indices. ``Mesh``
-is the one place that checks them (finite coordinates; face indices in
-range, three distinct vertices, area above tolerance, no face repeating
-another's vertex set, at most two faces per edge, no edge traversed twice
-in the same direction); ``load_obj`` only parses ASCII OBJ and maps a
-rejected face back to its line. This module
-also computes per-vertex normals and one-third barycentric vertex areas,
-and assembles the sparse cotangent weight matrix together with its degree
-and area diagonals, rejecting a mesh of more than one connected component.
+is the one place that checks them (finite coordinates of at most
+``MAX_COORDINATE`` in magnitude; face indices in range, three distinct
+vertices, area above tolerance, no face repeating another's vertex set, at
+most two faces per edge, no edge traversed twice in the same direction);
+``load_obj`` only parses ASCII OBJ and maps a rejected face back to its
+line. This module also computes per-vertex normals and one-third
+barycentric vertex areas, and assembles the sparse cotangent weight matrix
+together with its degree and area diagonals, rejecting a mesh of more than
+one connected component.
 The weighted Laplacian acting on vertex functions is ``inv(A) @ (D - W)``;
 downstream code solves the equivalent generalized symmetric problem
 ``(D - W) x = lam * A x``, in the standard form that the diagonal ``A``
@@ -40,6 +41,10 @@ COT_CLAMP = 1.0 / np.tan(np.radians(1.0))
 # diagonal are rejected as degenerate (so are all faces of a mesh whose
 # vertices coincide).
 DEGENERATE_AREA_FACTOR = 1e-12
+
+# A face area takes the norm of a cross product, a fourth power of the
+# coordinates; beyond this magnitude it could overflow float64.
+MAX_COORDINATE = 1e75
 
 
 class MeshError(ValueError):
@@ -80,6 +85,10 @@ class Mesh:
         nonfinite = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
         if len(nonfinite):
             raise MeshError(f"vertex {int(nonfinite[0])} has a non-finite coordinate")
+        huge = np.flatnonzero((np.abs(self.vertices) > MAX_COORDINATE).any(axis=1))
+        if len(huge):
+            raise MeshError(f"vertex {int(huge[0])} has a coordinate beyond "
+                            f"{MAX_COORDINATE:.0e} in magnitude")
         n = self.vertices.shape[0]
         f = self.faces
         if f.size:
@@ -185,8 +194,9 @@ def load_obj(path) -> Mesh:
     MeshLoadError
         On malformed records, non-triangular faces, index 0, out-of-range
         indices, repeated vertices within a face, or degenerate faces; the
-        message names the offending line. A non-finite coordinate is
-        reported with the file and the vertex number.
+        message names the offending line. A coordinate that is not finite
+        or beyond ``MAX_COORDINATE`` is reported with the file and the
+        vertex number.
     """
     vertices = []
     faces = []

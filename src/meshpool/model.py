@@ -31,6 +31,8 @@ CORR_INIT_GAIN = 0.1  # keeps psi psi^T from dwarfing the pooled features
 
 TASKS = ("segmentation", "classification")
 
+MAX_CLASSES = 1 << 16  # the most labels or categories a model may have
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -49,6 +51,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
+        for name in ("num_labels", "num_categories"):
+            if not 0 <= getattr(self, name) <= MAX_CLASSES:
+                raise ValueError(f"{name} must be in [0, {MAX_CLASSES}], "
+                                 f"got {getattr(self, name)}")
         object.__setattr__(self, "cluster_counts", tuple(int(c) for c in self.cluster_counts))
         object.__setattr__(self, "update_widths", tuple(int(w) for w in self.update_widths))
         object.__setattr__(self, "head_hidden", tuple(int(w) for w in self.head_hidden))

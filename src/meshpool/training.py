@@ -25,8 +25,8 @@ their rows back, so every public output is in the mesh's own vertex order.
 Both heads share one rule after the logits: each output row has one true
 class, a vertex label for segmentation and the category for the single
 row of classification. That truth is checked against the class count once
-per record, and the target one-hot, the prediction (argmax per row), the
-correct count and the confusion matrix are all built from it.
+per record, and the loss, the prediction (argmax per row), the correct
+count and the confusion matrix all read it as class ids.
 """
 
 from __future__ import annotations
@@ -241,9 +241,7 @@ def train(records, config: ModelConfig, train_config: TrainConfig,
                 record, truth = records[idx], truths[idx]
                 tape = Tape()
                 logits = _forward(tape, params, config, record)
-                target = np.zeros(logits.data.shape)
-                target[np.arange(len(truth)), truth] = 1.0
-                loss = tape.softmax_cross_entropy(logits, target)
+                loss = tape.softmax_cross_entropy(logits, truth)
                 if not np.isfinite(loss.data):
                     raise TrainingError(
                         f"non-finite loss at epoch {epoch} on sample {record.name!r}")

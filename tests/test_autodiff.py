@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from meshpool.autodiff import ADAM_CHUNK, ParameterSet, Tape, Tensor, _Segments, adam_step
+from meshpool.autodiff import (ADAM_CHUNK, GRAD_CHUNK, ParameterSet, Tape, Tensor, _Segments,
+                               adam_step)
 
 from conftest import central_diff, fd_op_check, max_rel_err
 
@@ -111,16 +112,15 @@ def test_global_max_pool_gradients():
 def test_softmax_cross_entropy_gradients():
     rng = np.random.default_rng(21)
     logits = rng.standard_normal((6, 4))
-    target = np.zeros((6, 4))
-    target[np.arange(6), rng.integers(0, 4, size=6)] = 1.0
+    labels = rng.integers(0, 4, size=6)
 
     tape = Tape()
     t = Tensor(logits)
-    loss = tape.softmax_cross_entropy(t, target)
+    loss = tape.softmax_cross_entropy(t, labels)
     tape.backward(loss, 1.0)
 
     def f(x):
-        return float(Tape().softmax_cross_entropy(Tensor(x), target).data)
+        return float(Tape().softmax_cross_entropy(Tensor(x), labels).data)
 
     assert max_rel_err(central_diff(f, logits), t.grad) < EPS_STRUCTURED
 
@@ -144,16 +144,18 @@ def test_chained_graph_gradients():
 
 def test_softmax_cross_entropy_closed_form():
     tape = Tape()
-    loss = tape.softmax_cross_entropy(Tensor([[2.0, -1.0]]), np.array([[1.0, 0.0]]))
+    loss = tape.softmax_cross_entropy(Tensor([[2.0, -1.0]]), np.array([0]))
     assert float(loss.data) == pytest.approx(np.log1p(np.exp(-3.0)))
 
 
 def test_softmax_cross_entropy_validation():
-    tape = Tape()
-    with pytest.raises(ValueError, match="one-hot"):
-        tape.softmax_cross_entropy(Tensor(np.zeros((2, 3))), np.full((2, 3), 0.5))
-    with pytest.raises(ValueError, match="target shape"):
-        tape.softmax_cross_entropy(Tensor(np.zeros((2, 3))), np.eye(3))
+    bad = [np.array([0, 3]), np.array([-1, 0]),          # out of [0, C)
+           np.array([0, 1, 2]), np.array([[0], [1]]),    # not one id per row
+           np.array([0.0, 1.0]), np.array([True, False]),  # not integer ids
+           np.eye(2, 3)]                                 # a one-hot target
+    for labels in bad:
+        with pytest.raises(ValueError, match=r"labels must be 2 class ids in \[0, 3\)"):
+            Tape().softmax_cross_entropy(Tensor(np.zeros((2, 3))), labels)
 
 
 def test_backward_seed_scales_gradients():
@@ -162,7 +164,7 @@ def test_backward_seed_scales_gradients():
     for seed in (1.0, 0.25):
         tape = Tape()
         t = Tensor(x)
-        loss = tape.softmax_cross_entropy(t, np.array([[1.0, 0.0], [0.0, 1.0]]))
+        loss = tape.softmax_cross_entropy(t, np.array([0, 1]))
         tape.backward(loss, seed)
         grads.append(t.grad.copy())
     assert np.allclose(grads[1], 0.25 * grads[0])
@@ -529,7 +531,7 @@ def test_dense_bit_identical_to_unfused_ops(split, relu):
     cluster, mask = part or (None, None)
     k = x.shape[1]
     rng = np.random.default_rng(42)
-    target = np.eye(5)[rng.integers(0, 5, size=len(x))]
+    labels = rng.integers(0, 5, size=len(x))
 
     def run(fused):
         tape = Tape()
@@ -543,7 +545,7 @@ def test_dense_bit_identical_to_unfused_ops(split, relu):
         else:
             w_parts = [Tensor(w)] if c is None else [Tensor(w[:k]), Tensor(w[k:])]
             out = unfused_dense(tape, leaves["x"], w_parts, leaves["b"], relu, c, mask)
-        tape.backward(tape.softmax_cross_entropy(out, target))
+        tape.backward(tape.softmax_cross_entropy(out, labels))
         grads = {name: t.grad for name, t in leaves.items() if name != "w"}
         grads["w"] = (leaves["w"].grad if fused
                       else np.concatenate([p.grad for p in w_parts], axis=0))
@@ -560,6 +562,26 @@ def test_dense_bit_identical_to_unfused_ops(split, relu):
         dense_rows = tape.concat([Tensor(x), tape.cluster_scatter(Tensor(cluster), mask)])
         ref = unfused_dense(tape, dense_rows, [Tensor(w)], Tensor(b), relu)
         assert max_rel_err(got, ref.data) < 1e-12
+
+
+def test_weight_gradients_sum_fixed_row_chunks():
+    """Over more than GRAD_CHUNK rows, matmul's and dense's weight gradients
+    are the row-ordered sum of per-chunk products; up to it, one product."""
+    rng = np.random.default_rng(45)
+    x, w = rng.standard_normal((2 * GRAD_CHUNK + 88, 3)), rng.standard_normal((3, 2))
+    ones = np.ones((len(x), 2))  # the gradient backward seeds on the output
+    chunks = [slice(0, GRAD_CHUNK), slice(GRAD_CHUNK, 2 * GRAD_CHUNK),
+              slice(2 * GRAD_CHUNK, None)]
+    want = x[chunks[0]].T @ ones[chunks[0]]
+    for rows in chunks[1:]:
+        want += x[rows].T @ ones[rows]
+    for rows, expected in ((slice(None), want),
+                           (chunks[0], x[chunks[0]].T @ ones[chunks[0]])):
+        for op in (lambda t, wt: t.matmul(Tensor(x[rows]), wt),
+                   lambda t, wt: t.dense(Tensor(x[rows]), wt, Tensor(np.zeros(2)), False)):
+            tape, wt = Tape(), Tensor(w)
+            tape.backward(op(tape, wt))
+            assert np.array_equal(wt.grad, expected)
 
 
 def test_record_free_dense_records_nothing():
@@ -580,7 +602,7 @@ def test_later_tapes_leave_a_leaf_gradient_alone():
         leaf = Tensor(x + step)
         tape = Tape()
         out = tape.dense(leaf, Tensor(w), Tensor(b), True)
-        tape.backward(tape.softmax_cross_entropy(out, np.eye(5)[np.arange(9) % 5]))
+        tape.backward(tape.softmax_cross_entropy(out, np.arange(9) % 5))
         grads.append((leaf.grad, leaf.grad.copy()))
     (first, kept), (second, _) = grads
     assert np.array_equal(first, kept)

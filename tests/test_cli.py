@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -422,12 +423,17 @@ def _swap_fine_ids(arrays):
     ("preprocess", dict(manifest={"task": "classification", "samples": [
         {"name": "../escape", "obj": "ball.obj", "category": 0, "split": "train"}]}),
      "sample 0 'name' must be a file name without a directory, got '../escape'"),
+    # manifest fuzz: a class count past int64 ended in an OverflowError traceback
+    ("train", dict(manifest={"task": "classification", "num_categories": 2**70, "samples": [
+        {"name": "ball", "obj": "ball.obj", "category": 0, "split": "train"}]}),
+     f"num_categories must be in [0, 65536], got {2**70}"),
 ], ids=["nan-vertex", "coincident-vertices", "empty-manifest", "no-samples", "category-7",
         "tset-split", "duplicate-face", "non-manifold-edge", "two-components",
         "flipped-face", "unnested-cache", "old-checkpoint", "batch-minus-1", "batch-0",
         "epochs-minus-1", "lr-0", "lr-nan", "checkpoint-every-minus-1", "seed-minus-1",
         "negative-checkpoint-epoch", "num-labels-string",
-        "model-is-a-directory", "cache-is-a-directory", "name-escapes-the-cache"])
+        "model-is-a-directory", "cache-is-a-directory", "name-escapes-the-cache",
+        "categories-past-int64"])
 def test_bad_inputs_exit_1_with_one_error_line(tmp_path, command, dataset, message):
     data = tmp_path / "data"
     _ball_dataset(data, **dataset)
@@ -472,6 +478,8 @@ def test_bad_inputs_exit_1_with_one_error_line(tmp_path, command, dataset, messa
     (lambda m: m["samples"][0].update(name="."), "sample 0 'name' must be a file name"),
     (lambda m: m["samples"][0].update(name=""), "sample 0 'name' must be a file name"),
     (lambda m: m["samples"][0].update(name=3), "sample 0 'name' must be a file name"),
+    (lambda m: m["samples"].append(dict(m["samples"][0], split="test")),
+     "samples 0 and 1 are both named 'ball'"),
 ])
 def test_load_manifest_names_the_bad_key(tmp_path, change, message):
     _ball_dataset(tmp_path / "data")
@@ -480,6 +488,84 @@ def test_load_manifest_names_the_bad_key(tmp_path, change, message):
     (tmp_path / "data" / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match=message):
         load_manifest(tmp_path / "data")
+
+
+@pytest.mark.parametrize("command", ["preprocess", "train", "eval"])
+def test_repeated_sample_names_exit_1_before_any_cache(tmp_path, capsys, command):
+    """Two samples of one name would share, and overwrite, one cache file."""
+    data = tmp_path / "data"
+    ball = {"name": "ball", "obj": "ball.obj", "category": 0, "split": "train"}
+    samples = [ball, dict(ball, name="ball2"), dict(ball, split="test")]
+    _ball_dataset(data, manifest={"task": "classification", "num_categories": 4,
+                                  "samples": samples}, checkpoint=lambda a: a)
+    model = ["--model", str(data / "model.ckpt")] if command == "eval" else []
+    assert main([command, "--input", str(data), *model]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {data / 'manifest.json'}: samples 0 and 2 are both named 'ball'; "
+        "each would overwrite the other's cache"]
+    assert not list(data.glob("cache/*.mpc"))
+
+
+MANIFEST_FUZZ_SEED, MANIFEST_FUZZ_CASES = 31, 1000
+MANIFEST_FUZZ_CLI_CASES = 4  # the first cases of each outcome also run `meshpool train`
+_FUZZ_VALUES = [None, True, False, 0, -1, 1.5, 2**70, "", "x", [], [0], {}, {"a": 1}]
+
+
+def _mutate_manifest(rng: random.Random, manifest: dict) -> None:
+    """Remove one key of the manifest or of one sample, or give it (or a
+    whole sample) a value of another type, in place."""
+    samples = manifest.get("samples")
+    holders = [manifest] + ([s for s in samples if isinstance(s, dict)]
+                            if isinstance(samples, list) else [])
+    holder = rng.choice(holders)
+    if not holder:
+        return
+    key = rng.choice(sorted(holder))
+    what = rng.randrange(4)
+    if what == 0:
+        del holder[key]
+    elif what == 1 and holder is not manifest:
+        samples[samples.index(holder)] = rng.choice(_FUZZ_VALUES)
+    else:
+        holder[key] = rng.choice(_FUZZ_VALUES)
+
+
+def test_fuzzed_manifests_load_or_raise_value_errors(tmp_path, capsys):
+    # a crash is reported as (case, exception) and never re-seeded away
+    data = tmp_path / "data"
+    _ball_dataset(data)
+    (data / "ball.labels").write_text("\n".join(str(i % 2) for i in range(162)) + "\n")
+    ball = {"name": "ball", "obj": "ball.obj", "labels": "ball.labels", "category": 0,
+            "split": "train"}
+    base = {"task": "segmentation", "num_labels": 2, "num_categories": 1,
+            "samples": [ball, dict(ball, name="ball2", split="test")]}
+    rng = random.Random(MANIFEST_FUZZ_SEED)
+    crashes, outcomes, cli_runs = [], [], []
+    for case in range(MANIFEST_FUZZ_CASES):
+        manifest = json.loads(json.dumps(base))
+        for _ in range(rng.randint(1, 3)):
+            _mutate_manifest(rng, manifest)
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        try:
+            load_manifest(data)
+            outcome, message = "loaded", None
+        except ValueError as exc:
+            outcome, message = "ValueError", str(exc)
+        except Exception as exc:  # any other exception is a crash
+            crashes.append((case, repr(exc)))
+            continue
+        if outcomes.count(outcome) < MANIFEST_FUZZ_CLI_CASES:
+            code = main(["train", "--input", str(data), "--epochs", "1"] + SMALL)
+            err = capsys.readouterr().err.splitlines()
+            if not (code == 0 and outcome == "loaded" or code == 1 and len(err) == 1 and (
+                    err[0].startswith("error:") if message is None
+                    else err[0] == f"error: {message}")):
+                crashes.append((case, f"cli exit {code}: {err}"))
+            cli_runs.append(code)
+        outcomes.append(outcome)
+    assert crashes == []
+    assert {"loaded", "ValueError"} <= set(outcomes)
+    assert 0 in cli_runs and 1 in cli_runs
 
 
 @pytest.mark.parametrize("command", [

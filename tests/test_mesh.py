@@ -1,12 +1,17 @@
 """Mesh container, OBJ round-trips and cotangent weight assembly."""
 
+import json
+import random
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+from meshpool.cli import main
 from meshpool.mesh import (
     COT_CLAMP,
+    MAX_COORDINATE,
     Mesh,
     MeshError,
     MeshLoadError,
@@ -127,6 +132,21 @@ def test_obj_non_finite_vertex_names_the_file(tmp_path):
     with pytest.raises(MeshLoadError, match="vertex 1 has a non-finite coordinate") as err:
         load_obj(path)
     assert str(err.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("value", ["1e308", "-1e308", "1e76"])
+def test_obj_huge_coordinate_is_rejected_without_a_warning(tmp_path, value):
+    # OBJ fuzz case 3: a 1e308 coordinate overflowed the face area test with
+    # a RuntimeWarning and was reported as "face 0 is degenerate"
+    path = tmp_path / "huge.obj"
+    path.write_text(f"v 0 0 0\nv {value} 0.5 0.5\nv 0 1 0\nf 1 2 3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeshLoadError, match="vertex 1 has a coordinate beyond 1e[+]75 "
+                                                "in magnitude$"):
+            load_obj(path)
+        spread = np.array([[-1.0, -1.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+        assert face_areas(Mesh(MAX_COORDINATE * spread, [[0, 1, 2]]))[0] > 0.0
 
 
 def test_content_hash_tracks_geometry(tetra):
@@ -308,3 +328,93 @@ def test_assemble_rejects_more_than_one_component(sphere2, tetra):
                  np.vstack([two.faces, tetra.faces + 2 * n]))
     with pytest.raises(MeshError, match="^mesh has 3 connected components$"):
         assemble_laplacian(three)
+
+
+# ---- OBJ fuzz -----------------------------------------------------------
+
+OBJ_FUZZ_SEED, OBJ_FUZZ_CASES = 29, 1000
+OBJ_FUZZ_CLI_CASES = 4  # the first cases of each outcome also run `meshpool preprocess`
+_FUZZ_COORDS = ["nan", "-nan", "inf", "-inf", "1e308", "-1e308", "1e309"]
+
+
+def _mutate_obj(rng: random.Random, lines: list, n: int) -> None:
+    """One change, in place, to the lines of an OBJ whose ``n`` vertex
+    records come first: a dropped, duplicated or swapped line, a
+    non-finite or huge coordinate, a face index of 0, out of range or in
+    relative form, or a face of 2 or 5 vertices."""
+    what = rng.randrange(6)
+    i = rng.randrange(len(lines))
+    if what == 0:
+        del lines[i]
+    elif what == 1:
+        lines.insert(rng.randrange(len(lines) + 1), lines[i])
+    elif what == 2:
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif what == 3:
+        i = rng.choice([k for k, line in enumerate(lines) if line.startswith("v ")])
+        tokens = lines[i].split()
+        tokens[rng.randrange(1, 4)] = rng.choice(_FUZZ_COORDS)
+        lines[i] = " ".join(tokens)
+    else:
+        i = rng.choice([k for k, line in enumerate(lines) if line.startswith("f ")])
+        tokens = lines[i].split()
+        if what == 4:
+            at = rng.randrange(1, 4)
+            index = int(tokens[at])
+            tokens[at] = str(rng.choice([0, n + 1, 10 * n, -(n + 1), index - n - 1]))
+        else:
+            tokens = tokens[:3] if rng.random() < 0.5 else tokens + tokens[1:3]
+        lines[i] = " ".join(tokens)
+
+
+def _load_outcome(path) -> str:
+    """"loaded", "MeshLoadError" or "crash: <exception>"; a warning counts
+    as a crash, since the CLI would print it beside its one line."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            load_obj(path)
+            return "loaded"
+        except MeshLoadError as exc:
+            return type(exc).__name__
+        except Exception as exc:  # any other exception or a warning is a crash
+            return f"crash: {exc!r}"
+
+
+def test_fuzzed_obj_files_load_or_raise_mesh_errors(tmp_path, capsys):
+    # a crash is reported as (case, exception) and never re-seeded away
+    data = tmp_path / "data"
+    data.mkdir()
+    ball = icosphere(1)
+    write_obj(data / "ball.obj", ball)
+    lines = (data / "ball.obj").read_text().splitlines()
+    (data / "manifest.json").write_text(json.dumps({
+        "task": "classification", "num_categories": 1, "samples": [
+            {"name": "ball", "obj": "ball.obj", "category": 0, "split": "train"}]}))
+    rng = random.Random(OBJ_FUZZ_SEED)
+    crashes, outcomes, cli_runs = [], [], []
+    for case in range(OBJ_FUZZ_CASES):
+        mutated = list(lines)
+        for _ in range(rng.randint(1, 3)):
+            _mutate_obj(rng, mutated, ball.n_vertices)
+        (data / "ball.obj").write_text("\n".join(mutated) + "\n")
+        outcome = _load_outcome(data / "ball.obj")
+        if outcome.startswith("crash"):
+            crashes.append((case, outcome))
+        elif outcomes.count(outcome) < OBJ_FUZZ_CLI_CASES:
+            # exit 0, or exit 1 with one line; a warning would be a second
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["preprocess", "--input", str(data), "--eigs", "8",
+                             "--clusters", "6,3"])
+            err = capsys.readouterr().err.splitlines()
+            if caught or not (code == 0 and outcome == "loaded" or code == 1 and len(err) == 1
+                              and err[0].startswith("error:")):
+                warned = [str(w.message) for w in caught]
+                crashes.append((case, f"cli exit {code}: {err} {warned}"))
+            cli_runs.append(code)
+        outcomes.append(outcome)
+    assert crashes == []
+    assert {"loaded", "MeshLoadError"} <= set(outcomes)
+    assert 0 in cli_runs and 1 in cli_runs

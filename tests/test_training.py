@@ -1,10 +1,15 @@
 """Training loop determinism, metrics and checkpointing."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import meshpool
 from meshpool.binio import array_to_str, read_container, str_to_array, write_container
 from meshpool.model import ModelConfig, init_params, parameter_shapes
 from meshpool.training import (
@@ -23,7 +28,8 @@ from meshpool.training import (
     split_dataset,
     train,
 )
-from meshpool.cache import CACHE_KIND, FeatureCache, PreprocessParams, preprocess_mesh
+from meshpool.cache import (CACHE_KIND, FeatureCache, PreprocessParams, preprocess_mesh,
+                            save_cache)
 from meshpool.synth import DUMBBELL_RESOLUTIONS, deform, dumbbell
 
 CLS_CONFIG = ModelConfig(
@@ -337,6 +343,8 @@ def _edit_config_json(arrays, edit):
      "checkpoint config has a bad value (unknown task 'regression')"),
     (lambda a: _edit_config_json(a, lambda c: c.update(update_widths=8)),
      "checkpoint config has a bad value"),
+    (lambda a: _edit_config_json(a, lambda c: c.update(num_categories=2**70)),
+     f"checkpoint config has a bad value (num_categories must be in [0, 65536], got {2**70})"),
     (lambda a: a.update(config_json=str_to_array("5")), "checkpoint config is not a JSON object"),
     (lambda a: a.update(config_json=str_to_array("{")), "checkpoint config is not valid JSON"),
     (lambda a: a.update(config_json=np.array([0xFF, 0x7B], dtype=np.uint8)),
@@ -371,7 +379,8 @@ def _edit_config_json(arrays, edit):
      f"checkpoint names no feature kind, this version builds {CACHE_KIND!r}; retrain"),
     (lambda a: a.update(feature_kind=np.array([0xFF], dtype=np.uint8)),
      "section feature_kind is not UTF-8 text"),
-], ids=["unknown-field", "missing-field", "bad-task", "bad-widths", "not-object",
+], ids=["unknown-field", "missing-field", "bad-task", "bad-widths", "huge-categories",
+        "not-object",
         "not-json", "not-utf8", "no-epoch", "no-moment", "bad-shape", "float32-moment",
         "empty-epoch", "empty-seed", "empty-step", "float-step", "kind-not-utf8", "old-kind",
         "epoch-minus-5", "step-minus-1", "seed-minus-7", "other-feature-kind",
@@ -416,3 +425,49 @@ def test_periodic_checkpointing_during_train(tmp_path):
           TrainConfig(epochs=4, seed=0, checkpoint_path=str(path), checkpoint_every=2))
     loaded, _, epoch, _ = load_checkpoint(path, expected_config=CLS_CONFIG)
     assert epoch == 3  # saved after epoch indices 1 and 3; the last one sticks
+
+
+# Trains the default network on the caches named in argv[2:] (labels in the
+# .npy file argv[1]) and prints one sha256 over the values and Adam moments.
+_THREAD_PROBE = """
+import hashlib, sys
+import numpy as np
+from meshpool.cache import load_cache
+from meshpool.model import ModelConfig
+from meshpool.training import TrainConfig, record_from_cache, train
+
+labels = np.load(sys.argv[1])
+caches = [load_cache(path) for path in sys.argv[2:]]
+records = [record_from_cache(f"m{i}", c, 0, labels) for i, c in enumerate(caches)]
+config = ModelConfig(in_dim=caches[0].features.shape[1],
+                     cluster_counts=caches[0].cluster_counts, num_labels=3,
+                     num_categories=1)
+params, _ = train(records, config, TrainConfig(epochs=2, seed=1, batch_size=2))
+digest = hashlib.sha256()
+for array in (params.data, params.m, params.v):
+    digest.update(array.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_trained_state_does_not_depend_on_blas_threads(tmp_path):
+    """Values and Adam moments are bit-identical at 1, 2 and 4 OpenBLAS
+    threads, on 434-row meshes whose weight gradients span two row chunks."""
+    base, labels = dumbbell(*DUMBBELL_RESOLUTIONS["b"])
+    assert base.n_vertices == 434
+    np.save(tmp_path / "labels.npy", labels)
+    paths = []
+    for i in range(2):
+        paths.append(str(tmp_path / f"m{i}.mpc"))
+        save_cache(paths[-1], preprocess_mesh(deform(base, seed=[11, i]), PreprocessParams()))
+    src = str(Path(meshpool.__file__).resolve().parents[1])
+    digests = {}
+    for threads in ("1", "2", "4"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE,
+                               str(tmp_path / "labels.npy"), *paths],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        digests[threads] = proc.stdout.strip()
+    assert len(set(digests.values())) == 1, digests
