@@ -5,7 +5,8 @@ the payload, then the payload itself. The payload is a u32 section count
 followed by sections of (name, dtype string, shape, raw bytes), each
 length-prefixed. Readers verify magic, version and digest before touching
 any array data, and writes go through a temp file plus rename so a crash
-never leaves a half-written container behind.
+never leaves a half-written container behind. Callers take text and
+arrays from a read container through ``Sections``, which checks each one.
 """
 
 from __future__ import annotations
@@ -45,6 +46,35 @@ def str_to_array(s: str) -> np.ndarray:
 def array_to_str(a: np.ndarray) -> str:
     """Inverse of ``str_to_array``."""
     return a.tobytes().decode("utf-8")
+
+
+class Sections:
+    """Sections that ``read_container`` returned from ``path``: a failed
+    check raises ``error``, the caller's class, naming path and section."""
+
+    def __init__(self, path, arrays: dict, error: type):
+        self.path, self.arrays, self.error = path, arrays, error
+
+    def _get(self, name: str) -> np.ndarray:
+        if name not in self.arrays:
+            raise self.error(f"{self.path}: missing section {name}")
+        return self.arrays[name]
+
+    def text(self, name: str) -> str:
+        try:
+            return array_to_str(self._get(name))
+        except UnicodeDecodeError:
+            raise self.error(f"{self.path}: section {name} is not UTF-8 text") from None
+
+    def array(self, name: str, dtype, shape: tuple) -> np.ndarray:
+        """Section ``name``, holding ``dtype`` in ``shape`` (None: any length)."""
+        a = self._get(name)
+        if a.dtype != dtype or a.ndim != len(shape) or any(
+                want not in (None, got) for want, got in zip(shape, a.shape)):
+            dims = ", ".join("*" if d is None else str(d) for d in shape)
+            raise self.error(f"{self.path}: section {name} holds {a.dtype} {a.shape}, "
+                             f"expected {np.dtype(dtype)} ({dims}{',' * (len(shape) == 1)})")
+        return a
 
 
 def _pack_str(s: str) -> bytes:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
-from .binio import array_to_str, read_container, str_to_array, write_container
+from .binio import Sections, read_container, str_to_array, write_container
 from .mesh import Mesh, assemble_laplacian, compute_vertex_normals
 from .spectral import build_hierarchy, build_input_features, normalize_positions, solve_eigs
 
@@ -106,38 +106,20 @@ def load_cache(path, mesh: Mesh = None, params: PreprocessParams = None) -> Feat
     its level's count p), or its stored mesh hash, cluster counts or
     parameter fingerprint disagree with what the caller expects.
     """
-    arrays = read_container(path)
-
-    def text(name):
-        try:
-            return array_to_str(arrays[name])
-        except UnicodeDecodeError:
-            raise CacheMismatchError(f"{path}: section {name} is not UTF-8 text") from None
-
-    def section(name, dtype, ndim, rows=None):
-        a = arrays[name]
-        if a.dtype != dtype or a.ndim != ndim or rows not in (None, len(a)):
-            of_rows = "" if rows is None else f" of {rows} rows"
-            raise CacheMismatchError(f"{path}: section {name} holds {a.dtype} {a.shape}, "
-                                     f"expected {np.dtype(dtype)} {ndim}-D{of_rows}")
-        return a
-
-    if "kind" not in arrays or text("kind") != CACHE_KIND:
+    sections = Sections(path, read_container(path), CacheMismatchError)
+    if "kind" not in sections.arrays or sections.text("kind") != CACHE_KIND:
         raise CacheMismatchError(f"{path}: not a feature cache")
-    try:
-        counts = tuple(int(c) for c in section("cluster_counts", np.int64, 1))
-        features = section("features", np.float64, 2)
-        cache = FeatureCache(
-            features=features,
-            eigenvalues=section("eigenvalues", np.float64, 1),
-            level_masks=[section(f"mask_{i}", np.int64, 1, len(features))
-                         for i in range(len(counts))],
-            cluster_counts=counts,
-            mesh_hash=text("mesh_hash"),
-            params_fingerprint=text("params_fingerprint"),
-        )
-    except KeyError as exc:
-        raise CacheMismatchError(f"{path}: cache lacks section {exc.args[0]}") from None
+    counts = tuple(int(c) for c in sections.array("cluster_counts", np.int64, (None,)))
+    features = sections.array("features", np.float64, (None, None))
+    cache = FeatureCache(
+        features=features,
+        eigenvalues=sections.array("eigenvalues", np.float64, (None,)),
+        level_masks=[sections.array(f"mask_{i}", np.int64, (len(features),))
+                     for i in range(len(counts))],
+        cluster_counts=counts,
+        mesh_hash=sections.text("mesh_hash"),
+        params_fingerprint=sections.text("params_fingerprint"),
+    )
     for i, (mask, count) in enumerate(zip(cache.level_masks, counts)):
         # count <= N first, so that bincount allocates at most N entries
         if not (0 < count <= len(mask) and mask.min() == 0 and mask.max() == count - 1

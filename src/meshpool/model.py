@@ -55,9 +55,14 @@ class ModelConfig:
             if not 0 <= getattr(self, name) <= MAX_CLASSES:
                 raise ValueError(f"{name} must be in [0, {MAX_CLASSES}], "
                                  f"got {getattr(self, name)}")
-        object.__setattr__(self, "cluster_counts", tuple(int(c) for c in self.cluster_counts))
-        object.__setattr__(self, "update_widths", tuple(int(w) for w in self.update_widths))
-        object.__setattr__(self, "head_hidden", tuple(int(w) for w in self.head_hidden))
+        for name in ("cluster_counts", "update_widths", "head_hidden"):
+            object.__setattr__(self, name, tuple(int(n) for n in getattr(self, name)))
+        for name in ("in_dim", "cluster_counts", "update_widths", "corr_width",
+                     "head_hidden", "head_final"):
+            value = getattr(self, name)
+            if min(value if isinstance(value, tuple) else (value,), default=0) < 1:
+                raise ValueError(f"{name} must be a size, or a non-empty list of sizes, "
+                                 f"of at least 1, got {value!r}")
 
     @property
     def n_blocks(self) -> int:

@@ -10,9 +10,9 @@ epoch e and resumed reproduces the uninterrupted run bit for bit. Each
 mesh-step builds a fresh ``Tape``; its outputs and gradients are ordinary
 arrays that are freed once the step no longer holds them. A
 ``TrainConfig`` rejects a negative ``epochs``, ``checkpoint_every`` or
-``seed``, a ``batch_size`` below 1 and an ``lr`` that is not a finite
-number above 0 when it is made, so a bad setting fails before any record
-is loaded.
+``seed``, a ``batch_size`` below 1, an ``lr`` that is not a finite
+number above 0 and an early-stop accuracy outside [0, 1] when it is made,
+so a bad setting fails before any record is loaded.
 
 Records built from a cache (``record_from_cache``) are cluster-contiguous:
 their vertices are stably sorted by (coarsest cluster id, ..., finest
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from .autodiff import ParameterSet, Tape, adam_step
-from .binio import array_to_str, read_container, str_to_array, write_container
+from .binio import Sections, array_to_str, read_container, str_to_array, write_container
 from .cache import CACHE_KIND, FeatureCache
 from .model import ModelConfig, init_params, model_forward, parameter_shapes
 
@@ -128,15 +128,15 @@ class TrainConfig:
     verbose: bool = False
 
     def __post_init__(self):
-        """Raises TrainingError naming the field when ``epochs``,
-        ``checkpoint_every`` or ``seed`` is negative, ``batch_size`` is
-        below 1 or ``lr`` is not a finite number above 0."""
+        """Raises TrainingError naming the first field that breaks its rule."""
         for name, bad, rule in (
                 ("epochs", self.epochs < 0, "at least 0"),
                 ("batch_size", self.batch_size < 1, "at least 1"),
                 ("lr", not (math.isfinite(self.lr) and self.lr > 0), "finite and above 0"),
                 ("checkpoint_every", self.checkpoint_every < 0, "at least 0"),
-                ("seed", self.seed < 0, "at least 0")):
+                ("seed", self.seed < 0, "at least 0"),
+                ("early_stop_train_accuracy", self.early_stop_train_accuracy is not None
+                 and not 0 <= self.early_stop_train_accuracy <= 1, "None or in [0, 1]")):
             if bad:
                 raise TrainingError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
@@ -379,25 +379,6 @@ def save_checkpoint(path, params, config: ModelConfig, epoch: int, train_seed: i
     })
 
 
-def _text(path, arrays: dict, name: str) -> str:
-    """The text of checkpoint section ``name``, or "" when there is none."""
-    try:
-        return array_to_str(arrays[name]) if name in arrays else ""
-    except UnicodeDecodeError as exc:
-        raise CheckpointError(f"{path}: section {name} is not UTF-8 text") from exc
-
-
-def _section(path, arrays: dict, name: str, dtype, shape) -> np.ndarray:
-    """The checkpoint section ``name``, required to have ``dtype`` and ``shape``."""
-    if name not in arrays:
-        raise CheckpointError(f"{path}: missing section {name}")
-    a = arrays[name]
-    if a.dtype != dtype or a.shape != shape:
-        raise CheckpointError(f"{path}: section {name} holds {a.dtype} {a.shape}, "
-                              f"expected {np.dtype(dtype)} {shape}")
-    return a
-
-
 def load_checkpoint(path, expected_config: ModelConfig = None):
     """Returns (params, config, epoch, train_seed).
 
@@ -413,12 +394,13 @@ def load_checkpoint(path, expected_config: ModelConfig = None):
         arrays = read_container(path)
     except (OSError, ValueError) as exc:  # each names the path
         raise CheckpointError(str(exc)) from exc
-    kind = _text(path, arrays, "kind")
+    sections = Sections(path, arrays, CheckpointError)
+    kind = sections.text("kind") if "kind" in arrays else ""
     if kind != CHECKPOINT_KIND and kind.startswith("meshpool-checkpoint"):
         raise CheckpointError(f"{path}: older checkpoint kind {kind!r}; retrain with this version")
     if kind != CHECKPOINT_KIND or not {"config_json", "epoch", "train_seed"} <= arrays.keys():
         raise CheckpointError(f"{path}: not a checkpoint container")
-    feature_kind = _text(path, arrays, "feature_kind")
+    feature_kind = sections.text("feature_kind") if "feature_kind" in arrays else ""
     if feature_kind != CACHE_KIND:
         found = f"feature kind {feature_kind!r}" if "feature_kind" in arrays else "no feature kind"
         raise CheckpointError(f"{path}: checkpoint names {found}, this version builds "
@@ -443,9 +425,9 @@ def load_checkpoint(path, expected_config: ModelConfig = None):
         raise CheckpointError(f"{path}: checkpoint built for a different architecture")
     shapes = parameter_shapes(config)
     size = sum(int(np.prod(shape)) for shape in shapes.values())
-    value, m, v = (_section(path, arrays, name, np.float64, (size,))
+    value, m, v = (sections.array(name, np.float64, (size,))
                    for name in ("value", "adam_m", "adam_v"))
-    step, epoch, train_seed = (int(_section(path, arrays, name, np.int64, (1,))[0])
+    step, epoch, train_seed = (int(sections.array(name, np.int64, (1,))[0])
                                for name in ("adam_t", "epoch", "train_seed"))
     for name, count, least in (("adam_t", step, 0), ("epoch", epoch, -1),
                                ("train_seed", train_seed, 0)):

@@ -490,10 +490,12 @@ def test_load_cache_rejects_other_kinds_and_missing_sections(tmp_path, bumpy, sm
     path = tmp_path / "c.mpc"
     save_cache(path, bumpy_cache)
     arrays = read_container(path)
-    for drop in ("kind", "features", "mask_1"):
+    for drop, message in (("kind", "not a feature cache"),
+                          ("features", "missing section features"),
+                          ("mask_1", "missing section mask_1")):
         broken = {k: v for k, v in arrays.items() if k != drop}
         write_container(path, broken)
-        with pytest.raises(CacheMismatchError):
+        with pytest.raises(CacheMismatchError, match=message):
             load_cache(path)
     write_container(path, dict(arrays, kind=str_to_array("meshpool-checkpoint")))
     with pytest.raises(CacheMismatchError, match="not a feature cache"):
@@ -507,11 +509,11 @@ def test_load_cache_rejects_other_kinds_and_missing_sections(tmp_path, bumpy, sm
             ("cluster_counts", arrays["cluster_counts"].astype(np.float64),
              "section cluster_counts holds float64"),
             ("features", arrays["features"].astype(np.float32),
-             f"section features holds float32 \\({n}, 14\\), expected float64 2-D"),
+             f"section features holds float32 \\({n}, 14\\), expected float64 \\(\\*, \\*\\)"),
             ("mask_0", arrays["mask_0"][:-5],
-             f"section mask_0 holds int64 \\({n - 5},\\), expected int64 1-D of {n} rows"),
+             f"section mask_0 holds int64 \\({n - 5},\\), expected int64 \\({n},\\)"),
             ("eigenvalues", arrays["eigenvalues"][None],
-             "section eigenvalues holds float64 \\(1, 9\\), expected float64 1-D"),
+             "section eigenvalues holds float64 \\(1, 9\\), expected float64 \\(\\*,\\)"),
             ("mask_0", np.where(np.arange(n) == 5, 99, arrays["mask_0"]),
              "section mask_0 ids are not \\[0, 6\\)"),
             ("mask_1", np.maximum(arrays["mask_1"], 1),  # id 0 unused

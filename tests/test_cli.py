@@ -384,6 +384,12 @@ def _swap_fine_ids(arrays):
     return dict(arrays, mask_0=fine)
 
 
+def _empty_head(arrays):
+    """A checkpoint whose config has no head layers, under a fresh digest."""
+    config = json.loads(array_to_str(arrays["config_json"]))
+    return dict(arrays, config_json=str_to_array(json.dumps(dict(config, head_hidden=[]))))
+
+
 # the first entries of a corpus of bad inputs: each ends in one stderr line
 @pytest.mark.parametrize("command,dataset,message", [
     ("preprocess", dict(set_vertices=(5, np.nan)), "vertex 5 has a non-finite coordinate"),
@@ -413,8 +419,12 @@ def _swap_fine_ids(arrays):
     ("train --lr nan", {}, "lr must be finite and above 0, got nan"),
     ("train --checkpoint-every -1", {}, "checkpoint_every must be at least 0, got -1"),
     ("train --seed -1", {}, "seed must be at least 0, got -1"),
+    ("train --early-stop nan", {}, "early_stop_train_accuracy must be None or in [0, 1], got nan"),
+    ("train --early-stop 1.5", {}, "early_stop_train_accuracy must be None or in [0, 1], got 1.5"),
     ("eval", dict(checkpoint=lambda a: dict(a, epoch=np.array([-5], dtype=np.int64))),
      "section epoch holds -5, expected at least -1"),
+    ("eval", dict(checkpoint=_empty_head),
+     "checkpoint config has a bad value (head_hidden must be a size, or a non-empty list"),
     ("train", dict(manifest={"task": "classification", "num_labels": "3", "samples": [
         {"name": "ball", "obj": "ball.obj", "category": 0, "split": "train"}]}),
      "'num_labels' must be an integer of at least 0, got '3'"),
@@ -431,7 +441,8 @@ def _swap_fine_ids(arrays):
         "tset-split", "duplicate-face", "non-manifold-edge", "two-components",
         "flipped-face", "unnested-cache", "old-checkpoint", "batch-minus-1", "batch-0",
         "epochs-minus-1", "lr-0", "lr-nan", "checkpoint-every-minus-1", "seed-minus-1",
-        "negative-checkpoint-epoch", "num-labels-string",
+        "early-stop-nan", "early-stop-1.5", "negative-checkpoint-epoch", "empty-checkpoint-head",
+        "num-labels-string",
         "model-is-a-directory", "cache-is-a-directory", "name-escapes-the-cache",
         "categories-past-int64"])
 def test_bad_inputs_exit_1_with_one_error_line(tmp_path, command, dataset, message):

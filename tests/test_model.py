@@ -45,6 +45,11 @@ def tiny_inputs(seed=0, n=12):
 def test_config_validation():
     with pytest.raises(ValueError, match="task"):
         ModelConfig(task="regression")
+    for field, value in (("in_dim", 0), ("corr_width", 0), ("head_final", -1),
+                         ("cluster_counts", ()), ("cluster_counts", (4, 0)),
+                         ("update_widths", ()), ("head_hidden", [8, 0])):
+        with pytest.raises(ValueError, match=f"^{field} must be a.* of at least 1"):
+            ModelConfig(**{field: value})
 
 
 def test_block_in_dims_default():

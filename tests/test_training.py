@@ -1,5 +1,6 @@
 """Training loop determinism, metrics and checkpointing."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -98,6 +99,21 @@ def test_training_is_deterministic():
     assert [h.mean_loss for h in hist_a] == [h.mean_loss for h in hist_b]
     params_c, _ = train(records, CLS_CONFIG, TrainConfig(epochs=5, seed=4))
     assert not params_equal(params_a, params_c)
+
+
+def test_verbose_prints_one_line_per_epoch_and_changes_no_result(capsys):
+    records = toy_cls_records()
+    digests = []
+    for verbose in (False, True):
+        params, _ = train(records, CLS_CONFIG, TrainConfig(epochs=3, seed=2, verbose=verbose))
+        digest = hashlib.sha256()
+        for array in (params.data, params.m, params.v):
+            digest.update(array.tobytes())
+        digests.append(digest.hexdigest())
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines] == (
+            [["epoch", str(e)] for e in range(3)] if verbose else [])
+    assert digests[0] == digests[1]
 
 
 def test_early_stop_halts_training():
@@ -345,6 +361,12 @@ def _edit_config_json(arrays, edit):
      "checkpoint config has a bad value"),
     (lambda a: _edit_config_json(a, lambda c: c.update(num_categories=2**70)),
      f"checkpoint config has a bad value (num_categories must be in [0, 65536], got {2**70})"),
+    (lambda a: _edit_config_json(a, lambda c: c.update(head_hidden=[])),
+     "checkpoint config has a bad value (head_hidden must be a size, or a non-empty list of "
+     "sizes, of at least 1, got ())"),
+    (lambda a: _edit_config_json(a, lambda c: c.update(update_widths=[])),
+     "checkpoint config has a bad value (update_widths must be a size, or a non-empty list of "
+     "sizes, of at least 1, got ())"),
     (lambda a: a.update(config_json=str_to_array("5")), "checkpoint config is not a JSON object"),
     (lambda a: a.update(config_json=str_to_array("{")), "checkpoint config is not valid JSON"),
     (lambda a: a.update(config_json=np.array([0xFF, 0x7B], dtype=np.uint8)),
@@ -380,7 +402,7 @@ def _edit_config_json(arrays, edit):
     (lambda a: a.update(feature_kind=np.array([0xFF], dtype=np.uint8)),
      "section feature_kind is not UTF-8 text"),
 ], ids=["unknown-field", "missing-field", "bad-task", "bad-widths", "huge-categories",
-        "not-object",
+        "empty-head", "empty-widths", "not-object",
         "not-json", "not-utf8", "no-epoch", "no-moment", "bad-shape", "float32-moment",
         "empty-epoch", "empty-seed", "empty-step", "float-step", "kind-not-utf8", "old-kind",
         "epoch-minus-5", "step-minus-1", "seed-minus-7", "other-feature-kind",
