@@ -70,12 +70,11 @@ def preprocess_mesh(mesh: Mesh, params: PreprocessParams) -> FeatureCache:
     op = assemble_laplacian(mesh)
     normals = compute_vertex_normals(mesh)
     basis = solve_eigs(op, params.n_eigenvectors)
-    features = build_input_features(mesh, normals, basis, params.n_eigenvectors)
+    positions = normalize_positions(mesh.vertices)
     return FeatureCache(
-        features=features,
+        features=build_input_features(positions, normals, basis, params.n_eigenvectors),
         eigenvalues=basis.eigenvalues.copy(),
-        level_masks=build_hierarchy(normalize_positions(mesh.vertices), params.cluster_counts,
-                                    areas=op.areas),
+        level_masks=build_hierarchy(positions, params.cluster_counts, areas=op.areas),
         cluster_counts=params.cluster_counts,
         mesh_hash=mesh.content_hash(),
         params_fingerprint=params.fingerprint(),

@@ -183,6 +183,8 @@ def _cmd_synth(args) -> int:
     for flag, value, least in (("--count", args.count, 1), ("--seed", args.seed, 0)):
         if value < least:
             raise ValueError(f"{flag} must be at least {least}, got {value}")
+    if not 0.0 <= args.test_fraction < 1.0:
+        raise ValueError(f"--test-fraction must be in [0, 1), got {args.test_fraction}")
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     if args.task == "classification":

@@ -8,10 +8,10 @@ cluster rows scattered back to vertices; those scattered columns are
 constant on each cluster, so the output is kept split (``SplitFeatures``)
 and every layer that consumes it multiplies the cluster part at cluster
 rank. Every MLP layer, split input or not, is one fused ``Tape.dense``
-record (linear, bias and ReLU). The segmentation head combines per-vertex
-features with a globally pooled summary and the shape category, broadcast
-the same way; the classification head reduces everything to one global
-descriptor.
+record (linear, bias and ReLU). One head serves both tasks: a per-vertex
+MLP and a global max pool of it. Classification reads its logits from
+the pooled row; segmentation appends the shape category to that row and
+broadcasts it beside every vertex, split the same way.
 
 Parameters live in one name -> Parameter ``ParameterSet``, whose flat
 arrays the optimizer and the checkpoint handle whole.
@@ -19,9 +19,7 @@ arrays the optimizer and the checkpoint handle whole.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +34,9 @@ MAX_CLASSES = 1 << 16  # the most labels or categories a model may have
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture description; hashable so caches can key on it."""
+    """Architecture description. Every count is stored as a Python int
+    (a list of them as a tuple), so two configs compare equal exactly when
+    they describe the same network."""
 
     in_dim: int = 22
     cluster_counts: tuple = (16, 8)
@@ -49,18 +49,29 @@ class ModelConfig:
     num_categories: int = 4
 
     def __post_init__(self):
+        """Raises ValueError naming the first field that breaks its rule.
+
+        A count must be a Python or numpy int; a bool, float or str is
+        rejected rather than rounded or compared by value.
+        """
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
-        for name in ("num_labels", "num_categories"):
-            if not 0 <= getattr(self, name) <= MAX_CLASSES:
-                raise ValueError(f"{name} must be in [0, {MAX_CLASSES}], "
-                                 f"got {getattr(self, name)}")
-        for name in ("cluster_counts", "update_widths", "head_hidden"):
-            object.__setattr__(self, name, tuple(int(n) for n in getattr(self, name)))
         for name in ("in_dim", "cluster_counts", "update_widths", "corr_width",
-                     "head_hidden", "head_final"):
+                     "head_hidden", "head_final", "num_labels", "num_categories"):
             value = getattr(self, name)
-            if min(value if isinstance(value, tuple) else (value,), default=0) < 1:
+            listed = name in ("cluster_counts", "update_widths", "head_hidden")
+            items = tuple(value) if listed else (value,)
+            if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+                       for n in items):
+                what = "a list of integers" if listed else "an integer"
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+            items = tuple(int(n) for n in items)
+            value = items if listed else items[0]
+            object.__setattr__(self, name, value)
+            if name in ("num_labels", "num_categories"):
+                if not 0 <= value <= MAX_CLASSES:
+                    raise ValueError(f"{name} must be in [0, {MAX_CLASSES}], got {value}")
+            elif min(items, default=0) < 1:
                 raise ValueError(f"{name} must be a size, or a non-empty list of sizes, "
                                  f"of at least 1, got {value!r}")
 
@@ -75,26 +86,13 @@ class ModelConfig:
             dims.append(self.update_widths[-1] + dims[-1])
         return dims
 
-    def config_hash(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
-
-
-def _mlp_shapes(in_dim, widths):
-    shapes = []
-    d = in_dim
-    for w in widths:
-        shapes.append((d, w))
-        d = w
-    return shapes
-
 
 def parameter_shapes(config: ModelConfig):
     """Ordered dict of parameter name -> array shape for ``config``."""
     shapes = {}
 
     def add_mlp(prefix, in_dim, widths):
-        for i, (d, w) in enumerate(_mlp_shapes(in_dim, widths)):
+        for i, (d, w) in enumerate(zip((in_dim, *widths), widths)):
             shapes[f"{prefix}.{i}.W"] = (d, w)
             shapes[f"{prefix}.{i}.b"] = (w,)
 
@@ -196,48 +194,34 @@ def correlation_matrix(tape: Tape, params, config: ModelConfig, level: int,
     return tape.matmul(psi, tape.transpose(psi))
 
 
-def _category_onehot(config: ModelConfig, category: int) -> np.ndarray:
-    if not 0 <= int(category) < config.num_categories:
-        raise ValueError(f"category {category} outside [0, {config.num_categories})")
-    onehot = np.zeros((1, config.num_categories))
-    onehot[0, int(category)] = 1.0
-    return onehot
-
-
-def seg_head_forward(tape: Tape, params, config: ModelConfig, x,
-                     category: int) -> Tensor:
-    """Per-vertex logits from the per-vertex branch and one summary row
-    (global max pool plus category one-hot) broadcast to every vertex."""
-    h = _mlp_forward(tape, params, "head.mlp", x, len(config.head_hidden))
-    onehot = Tensor(_category_onehot(config, category))
-    summary = tape.concat([tape.global_max_pool(h), onehot], axis=1)
-    fused = SplitFeatures(h, summary, np.zeros(h.data.shape[0], dtype=np.int64))
-    return _mlp_forward(tape, params, "head.out", fused, 2, final_relu=False)
-
-
-def cls_head_forward(tape: Tape, params, config: ModelConfig, x) -> Tensor:
-    h = _mlp_forward(tape, params, "head.mlp", x, len(config.head_hidden))
-    pooled = tape.global_max_pool(h)
-    return _mlp_forward(tape, params, "head.out", pooled, 2, final_relu=False)
-
-
 def model_forward(tape: Tape, params, config: ModelConfig, features,
                   level_masks, category=None) -> Tensor:
     """Full network: features (N x in_dim) to logits.
 
-    level_masks holds one vertex -> cluster id array per block. Returns
-    per-vertex logits for segmentation (category required) or a single
-    logits row for classification.
+    level_masks holds one vertex -> cluster id array per block. After the
+    blocks, the head runs its per-vertex MLP and max-pools it to one
+    global row. Classification maps that row to a single logits row.
+    Segmentation (category required) appends the category one-hot to the
+    global row and broadcasts it beside every vertex's features, giving
+    per-vertex logits.
     """
     if len(level_masks) != config.n_blocks:
         raise ValueError(f"expected {config.n_blocks} cluster masks, got {len(level_masks)}")
     x = features if isinstance(features, Tensor) else Tensor(features)
     if x.data.ndim != 2 or x.data.shape[1] != config.in_dim:
         raise ValueError(f"features must be (N, {config.in_dim}), got {x.data.shape}")
-    for level, mask in enumerate(level_masks):
-        x = pooling_block_forward(tape, params, config, level, x, mask)
     if config.task == "segmentation":
         if category is None:
             raise ValueError("segmentation forward needs the shape category")
-        return seg_head_forward(tape, params, config, x, category)
-    return cls_head_forward(tape, params, config, x)
+        if not 0 <= int(category) < config.num_categories:
+            raise ValueError(f"category {category} outside [0, {config.num_categories})")
+    for level, mask in enumerate(level_masks):
+        x = pooling_block_forward(tape, params, config, level, x, mask)
+    h = _mlp_forward(tape, params, "head.mlp", x, len(config.head_hidden))
+    head_in = tape.global_max_pool(h)
+    if config.task == "segmentation":
+        onehot = np.zeros((1, config.num_categories))
+        onehot[0, int(category)] = 1.0
+        summary = tape.concat([head_in, Tensor(onehot)], axis=1)
+        head_in = SplitFeatures(h, summary, np.zeros(h.data.shape[0], dtype=np.int64))
+    return _mlp_forward(tape, params, "head.out", head_in, 2, final_relu=False)

@@ -6,16 +6,17 @@ so the problem is solved in standard form: ``S u = lam u`` with
 ``S = A^-1/2 (D - W) A^-1/2`` and ``x = A^-1/2 u`` (the symmetric reduction
 of the ARPACK Users' Guide, Lehoucq, Sorensen & Yang 1998), which spares
 shift-invert Lanczos every mass-matrix product; N and k alone pick it or
-a dense solve (see ``solve_eigs``). The module also assembles
-the per-vertex network input (normalized positions, normals, absolute
-low-frequency eigenvector values) and builds the pooling hierarchy, a list
-of nested per-level cluster masks at a decreasing sequence of cluster
-counts, in one pass of splits that the levels share. The hierarchy comes
-from deterministic divisive splits on normalized positions, not from the
-eigenvectors: eigenvector embeddings are unstable across retriangulations
-of the same surface (near-degenerate pairs rotate within their
-eigenspace), while median splits of the geometry depend only on integral
-quantities and survive a remesh nearly unchanged.
+a dense solve (see ``solve_eigs``). The module also normalizes the
+vertex positions (``normalize_positions``), assembles the per-vertex
+network input from them (positions, normals, absolute low-frequency
+eigenvector values) and builds the pooling hierarchy on the same
+positions: a list of nested per-level cluster masks at a decreasing
+sequence of cluster counts, in one pass of splits that the levels share.
+The hierarchy comes from deterministic divisive splits on the normalized
+positions, not from the eigenvectors: eigenvector embeddings are unstable
+across retriangulations of the same surface (near-degenerate pairs rotate
+within their eigenspace), while median splits of the geometry depend only
+on integral quantities and survive a remesh nearly unchanged.
 
 Import rule: scipy is imported only inside ``solve_eigs``, the one
 function that needs it (for the eigensolvers), so importing this module
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh, LaplacianOperator
+from .mesh import LaplacianOperator
 
 # Shift for the shift-invert iterative solver; strictly below the spectrum so
 # the factored matrix S - shift * I is positive definite.
@@ -160,32 +161,24 @@ def normalize_positions(vertices: np.ndarray) -> np.ndarray:
     return centered / np.linalg.norm(extent)
 
 
-def eigenvector_features(basis: SpectralBasis, n_eigenvectors: int = 16) -> np.ndarray:
-    """Absolute values of the lowest-frequency nonconstant eigenvector columns."""
-    needed = 1 + n_eigenvectors
-    if basis.n_modes < needed:
-        raise ValueError(f"basis has {basis.n_modes} modes, need {needed}")
-    return np.abs(basis.eigenvectors[:, 1:needed])
-
-
 def build_input_features(
-    mesh: Mesh,
+    positions: np.ndarray,
     normals: np.ndarray,
     basis: SpectralBasis,
     n_eigenvectors: int = 16,
 ) -> np.ndarray:
     """Per-vertex input matrix: [xyz(3), normal(3), |eigenvector|(n_eig)].
 
-    Positions are centered and scaled to unit bounding-box diagonal. Taking
-    absolute eigenvector values makes the columns independent of the solver's
+    ``positions`` are the normalized vertex positions
+    (``normalize_positions``), the same ones the hierarchy is built on.
+    The eigenvector columns are the lowest-frequency nonconstant modes;
+    taking their absolute values makes them independent of the solver's
     arbitrary sign choices.
     """
-    cols = [
-        normalize_positions(mesh.vertices),
-        np.asarray(normals, dtype=np.float64),
-        eigenvector_features(basis, n_eigenvectors),
-    ]
-    return np.ascontiguousarray(np.hstack(cols))
+    needed = 1 + n_eigenvectors
+    if basis.n_modes < needed:
+        raise ValueError(f"basis has {basis.n_modes} modes, need {needed}")
+    return np.hstack([positions, normals, np.abs(basis.eigenvectors[:, 1:needed])])
 
 
 def _weighted_median_side(t: np.ndarray, weights: np.ndarray) -> np.ndarray:

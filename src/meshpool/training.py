@@ -421,7 +421,7 @@ def load_checkpoint(path, expected_config: ModelConfig = None):
         config = ModelConfig(**saved)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: checkpoint config has a bad value ({exc})") from exc
-    if expected_config is not None and config.config_hash() != expected_config.config_hash():
+    if expected_config is not None and config != expected_config:
         raise CheckpointError(f"{path}: checkpoint built for a different architecture")
     shapes = parameter_shapes(config)
     size = sum(int(np.prod(shape)) for shape in shapes.values())

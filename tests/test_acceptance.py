@@ -182,6 +182,22 @@ def test_criterion_4_gradient_suite(criterion_report):
         ("global_max_pool", False, lambda: fd_op_check(
             lambda t, x: t.global_max_pool(x), [spaced((7, 5))])),
     ]
+    # its own stream, so the checks above draw as before; at this seed every
+    # ReLU pre-activation lies at least 0.09 from the kink
+    dense_rng = np.random.default_rng(44)
+
+    def dense_check(split, relu):
+        x, b = dense_rng.standard_normal((7, 4)), dense_rng.standard_normal(5)
+        w = dense_rng.standard_normal((4 + 2 * split, 5))
+        if not split:
+            return fd_op_check(lambda t, x_, w_, b_: t.dense(x_, w_, b_, relu), [x, w, b])
+        cluster = dense_rng.standard_normal((3, 2))
+        mask = dense_rng.permutation(np.concatenate([np.arange(3), dense_rng.integers(0, 3, 4)]))
+        return fd_op_check(lambda t, x_, c_, w_, b_: t.dense(x_, w_, b_, relu, c_, mask),
+                           [x, cluster, w, b])
+
+    worst_dense = max(dense_check(split, relu) for split in (False, True)
+                      for relu in (False, True))
     worst_elem = worst_struct = 0.0
     for name, elementwise, run in op_checks:
         err = run()
@@ -243,9 +259,11 @@ def test_criterion_4_gradient_suite(criterion_report):
             n_entries += 1
         worst_model = max(worst_model, max_rel_err(fd, grads[name]))
 
-    ok = worst_elem < 1e-6 and worst_struct < 1e-4 and worst_model < 1e-4
+    ok = (worst_elem < 1e-6 and worst_struct < 1e-4 and worst_dense < 1e-4
+          and worst_model < 1e-4)
     criterion_report(4, ok, f"op grads: elementwise {worst_elem:.1e} (<1e-6), "
-                            f"structured {worst_struct:.1e} (<1e-4); full model "
+                            f"structured {worst_struct:.1e} (<1e-4), dense "
+                            f"{worst_dense:.1e} (<1e-4); full model "
                             f"{worst_model:.1e} over {n_entries} parameter entries")
     assert ok
 

@@ -384,10 +384,12 @@ def _swap_fine_ids(arrays):
     return dict(arrays, mask_0=fine)
 
 
-def _empty_head(arrays):
-    """A checkpoint whose config has no head layers, under a fresh digest."""
-    config = json.loads(array_to_str(arrays["config_json"]))
-    return dict(arrays, config_json=str_to_array(json.dumps(dict(config, head_hidden=[]))))
+def _config_edit(**fields):
+    """A checkpoint change that sets config ``fields``, under a fresh digest."""
+    def change(arrays):
+        config = json.loads(array_to_str(arrays["config_json"]))
+        return dict(arrays, config_json=str_to_array(json.dumps(dict(config, **fields))))
+    return change
 
 
 # the first entries of a corpus of bad inputs: each ends in one stderr line
@@ -423,8 +425,14 @@ def _empty_head(arrays):
     ("train --early-stop 1.5", {}, "early_stop_train_accuracy must be None or in [0, 1], got 1.5"),
     ("eval", dict(checkpoint=lambda a: dict(a, epoch=np.array([-5], dtype=np.int64))),
      "section epoch holds -5, expected at least -1"),
-    ("eval", dict(checkpoint=_empty_head),
+    ("eval", dict(checkpoint=_config_edit(head_hidden=[])),
      "checkpoint config has a bad value (head_hidden must be a size, or a non-empty list"),
+    # a float size was a TypeError traceback, a float cluster count silently truncated
+    ("eval", dict(checkpoint=_config_edit(in_dim=14.0)),
+     "checkpoint config has a bad value (in_dim must be an integer, got 14.0)"),
+    ("eval", dict(checkpoint=_config_edit(cluster_counts=[6.7, 3])),
+     "checkpoint config has a bad value (cluster_counts must be a list of integers, "
+     "got [6.7, 3])"),
     ("train", dict(manifest={"task": "classification", "num_labels": "3", "samples": [
         {"name": "ball", "obj": "ball.obj", "category": 0, "split": "train"}]}),
      "'num_labels' must be an integer of at least 0, got '3'"),
@@ -442,6 +450,7 @@ def _empty_head(arrays):
         "flipped-face", "unnested-cache", "old-checkpoint", "batch-minus-1", "batch-0",
         "epochs-minus-1", "lr-0", "lr-nan", "checkpoint-every-minus-1", "seed-minus-1",
         "early-stop-nan", "early-stop-1.5", "negative-checkpoint-epoch", "empty-checkpoint-head",
+        "float-checkpoint-in-dim", "float-checkpoint-cluster-count",
         "num-labels-string",
         "model-is-a-directory", "cache-is-a-directory", "name-escapes-the-cache",
         "categories-past-int64"])
@@ -615,7 +624,11 @@ def test_cli_error_paths(tmp_path, capsys):
     (["--seed", "-2"], "--seed must be at least 0, got -2"),
     (["--count", "-1"], "--count must be at least 1, got -1"),
     (["--count", "0"], "--count must be at least 1, got 0"),
-], ids=["seed-minus-2", "count-minus-1", "count-0"])
+    (["--test-fraction", "1.5"], "--test-fraction must be in [0, 1), got 1.5"),
+    (["--test-fraction", "nan"], "--test-fraction must be in [0, 1), got nan"),
+    (["--test-fraction", "-0.1"], "--test-fraction must be in [0, 1), got -0.1"),
+], ids=["seed-minus-2", "count-minus-1", "count-0", "test-fraction-1.5", "test-fraction-nan",
+        "test-fraction-minus-0.1"])
 def test_synth_rejects_a_negative_seed_or_count(tmp_path, capsys, flags, message):
     out = tmp_path / "data"
     assert main(["synth", "--output", str(out), *flags]) == 1

@@ -68,11 +68,33 @@ def test_classification_head_shapes():
     assert shapes["head.out.1.W"] == (128, 4)
 
 
-def test_config_hash_tracks_fields():
+def test_configs_compare_by_value():
     a = ModelConfig()
-    assert a.config_hash() == ModelConfig().config_hash()
-    assert a.config_hash() != ModelConfig(corr_width=65).config_hash()
-    assert a.config_hash() != ModelConfig(head_final=129).config_hash()
+    assert a == ModelConfig() and hash(a) == hash(ModelConfig())
+    assert a != ModelConfig(corr_width=65)
+    assert a != ModelConfig(head_final=129)
+    # numpy ints and lists are stored as Python ints in tuples
+    same = ModelConfig(in_dim=np.int64(22), cluster_counts=np.array([16, 8]),
+                       update_widths=[128, 256], num_labels=np.int32(3))
+    assert same == a
+    assert type(same.in_dim) is int and type(same.cluster_counts[0]) is int
+    assert type(same.num_labels) is int
+
+
+@pytest.mark.parametrize("field,value,what", [
+    ("in_dim", 14.0, "an integer"),
+    ("corr_width", "64", "an integer"),
+    ("head_final", True, "an integer"),
+    ("num_labels", 3.0, "an integer"),
+    ("num_categories", "4", "an integer"),
+    ("cluster_counts", (6.7, 3), "a list of integers"),
+    ("update_widths", "128", "a list of integers"),
+    ("head_hidden", (256, False), "a list of integers"),
+])
+def test_config_rejects_counts_that_are_not_integers(field, value, what):
+    with pytest.raises(ValueError) as info:
+        ModelConfig(**{field: value})
+    assert str(info.value) == f"{field} must be {what}, got {value!r}"
 
 
 def test_init_params_matches_declared_shapes():

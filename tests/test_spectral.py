@@ -13,7 +13,6 @@ from meshpool.spectral import (
     build_hierarchy,
     build_input_features,
     eig_residuals,
-    eigenvector_features,
     normalize_positions,
     solve_eigs,
 )
@@ -191,21 +190,22 @@ def test_normalize_positions_properties(bumpy):
     assert np.allclose(again, pos, atol=1e-12)
 
 
-def test_eigenvector_features_skip_constant(bumpy_basis):
-    feats = eigenvector_features(bumpy_basis, 16)
-    assert feats.shape == (bumpy_basis.eigenvectors.shape[0], 16)
-    assert (feats >= 0).all()
-    assert np.allclose(feats, np.abs(bumpy_basis.eigenvectors[:, 1:17]))
-    with pytest.raises(ValueError, match="modes"):
-        eigenvector_features(bumpy_basis, 17)
+def test_eigenvector_features_skip_constant(bumpy, bumpy_basis):
+    pos, normals = normalize_positions(bumpy.vertices), compute_vertex_normals(bumpy)
+    feats = build_input_features(pos, normals, bumpy_basis, 16)
+    assert np.array_equal(feats[:, 6:], np.abs(bumpy_basis.eigenvectors[:, 1:17]))
+    with pytest.raises(ValueError, match="basis has 17 modes, need 18"):
+        build_input_features(pos, normals, bumpy_basis, 17)
 
 
 def test_build_input_features_layout(bumpy, bumpy_basis):
     normals = compute_vertex_normals(bumpy)
-    feats = build_input_features(bumpy, normals, bumpy_basis)
+    pos = normalize_positions(bumpy.vertices)
+    feats = build_input_features(pos, normals, bumpy_basis)
     assert feats.shape == (bumpy.n_vertices, 22)
-    assert np.allclose(feats[:, :3], normalize_positions(bumpy.vertices))
-    assert np.allclose(feats[:, 3:6], normals)
+    assert feats.dtype == np.float64 and feats.flags.c_contiguous
+    assert np.array_equal(feats[:, :3], pos)
+    assert np.array_equal(feats[:, 3:6], normals)
     assert (feats[:, 6:] >= 0).all()
 
 

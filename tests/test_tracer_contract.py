@@ -18,6 +18,11 @@ from meshpool.model import ModelConfig
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
+# a one-block classifier on 4-vertex records, small enough to train in a test
+TINY_CLS = ModelConfig(in_dim=4, cluster_counts=(2,), update_widths=(4,), corr_width=3,
+                       head_hidden=(4,), head_final=4, task="classification",
+                       num_categories=2)
+
 
 @pytest.fixture(scope="module")
 def tracer():
@@ -80,18 +85,43 @@ def test_parameter_containers_keep_the_attributes_the_benchmark_reads(tmp_path):
     from meshpool.autodiff import Tensor
     from meshpool.model import init_params
 
-    config = ModelConfig(in_dim=4, cluster_counts=(2,), update_widths=(4,), corr_width=3,
-                         head_hidden=(4,), head_final=4, task="classification",
-                         num_categories=2)
     record = training.SampleRecord("r", np.ones((4, 4)), [np.array([0, 0, 1, 1])], 1)
-    trained, _ = training.train([record], config, training.TrainConfig(epochs=1))
+    trained, _ = training.train([record], TINY_CLS, training.TrainConfig(epochs=1))
     path = tmp_path / "model.ckpt"
-    training.save_checkpoint(path, trained, config, epoch=0, train_seed=0)
+    training.save_checkpoint(path, trained, TINY_CLS, epoch=0, train_seed=0)
     loaded = training.load_checkpoint(path)[0]
-    for params in (init_params(config, 0), trained, loaded):
+    for params in (init_params(TINY_CLS, 0), trained, loaded):
         names = list(params)
         assert names and all(isinstance(name, str) for name in names)
         for name in names:
             p = params[name]
             assert isinstance(p.value, Tensor) and p.data is p.value.data
         assert [name for name, _ in params.items()] == names
+
+
+def test_train_builds_its_epoch_stats_and_tapes_through_the_module(monkeypatch):
+    # the tracer marks each epoch's end by replacing ``training.EpochStats``
+    # (``training.train.epoch_s``) and times every op through a subclass put
+    # at ``training.Tape`` (every ``autodiff.*`` metric), so ``train`` must
+    # look both up there: one EpochStats per epoch, one Tape per mesh-step
+    from meshpool import training
+
+    built = {"stats": 0, "tapes": 0}
+    stats_cls = training.EpochStats
+
+    def counting_stats(*args, **kwargs):
+        built["stats"] += 1
+        return stats_cls(*args, **kwargs)
+
+    class CountingTape(training.Tape):
+        def __init__(self, *args, **kwargs):
+            built["tapes"] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(training, "EpochStats", counting_stats)
+    monkeypatch.setattr(training, "Tape", CountingTape)
+    records = [training.SampleRecord(f"r{i}", np.full((4, 4), i + 1.0),
+                                     [np.array([0, 0, 1, 1])], i % 2) for i in range(3)]
+    _, history = training.train(records, TINY_CLS, training.TrainConfig(epochs=2, batch_size=2))
+    assert len(history) == 2
+    assert built == {"stats": 2, "tapes": 6}

@@ -367,6 +367,15 @@ def _edit_config_json(arrays, edit):
     (lambda a: _edit_config_json(a, lambda c: c.update(update_widths=[])),
      "checkpoint config has a bad value (update_widths must be a size, or a non-empty list of "
      "sizes, of at least 1, got ())"),
+    (lambda a: _edit_config_json(a, lambda c: c.update(in_dim=14.0)),
+     "checkpoint config has a bad value (in_dim must be an integer, got 14.0)"),
+    (lambda a: _edit_config_json(a, lambda c: c.update(cluster_counts=[6.7, 3])),
+     "checkpoint config has a bad value (cluster_counts must be a list of integers, "
+     "got [6.7, 3])"),
+    (lambda a: _edit_config_json(a, lambda c: c.update(corr_width="64")),
+     "checkpoint config has a bad value (corr_width must be an integer, got '64')"),
+    (lambda a: _edit_config_json(a, lambda c: c.update(num_labels=True)),
+     "checkpoint config has a bad value (num_labels must be an integer, got True)"),
     (lambda a: a.update(config_json=str_to_array("5")), "checkpoint config is not a JSON object"),
     (lambda a: a.update(config_json=str_to_array("{")), "checkpoint config is not valid JSON"),
     (lambda a: a.update(config_json=np.array([0xFF, 0x7B], dtype=np.uint8)),
@@ -402,7 +411,8 @@ def _edit_config_json(arrays, edit):
     (lambda a: a.update(feature_kind=np.array([0xFF], dtype=np.uint8)),
      "section feature_kind is not UTF-8 text"),
 ], ids=["unknown-field", "missing-field", "bad-task", "bad-widths", "huge-categories",
-        "empty-head", "empty-widths", "not-object",
+        "empty-head", "empty-widths", "float-in-dim", "float-cluster-count",
+        "string-corr-width", "bool-num-labels", "not-object",
         "not-json", "not-utf8", "no-epoch", "no-moment", "bad-shape", "float32-moment",
         "empty-epoch", "empty-seed", "empty-step", "float-step", "kind-not-utf8", "old-kind",
         "epoch-minus-5", "step-minus-1", "seed-minus-7", "other-feature-kind",
