@@ -1,12 +1,13 @@
 """Minimal reverse-mode autodiff over dense float64 arrays.
 
-Only the operations the pooling networks need: matmul, bias add, ReLU, a
-fused dense layer, transpose, concat, cluster max/mean pooling, scatter,
-global pooling and a log-sum-exp-stable softmax cross-entropy. Forward
-results are recorded on an explicit tape; ``Tape.backward`` replays the
-records in exact reverse execution order and accumulates gradients
-additively at fan-out points. All reductions have a fixed order, so identical inputs give
-bit-identical outputs.
+The pooling networks run a fused dense layer, matmul, transpose, concat,
+cluster max pooling, scatter, global max pooling and a log-sum-exp-stable
+softmax cross-entropy; ``add``, ``scale``, ``bias_add``, ``relu`` and
+``cluster_mean_pool`` stay for the benchmark tracer and the tests only,
+until ROADMAP item 3. Forward results are recorded on an explicit tape;
+``Tape.backward`` replays the records in exact reverse execution order and
+accumulates gradients additively at fan-out points. All reductions have a
+fixed order, so identical inputs give bit-identical outputs.
 
 How the tape works:
 

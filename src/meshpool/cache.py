@@ -38,7 +38,18 @@ class PreprocessParams:
     cluster_counts: tuple = (16, 8)
 
     def __post_init__(self):
-        object.__setattr__(self, "cluster_counts", tuple(int(c) for c in self.cluster_counts))
+        """Raises ValueError naming a field that breaks its rule. Python and
+        numpy ints are stored as Python ints, so both give one fingerprint."""
+        counts = tuple(self.cluster_counts) if np.iterable(self.cluster_counts) else ()
+        for name, items, least, what in (
+                ("n_eigenvectors", (self.n_eigenvectors,), 0, "an integer"),
+                ("cluster_counts", counts, 1, "a non-empty list of integers")):
+            if not items or not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+                                    and n >= least for n in items):
+                raise ValueError(f"{name} must be {what} of at least {least}, "
+                                 f"got {getattr(self, name)!r}")
+        object.__setattr__(self, "n_eigenvectors", int(self.n_eigenvectors))
+        object.__setattr__(self, "cluster_counts", tuple(int(c) for c in counts))
 
     def fingerprint(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True).encode()

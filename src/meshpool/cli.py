@@ -156,23 +156,15 @@ def _sample_records(dataset_dir: Path, manifest: dict, params: PreprocessParams,
 
 
 def _split_results(params, config: ModelConfig, records: dict) -> dict:
-    """Split name -> accuracy plus mean IoU (segmentation) or confusion
-    (classification) and per-category accuracy, for each non-empty split."""
+    """Split name -> the fields of the task's report that the JSON shows,
+    for each non-empty split."""
+    evaluate = evaluate_segmentation if config.task == "segmentation" else evaluate_classification
     results = {}
     for split, split_records in records.items():
-        if not split_records:
-            continue
-        if config.task == "segmentation":
-            report = evaluate_segmentation(params, config, split_records)
-            numbers = {"accuracy": report.accuracy, "mean_iou": report.mean_iou}
-        else:
-            report = evaluate_classification(params, config, split_records)
-            numbers = {"accuracy": report.accuracy}
-        numbers["per_category_accuracy"] = {
-            str(k): v for k, v in report.per_category_accuracy.items()}
-        if config.task == "classification":
-            numbers["confusion"] = report.confusion.tolist()
-        results[split] = numbers
+        if split_records:
+            report = evaluate(params, config, split_records)
+            fields = ("accuracy", "mean_iou", "per_category_accuracy", "confusion")
+            results[split] = {key: getattr(report, key) for key in fields if hasattr(report, key)}
     return results
 
 
@@ -279,8 +271,7 @@ def _cmd_train(args) -> int:
     final_epoch = history[-1].epoch if history else start_epoch - 1
     save_checkpoint(out_path, params, config, final_epoch, seed)
 
-    history_path = out_path.with_suffix(".history.json")
-    with open(history_path, "w") as fh:
+    with open(out_path.with_suffix(".history.json"), "w") as fh:
         json.dump([asdict(h) for h in history], fh, indent=2)
 
     summary = {"epochs_run": len(history), "checkpoint": str(out_path)}
@@ -304,7 +295,7 @@ def _cmd_eval(args) -> int:
     records = _sample_records(dataset_dir, manifest, params_pre, splits=splits)
     result = {"checkpoint": str(args.model), "trained_epochs": epoch + 1,
               **_split_results(params, config, records)}
-    print(json.dumps(result, indent=2))
+    print(json.dumps(result, indent=2, default=np.ndarray.tolist))
     return 0
 
 

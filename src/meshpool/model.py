@@ -60,9 +60,10 @@ class ModelConfig:
                      "head_hidden", "head_final", "num_labels", "num_categories"):
             value = getattr(self, name)
             listed = name in ("cluster_counts", "update_widths", "head_hidden")
-            items = tuple(value) if listed else (value,)
-            if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-                       for n in items):
+            items = tuple(value) if listed and np.iterable(value) else (value,)
+            # a bare number where a list belongs, or a list where a number does
+            if listed != np.iterable(value) or not all(
+                    isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in items):
                 what = "a list of integers" if listed else "an integer"
                 raise ValueError(f"{name} must be {what}, got {value!r}")
             items = tuple(int(n) for n in items)

@@ -9,10 +9,8 @@ that set's values, Adam moments and step count, a checkpoint written after
 epoch e and resumed reproduces the uninterrupted run bit for bit. Each
 mesh-step builds a fresh ``Tape``; its outputs and gradients are ordinary
 arrays that are freed once the step no longer holds them. A
-``TrainConfig`` rejects a negative ``epochs``, ``checkpoint_every`` or
-``seed``, a ``batch_size`` below 1, an ``lr`` that is not a finite
-number above 0 and an early-stop accuracy outside [0, 1] when it is made,
-so a bad setting fails before any record is loaded.
+``TrainConfig`` checks its settings when it is made, so a bad one fails
+before any record is loaded.
 
 Records built from a cache (``record_from_cache``) are cluster-contiguous:
 their vertices are stably sorted by (coarsest cluster id, ..., finest
@@ -25,8 +23,9 @@ their rows back, so every public output is in the mesh's own vertex order.
 Both heads share one rule after the logits: each output row has one true
 class, a vertex label for segmentation and the category for the single
 row of classification. That truth is checked against the class count once
-per record, and the loss, the prediction (argmax per row), the correct
-count and the confusion matrix all read it as class ids.
+per record. The loss reads it as class ids, and so does the one scoring
+pass, ``_scored``, which yields each record's predicted and true ids in
+mesh vertex order; every accuracy sums ``_count_correct``'s rows.
 """
 
 from __future__ import annotations
@@ -128,13 +127,18 @@ class TrainConfig:
     verbose: bool = False
 
     def __post_init__(self):
-        """Raises TrainingError naming the first field that breaks its rule."""
+        """Raises TrainingError naming the first field that breaks its rule;
+        a count must be a Python or numpy int, not a bool or float."""
+        for name, least in (("epochs", 0), ("batch_size", 1), ("checkpoint_every", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TrainingError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise TrainingError(f"{name} must be at least {least}, got {value!r}")
         for name, bad, rule in (
-                ("epochs", self.epochs < 0, "at least 0"),
-                ("batch_size", self.batch_size < 1, "at least 1"),
                 ("lr", not (math.isfinite(self.lr) and self.lr > 0), "finite and above 0"),
-                ("checkpoint_every", self.checkpoint_every < 0, "at least 0"),
-                ("seed", self.seed < 0, "at least 0"),
+                ("checkpoint_every", self.checkpoint_every > 0 and not self.checkpoint_path,
+                 "0 without a checkpoint_path"),
                 ("early_stop_train_accuracy", self.early_stop_train_accuracy is not None
                  and not 0 <= self.early_stop_train_accuracy <= 1, "None or in [0, 1]")):
             if bad:
@@ -162,12 +166,6 @@ def _truth(record: SampleRecord, config: ModelConfig) -> np.ndarray:
     return truth
 
 
-def _forward(tape: Tape, params, config: ModelConfig, record: SampleRecord):
-    category = record.category if config.task == "segmentation" else None
-    return model_forward(tape, params, config, record.features,
-                         record.level_masks, category=category)
-
-
 def _in_mesh_order(rows: np.ndarray, record: SampleRecord, config: ModelConfig) -> np.ndarray:
     """A record's output rows, per-vertex rows put back in the mesh's
     vertex order."""
@@ -186,7 +184,8 @@ def forward_logits(params, config: ModelConfig, record: SampleRecord) -> np.ndar
     needs, so eval, export and the early-stop pass pay for the forward
     alone. The logits are bit-identical to a recording forward's.
     """
-    logits = _forward(Tape(record=False), params, config, record).data
+    logits = model_forward(Tape(record=False), params, config, record.features,
+                           record.level_masks, category=record.category).data
     return _in_mesh_order(logits, record, config)
 
 
@@ -197,9 +196,12 @@ def predict(params, config: ModelConfig, record: SampleRecord) -> np.ndarray:
     return np.argmax(forward_logits(params, config, record), axis=1)
 
 
-def _mesh_truth(record: SampleRecord, config: ModelConfig) -> np.ndarray:
-    """``_truth`` in the row order ``predict`` returns."""
-    return _in_mesh_order(_truth(record, config), record, config)
+def _scored(params, config: ModelConfig, records):
+    """Yield (record, predicted, true) class ids of each record's output
+    rows, both in the row order ``predict`` returns."""
+    for record in records:
+        truth = _in_mesh_order(_truth(record, config), record, config)
+        yield record, predict(params, config, record), truth
 
 
 def _count_correct(pred: np.ndarray, truth: np.ndarray):
@@ -208,11 +210,15 @@ def _count_correct(pred: np.ndarray, truth: np.ndarray):
     return int((pred == truth).sum()), len(truth)
 
 
+def _ratio(counts) -> float:
+    """Correct rows over all rows of a list of (correct, total) counts."""
+    return sum(c for c, _ in counts) / sum(t for _, t in counts)
+
+
 def evaluate_accuracy(params, config: ModelConfig, records) -> float:
     """Vertex-weighted for segmentation, per-mesh for classification."""
-    counts = [_count_correct(predict(params, config, r), _mesh_truth(r, config))
-              for r in records]
-    return sum(c for c, _ in counts) / sum(t for _, t in counts)
+    return _ratio([_count_correct(pred, truth)
+                   for _, pred, truth in _scored(params, config, records)])
 
 
 def train(records, config: ModelConfig, train_config: TrainConfig,
@@ -233,31 +239,28 @@ def train(records, config: ModelConfig, train_config: TrainConfig,
     for epoch in range(start_epoch, cfg.epochs):
         rng = np.random.default_rng([cfg.seed, epoch])
         order = rng.permutation(len(records))
-        losses = []
-        correct = total = 0
+        losses, counts = [], []
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             for idx in batch:
                 record, truth = records[idx], truths[idx]
                 tape = Tape()
-                logits = _forward(tape, params, config, record)
+                logits = model_forward(tape, params, config, record.features,
+                                       record.level_masks, category=record.category)
                 loss = tape.softmax_cross_entropy(logits, truth)
                 if not np.isfinite(loss.data):
                     raise TrainingError(
                         f"non-finite loss at epoch {epoch} on sample {record.name!r}")
                 tape.backward(loss, seed=1.0 / len(batch))
                 losses.append(float(loss.data))
-                c, t = _count_correct(np.argmax(logits.data, axis=1), truth)
-                correct += c
-                total += t
+                counts.append(_count_correct(np.argmax(logits.data, axis=1), truth))
             adam_step(params, cfg.lr)
-        stats = EpochStats(epoch, float(np.mean(losses)), correct / total)
+        stats = EpochStats(epoch, float(np.mean(losses)), _ratio(counts))
         history.append(stats)
         if cfg.verbose:
             print(f"epoch {epoch:4d}  loss {stats.mean_loss:.4f}  "
                   f"acc {stats.train_accuracy:.4f}", flush=True)
-        if (cfg.checkpoint_path and cfg.checkpoint_every
-                and (epoch + 1) % cfg.checkpoint_every == 0):
+        if cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0:
             save_checkpoint(cfg.checkpoint_path, params, config, epoch, cfg.seed)
         if (cfg.early_stop_train_accuracy is not None
                 and stats.train_accuracy >= cfg.early_stop_train_accuracy
@@ -285,49 +288,41 @@ class SegmentationReport:
     per_sample_accuracy: dict = field(default_factory=dict)
 
 
+def _by_category(counts: dict):
+    """(overall, per-category in ascending id) accuracy of category -> [(correct, total)]."""
+    overall = _ratio([count for cat_counts in counts.values() for count in cat_counts])
+    return overall, {cat: _ratio(counts[cat]) for cat in sorted(counts)}
+
+
 def evaluate_classification(params, config: ModelConfig, records) -> ClassificationReport:
     confusion = np.zeros((config.num_categories, config.num_categories), dtype=np.int64)
-    for record in records:
-        confusion[_truth(record, config), predict(params, config, record)] += 1
-    per_cat = {cat: float(confusion[cat, cat] / n)
-               for cat, n in enumerate(confusion.sum(axis=1)) if n}
-    accuracy = float(np.trace(confusion) / confusion.sum())
-    return ClassificationReport(accuracy, per_cat, confusion)
+    counts = {}
+    for record, pred, truth in _scored(params, config, records):
+        confusion[truth, pred] += 1
+        counts.setdefault(record.category, []).append(_count_correct(pred, truth))
+    return ClassificationReport(*_by_category(counts), confusion)
 
 
-def _shape_iou(pred, truth, labels) -> float:
-    scores = []
-    for lab in labels:
-        p, t = pred == lab, truth == lab
-        union = int(np.logical_or(p, t).sum())
-        # a part absent from both prediction and truth counts as perfect
-        scores.append(1.0 if union == 0 else float(np.logical_and(p, t).sum() / union))
-    return float(np.mean(scores))
+def _shape_iou(pred, truth, n_labels: int) -> float:
+    """Per-part IoU of one shape averaged over its ``n_labels`` parts; a
+    part absent from both prediction and truth counts as perfect."""
+    hits = np.bincount(truth[pred == truth], minlength=n_labels)
+    union = np.bincount(pred, minlength=n_labels) + np.bincount(truth, minlength=n_labels) - hits
+    return float(np.mean(np.where(union == 0, 1.0, hits / np.maximum(union, 1))))
 
 
 def evaluate_segmentation(params, config: ModelConfig, records) -> SegmentationReport:
     """Vertex accuracy and per-part IoU."""
-    labels = np.arange(config.num_labels)
-    totals = {}
-    per_sample = {}
-    for record in records:
-        pred = predict(params, config, record)
-        truth = _mesh_truth(record, config)
+    counts, ious, per_sample = {}, {}, {}
+    for record, pred, truth in _scored(params, config, records):
         correct, total = _count_correct(pred, truth)
-        entry = totals.setdefault(record.category, {"correct": 0, "verts": 0, "ious": []})
-        entry["correct"] += correct
-        entry["verts"] += total
-        entry["ious"].append(_shape_iou(pred, truth, labels))
+        counts.setdefault(record.category, []).append((correct, total))
+        ious.setdefault(record.category, []).append(_shape_iou(pred, truth, config.num_labels))
         per_sample[record.name] = correct / total
-    accuracy = sum(e["correct"] for e in totals.values()) / sum(e["verts"] for e in totals.values())
-    all_ious = [iou for e in totals.values() for iou in e["ious"]]
-    return SegmentationReport(
-        accuracy=float(accuracy),
-        per_category_accuracy={c: e["correct"] / e["verts"] for c, e in totals.items()},
-        mean_iou=float(np.mean(all_ious)),
-        per_category_iou={c: float(np.mean(e["ious"])) for c, e in totals.items()},
-        per_sample_accuracy=per_sample,
-    )
+    accuracy, per_category = _by_category(counts)
+    mean_iou = float(np.mean([iou for cat_ious in ious.values() for iou in cat_ious]))
+    per_category_iou = {cat: float(np.mean(ious[cat])) for cat in sorted(ious)}
+    return SegmentationReport(accuracy, per_category, mean_iou, per_category_iou, per_sample)
 
 
 def split_dataset(records, test_fraction: float = 0.25, seed: int = 0, groups=None):

@@ -378,6 +378,38 @@ def test_params_fingerprint_tracks_every_field():
     assert PreprocessParams(cluster_counts=[16, 8]).fingerprint() == base.fingerprint()
 
 
+def test_params_store_python_ints_and_keep_the_default_fingerprint():
+    assert PreprocessParams().fingerprint().startswith("01f525351603")  # caches stay valid
+    given = PreprocessParams(n_eigenvectors=np.int64(8), cluster_counts=np.array([6, 3]))
+    assert type(given.n_eigenvectors) is int and type(given.cluster_counts[0]) is int
+    assert given.fingerprint() == PreprocessParams(8, (6, 3)).fingerprint()
+    assert PreprocessParams(n_eigenvectors=0).n_eigenvectors == 0
+
+
+@pytest.mark.parametrize("settings,message", [
+    # silently truncated to (6, 3) and (1, 1)
+    (dict(cluster_counts=(6.7, 3)),
+     "cluster_counts must be a non-empty list of integers of at least 1, got (6.7, 3)"),
+    (dict(cluster_counts=(True, 1)),
+     "cluster_counts must be a non-empty list of integers of at least 1, got (True, 1)"),
+    (dict(cluster_counts=()),
+     "cluster_counts must be a non-empty list of integers of at least 1, got ()"),
+    (dict(cluster_counts=(4, 0)),
+     "cluster_counts must be a non-empty list of integers of at least 1, got (4, 0)"),
+    (dict(cluster_counts=8),
+     "cluster_counts must be a non-empty list of integers of at least 1, got 8"),
+    # a raw ARPACK SystemError in preprocess_mesh
+    (dict(n_eigenvectors=8.0), "n_eigenvectors must be an integer of at least 0, got 8.0"),
+    (dict(n_eigenvectors=-1), "n_eigenvectors must be an integer of at least 0, got -1"),
+    (dict(n_eigenvectors=True), "n_eigenvectors must be an integer of at least 0, got True"),
+], ids=["float-count", "bool-count", "no-counts", "zero-count", "bare-count",
+        "float-eigs", "negative-eigs", "bool-eigs"])
+def test_params_reject_settings_that_are_not_counts(settings, message):
+    with pytest.raises(ValueError) as info:
+        PreprocessParams(**settings)
+    assert str(info.value) == message
+
+
 @pytest.fixture(scope="module")
 def small_params():
     return PreprocessParams(n_eigenvectors=8, cluster_counts=(6, 3))

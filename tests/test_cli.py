@@ -421,6 +421,7 @@ def _config_edit(**fields):
     ("train --lr nan", {}, "lr must be finite and above 0, got nan"),
     ("train --checkpoint-every -1", {}, "checkpoint_every must be at least 0, got -1"),
     ("train --seed -1", {}, "seed must be at least 0, got -1"),
+    ("preprocess --eigs -1", {}, "n_eigenvectors must be an integer of at least 0, got -1"),
     ("train --early-stop nan", {}, "early_stop_train_accuracy must be None or in [0, 1], got nan"),
     ("train --early-stop 1.5", {}, "early_stop_train_accuracy must be None or in [0, 1], got 1.5"),
     ("eval", dict(checkpoint=lambda a: dict(a, epoch=np.array([-5], dtype=np.int64))),
@@ -448,7 +449,7 @@ def _config_edit(**fields):
 ], ids=["nan-vertex", "coincident-vertices", "empty-manifest", "no-samples", "category-7",
         "tset-split", "duplicate-face", "non-manifold-edge", "two-components",
         "flipped-face", "unnested-cache", "old-checkpoint", "batch-minus-1", "batch-0",
-        "epochs-minus-1", "lr-0", "lr-nan", "checkpoint-every-minus-1", "seed-minus-1",
+        "epochs-minus-1", "lr-0", "lr-nan", "checkpoint-every-minus-1", "seed-minus-1", "eigs-minus-1",
         "early-stop-nan", "early-stop-1.5", "negative-checkpoint-epoch", "empty-checkpoint-head",
         "float-checkpoint-in-dim", "float-checkpoint-cluster-count",
         "num-labels-string",

@@ -90,6 +90,9 @@ def test_configs_compare_by_value():
     ("cluster_counts", (6.7, 3), "a list of integers"),
     ("update_widths", "128", "a list of integers"),
     ("head_hidden", (256, False), "a list of integers"),
+    # a bare number or None where a list belongs was a TypeError naming no field
+    ("update_widths", 8, "a list of integers"),
+    ("head_hidden", None, "a list of integers"),
 ])
 def test_config_rejects_counts_that_are_not_integers(field, value, what):
     with pytest.raises(ValueError) as info:

@@ -15,6 +15,7 @@ from meshpool.binio import array_to_str, read_container, str_to_array, write_con
 from meshpool.model import ModelConfig, init_params, parameter_shapes
 from meshpool.training import (
     CheckpointError,
+    _shape_iou,
     SampleRecord,
     TrainConfig,
     TrainingError,
@@ -146,6 +147,29 @@ def test_train_validation_errors():
         train(out_of_range, SEG_CONFIG, TrainConfig(epochs=1))
 
 
+@pytest.mark.parametrize("settings,message", [
+    (dict(epochs=2.5), "epochs must be an integer, got 2.5"),
+    (dict(epochs=True), "epochs must be an integer, got True"),
+    (dict(batch_size=2.5), "batch_size must be an integer, got 2.5"),
+    (dict(seed=1.5), "seed must be an integer, got 1.5"),
+    (dict(checkpoint_every=1.0, checkpoint_path="m.ckpt"),
+     "checkpoint_every must be an integer, got 1.0"),
+    (dict(checkpoint_every=1), "checkpoint_every must be 0 without a checkpoint_path, got 1"),
+], ids=["float-epochs", "bool-epochs", "float-batch", "float-seed", "float-every",
+        "every-without-path"])
+def test_train_config_rejects_a_setting_train_cannot_use(settings, message):
+    """Each of these passed the config and then died inside ``train`` with a
+    TypeError, trained one epoch, or saved no checkpoint."""
+    with pytest.raises(TrainingError) as info:
+        TrainConfig(**settings)
+    assert str(info.value) == message
+
+
+def test_train_config_takes_numpy_integers():
+    cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int32(3), seed=np.int64(1))
+    assert (cfg.epochs, cfg.batch_size, cfg.seed) == (2, 3, 1)
+
+
 @pytest.mark.parametrize("category", [2, -1])
 def test_classification_category_outside_range_is_rejected(category):
     records = toy_cls_records(n_samples=2)
@@ -257,6 +281,71 @@ def test_segmentation_report_structure():
     assert report.per_category_iou == {0: 1.0}
 
 
+def _fixed_predictions(monkeypatch, predictions):
+    """Make scoring read ``predictions[record.name]`` instead of running the
+    network, so a report can be checked against numbers worked out by hand."""
+    monkeypatch.setattr(meshpool.training, "predict",
+                        lambda params, config, record: np.array(predictions[record.name]))
+
+
+def test_segmentation_iou_per_part_worked_by_hand(monkeypatch):
+    config = ModelConfig(in_dim=4, cluster_counts=(2,), task="segmentation",
+                         num_labels=3, num_categories=2)
+    truths = {"a": [0, 0, 1, 1], "b": [0, 0, 0, 0], "c": [2, 2, 1, 0]}
+    _fixed_predictions(monkeypatch, {
+        # part 0: 1 hit of 2 in the union; part 1: 2 of 3; part 2 in
+        # neither prediction nor truth counts 1.0
+        "a": [0, 1, 1, 1],
+        # part 0: 2 of 4; part 1 absent from both: 1.0; part 2 predicted
+        # but absent from the truth: 0.0
+        "b": [0, 0, 2, 2],
+        # every part right
+        "c": [2, 2, 1, 0],
+    })
+    records = [SampleRecord(name, None, [], category=int(name == "c"),
+                            labels=np.array(truth)) for name, truth in truths.items()]
+    report = evaluate_segmentation(None, config, records)
+    iou_a, iou_b = (1 / 2 + 2 / 3 + 1) / 3, (2 / 4 + 1 + 0) / 3
+    assert report.per_category_iou == pytest.approx({0: (iou_a + iou_b) / 2, 1: 1.0})
+    assert report.mean_iou == pytest.approx((iou_a + iou_b + 1.0) / 3)
+    assert report.per_sample_accuracy == {"a": 3 / 4, "b": 2 / 4, "c": 1.0}
+    assert report.per_category_accuracy == {0: 5 / 8, 1: 1.0}
+    assert report.accuracy == 9 / 12
+
+
+def _per_part_loop_iou(pred, truth, n_labels):
+    """Per-part IoU one label at a time: the reference for ``_shape_iou``."""
+    scores = []
+    for lab in range(n_labels):
+        p, t = pred == lab, truth == lab
+        union = int(np.logical_or(p, t).sum())
+        scores.append(1.0 if union == 0 else float(np.logical_and(p, t).sum() / union))
+    return float(np.mean(scores))
+
+
+def test_shape_iou_bit_identical_to_the_per_part_loop():
+    rng = np.random.default_rng(7)
+    for _ in range(200):  # small shapes, so some parts are often absent
+        n_labels, n = int(rng.integers(1, 6)), int(rng.integers(1, 30))
+        pred, truth = rng.integers(0, n_labels, n), rng.integers(0, n_labels, n)
+        assert _shape_iou(pred, truth, n_labels) == _per_part_loop_iou(pred, truth, n_labels)
+
+
+def test_classification_report_lists_categories_in_ascending_id(monkeypatch):
+    config = ModelConfig(in_dim=4, cluster_counts=(2,), task="classification",
+                         num_categories=4)
+    categories = {"s0": 3, "s1": 0, "s2": 2, "s3": 0, "s4": 3}
+    _fixed_predictions(monkeypatch, {"s0": [3], "s1": [1], "s2": [2], "s3": [0], "s4": [0]})
+    records = [SampleRecord(name, None, [], category) for name, category in categories.items()]
+    report = evaluate_classification(None, config, records)
+    assert list(report.per_category_accuracy.items()) == [(0, 0.5), (2, 1.0), (3, 0.5)]
+    assert report.accuracy == 3 / 5
+    expected = np.zeros((4, 4), dtype=np.int64)
+    for truth, pred in ((3, 3), (0, 1), (2, 2), (0, 0), (3, 0)):
+        expected[truth, pred] += 1
+    assert np.array_equal(report.confusion, expected)
+
+
 def test_forward_logits_shapes():
     records = toy_cls_records(n_samples=1)
     params = init_params(CLS_CONFIG, seed=0)
@@ -358,7 +447,7 @@ def _edit_config_json(arrays, edit):
     (lambda a: _edit_config_json(a, lambda c: c.update(task="regression")),
      "checkpoint config has a bad value (unknown task 'regression')"),
     (lambda a: _edit_config_json(a, lambda c: c.update(update_widths=8)),
-     "checkpoint config has a bad value"),
+     "checkpoint config has a bad value (update_widths must be a list of integers, got 8)"),
     (lambda a: _edit_config_json(a, lambda c: c.update(num_categories=2**70)),
      f"checkpoint config has a bad value (num_categories must be in [0, 65536], got {2**70})"),
     (lambda a: _edit_config_json(a, lambda c: c.update(head_hidden=[])),
