@@ -16,6 +16,7 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from .binio import Sections, read_container, str_to_array, write_container
+from .checks import integer, integers
 from .mesh import Mesh, assemble_laplacian, compute_vertex_normals
 from .spectral import build_hierarchy, build_input_features, normalize_positions, solve_eigs
 
@@ -38,18 +39,9 @@ class PreprocessParams:
     cluster_counts: tuple = (16, 8)
 
     def __post_init__(self):
-        """Raises ValueError naming a field that breaks its rule. Python and
-        numpy ints are stored as Python ints, so both give one fingerprint."""
-        counts = tuple(self.cluster_counts) if np.iterable(self.cluster_counts) else ()
-        for name, items, least, what in (
-                ("n_eigenvectors", (self.n_eigenvectors,), 0, "an integer"),
-                ("cluster_counts", counts, 1, "a non-empty list of integers")):
-            if not items or not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-                                    and n >= least for n in items):
-                raise ValueError(f"{name} must be {what} of at least {least}, "
-                                 f"got {getattr(self, name)!r}")
-        object.__setattr__(self, "n_eigenvectors", int(self.n_eigenvectors))
-        object.__setattr__(self, "cluster_counts", tuple(int(c) for c in counts))
+        """Raises ValueError naming the first field that breaks its rule."""
+        for name, rule, least in (("n_eigenvectors", integer, 0), ("cluster_counts", integers, 1)):
+            object.__setattr__(self, name, rule(name, getattr(self, name), ValueError, least))
 
     def fingerprint(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True).encode()

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .cache import PreprocessParams, get_features
+from .checks import integer
 from .mesh import load_obj, write_obj
 from .model import TASKS, ModelConfig
 from .ply import label_colors, write_ply
@@ -82,12 +83,11 @@ def _checkpoint_params(args, config: ModelConfig) -> PreprocessParams:
 
 
 def load_manifest(dataset_dir: Path) -> dict:
-    """The dataset's manifest, checked for every key the manifest walk reads
-    and for its optional class counts, which must be ints of at least 0.
-    A sample's ``name`` must be a bare file name, so its cache stays in
-    ``<dataset>/cache``, and no other sample's, so no two samples share a
-    cache; ``obj`` and any ``labels`` are strings and ``category`` is an
-    int.
+    """The dataset's manifest, checked for every key the manifest walk reads.
+    The optional class counts and each sample's ``category`` are ints of
+    at least 0, ``obj`` and any ``labels`` are strings, and a ``name`` is a
+    bare file name, so its cache stays in ``<dataset>/cache``, and no other
+    sample's, so no two samples share a cache.
 
     Raises ValueError naming the sample and key at fault.
     """
@@ -99,9 +99,7 @@ def load_manifest(dataset_dir: Path) -> dict:
     if not isinstance(manifest, dict) or manifest.get("task") not in TASKS:
         raise ValueError(f"{path}: 'task' must be one of {', '.join(TASKS)}")
     for key in ("num_labels", "num_categories"):
-        value = manifest.get(key, 0)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise ValueError(f"{path}: {key!r} must be an integer of at least 0, got {value!r}")
+        integer(f"{path}: {key!r}", manifest.get(key, 0), ValueError, 0)
     if not isinstance(manifest.get("samples"), list):
         raise ValueError(f"{path}: 'samples' must be a list")
     first = {}  # sample name -> index of the first sample with it
@@ -109,7 +107,7 @@ def load_manifest(dataset_dir: Path) -> dict:
         for key in ("name", "obj", "category", "split"):
             if not isinstance(entry, dict) or key not in entry:
                 raise ValueError(f"{path}: sample {i} has no {key!r}")
-        name, category = entry["name"], entry["category"]
+        name = entry["name"]
         # a bare file name: no separator of this platform, not "." or ".."
         if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
             raise ValueError(f"{path}: sample {i} 'name' must be a file name "
@@ -121,9 +119,7 @@ def load_manifest(dataset_dir: Path) -> dict:
             if not isinstance(entry.get(key, ""), str):
                 raise ValueError(f"{path}: sample {i} {key!r} must be a string, "
                                  f"got {entry[key]!r}")
-        if isinstance(category, bool) or not isinstance(category, int):
-            raise ValueError(f"{path}: sample {i} 'category' must be an integer, "
-                             f"got {category!r}")
+        integer(f"{path}: sample {i} 'category'", entry["category"], ValueError, 0)
         if entry["split"] not in SPLITS:
             raise ValueError(f"{path}: sample {i} has split {entry['split']!r}, "
                              f"not one of {', '.join(SPLITS)}")
@@ -142,14 +138,23 @@ def _walk_manifest(dataset_dir: Path, manifest: dict, params: PreprocessParams, 
             yield entry, get_features(mesh, params, cache_dir / f"{entry['name']}.mpc")
 
 
+def _read_labels(path: Path) -> np.ndarray:
+    """A label file's one integer per line; raises ValueError naming the file."""
+    try:
+        labels = np.loadtxt(path, dtype=np.int64, ndmin=1)
+        if labels.ndim != 1:
+            raise ValueError(f"{labels.shape[1]} columns, expected one integer per line")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return labels
+
+
 def _sample_records(dataset_dir: Path, manifest: dict, params: PreprocessParams,
                     splits=SPLITS):
     """SampleRecords of the requested splits, with their label files."""
     records = {split: [] for split in splits}
     for entry, cache in _walk_manifest(dataset_dir, manifest, params, splits):
-        labels = None
-        if entry.get("labels"):
-            labels = np.loadtxt(dataset_dir / entry["labels"], dtype=np.int64, ndmin=1)
+        labels = _read_labels(dataset_dir / entry["labels"]) if entry.get("labels") else None
         records[entry["split"]].append(
             record_from_cache(entry["name"], cache, entry["category"], labels))
     return records
@@ -172,13 +177,8 @@ def _split_results(params, config: ModelConfig, records: dict) -> dict:
 
 
 def _cmd_synth(args) -> int:
-    for flag, value, least in (("--count", args.count, 1), ("--seed", args.seed, 0)):
-        if value < least:
-            raise ValueError(f"{flag} must be at least {least}, got {value}")
-    if not 0.0 <= args.test_fraction < 1.0:
-        raise ValueError(f"--test-fraction must be in [0, 1), got {args.test_fraction}")
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
+    integer("--count", args.count, ValueError, 1)
+    integer("--seed", args.seed, ValueError, 0)
     if args.task == "classification":
         samples = make_classification_dataset(n_per_class=args.count, seed=args.seed)
         num_labels = 0
@@ -190,7 +190,8 @@ def _cmd_synth(args) -> int:
     train_part, test_part = split_dataset(samples, test_fraction=args.test_fraction,
                                           seed=args.seed, groups=groups)
     test_names = {s.name for s in test_part}
-
+    out = Path(args.output)  # made once every flag has passed its rule
+    out.mkdir(parents=True, exist_ok=True)
     entries = []
     for sample in samples:
         obj_name = f"{sample.name}.obj"
@@ -295,7 +296,7 @@ def _cmd_eval(args) -> int:
     records = _sample_records(dataset_dir, manifest, params_pre, splits=splits)
     result = {"checkpoint": str(args.model), "trained_epochs": epoch + 1,
               **_split_results(params, config, records)}
-    print(json.dumps(result, indent=2, default=np.ndarray.tolist))
+    print(json.dumps(result, indent=2))
     return 0
 
 
@@ -310,9 +311,8 @@ def _cmd_export(args) -> int:
     cache_path = cache_dir / f"{obj_path.stem}.mpc" if cache_dir.is_dir() else None
     if args.what == "clusters":
         cache = get_features(mesh, _params_from_args(args), cache_path)
-        if not 0 <= args.level < len(cache.level_masks):
-            raise ValueError(f"level {args.level} outside the {len(cache.level_masks)}-level hierarchy")
-        ids = cache.level_masks[args.level]
+        level = integer("--level", args.level, ValueError, 0, len(cache.level_masks) - 1)
+        ids = cache.level_masks[level]
     else:
         if not args.model:
             raise ValueError("--model is required to export predicted labels")

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ParameterSet, Tape, Tensor
+from .checks import integer, integers
 
 CORR_INIT_GAIN = 0.1  # keeps psi psi^T from dwarfing the pooled features
 
@@ -34,9 +35,8 @@ MAX_CLASSES = 1 << 16  # the most labels or categories a model may have
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture description. Every count is stored as a Python int
-    (a list of them as a tuple), so two configs compare equal exactly when
-    they describe the same network."""
+    """Architecture description. Its counts are stored as ``checks``
+    returns them, so equal configs describe the same network."""
 
     in_dim: int = 22
     cluster_counts: tuple = (16, 8)
@@ -49,32 +49,15 @@ class ModelConfig:
     num_categories: int = 4
 
     def __post_init__(self):
-        """Raises ValueError naming the first field that breaks its rule.
-
-        A count must be a Python or numpy int; a bool, float or str is
-        rejected rather than rounded or compared by value.
-        """
+        """Raises ValueError naming the first field that breaks its rule."""
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
-        for name in ("in_dim", "cluster_counts", "update_widths", "corr_width",
-                     "head_hidden", "head_final", "num_labels", "num_categories"):
-            value = getattr(self, name)
-            listed = name in ("cluster_counts", "update_widths", "head_hidden")
-            items = tuple(value) if listed and np.iterable(value) else (value,)
-            # a bare number where a list belongs, or a list where a number does
-            if listed != np.iterable(value) or not all(
-                    isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in items):
-                what = "a list of integers" if listed else "an integer"
-                raise ValueError(f"{name} must be {what}, got {value!r}")
-            items = tuple(int(n) for n in items)
-            value = items if listed else items[0]
-            object.__setattr__(self, name, value)
-            if name in ("num_labels", "num_categories"):
-                if not 0 <= value <= MAX_CLASSES:
-                    raise ValueError(f"{name} must be in [0, {MAX_CLASSES}], got {value}")
-            elif min(items, default=0) < 1:
-                raise ValueError(f"{name} must be a size, or a non-empty list of sizes, "
-                                 f"of at least 1, got {value!r}")
+        for name in ("in_dim", "cluster_counts", "update_widths", "corr_width", "head_hidden",
+                     "head_final", "num_labels", "num_categories"):
+            rule = (integers if name in ("cluster_counts", "update_widths", "head_hidden")
+                    else integer)
+            bounds = (0, MAX_CLASSES) if name in ("num_labels", "num_categories") else (1,)
+            object.__setattr__(self, name, rule(name, getattr(self, name), ValueError, *bounds))
 
     @property
     def n_blocks(self) -> int:
@@ -212,17 +195,14 @@ def model_forward(tape: Tape, params, config: ModelConfig, features,
     if x.data.ndim != 2 or x.data.shape[1] != config.in_dim:
         raise ValueError(f"features must be (N, {config.in_dim}), got {x.data.shape}")
     if config.task == "segmentation":
-        if category is None:
-            raise ValueError("segmentation forward needs the shape category")
-        if not 0 <= int(category) < config.num_categories:
-            raise ValueError(f"category {category} outside [0, {config.num_categories})")
+        category = integer("category", category, ValueError, 0, config.num_categories - 1)
     for level, mask in enumerate(level_masks):
         x = pooling_block_forward(tape, params, config, level, x, mask)
     h = _mlp_forward(tape, params, "head.mlp", x, len(config.head_hidden))
     head_in = tape.global_max_pool(h)
     if config.task == "segmentation":
         onehot = np.zeros((1, config.num_categories))
-        onehot[0, int(category)] = 1.0
+        onehot[0, category] = 1.0
         summary = tape.concat([head_in, Tensor(onehot)], axis=1)
         head_in = SplitFeatures(h, summary, np.zeros(h.data.shape[0], dtype=np.int64))
     return _mlp_forward(tape, params, "head.out", head_in, 2, final_relu=False)

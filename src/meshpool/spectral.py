@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import integer, integers
 from .mesh import LaplacianOperator
 
 # Shift for the shift-invert iterative solver; strictly below the spectrum so
@@ -114,9 +115,7 @@ def solve_eigs(op: LaplacianOperator, k: int) -> SpectralBasis:
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
     n = op.n_vertices
-    want = k + 1
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    want = integer("k", k, ValueError, 0) + 1
     if want > n:
         raise ValueError(f"requested {want} modes from a mesh with {n} vertices")
 
@@ -272,17 +271,13 @@ def build_hierarchy(positions: np.ndarray, cluster_counts, areas: np.ndarray) ->
     one coarse cluster. ``areas`` weight medians and spreads so the
     partition tracks surface area rather than vertex density.
     """
-    counts = tuple(int(c) for c in cluster_counts)
-    if not counts:
-        raise ValueError("need at least one cluster count")
+    counts = integers("cluster_counts", cluster_counts, ValueError, 1)
     if any(b >= a for a, b in zip(counts, counts[1:])):
         raise ValueError(f"cluster counts must strictly decrease, got {counts}")
     points = np.asarray(positions, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
         raise ValueError("points must be a nonempty 2-D array")
     n = points.shape[0]
-    if counts[-1] < 1:
-        raise ValueError(f"cluster count {counts[-1]} not in [1, {n}]")
     if counts[0] > n:
         raise ValueError("more clusters than vertices")
     w = np.asarray(areas, dtype=np.float64)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import integer
 from .mesh import Mesh, bounding_box_diagonal
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -119,9 +120,7 @@ def lathe(profile_r, profile_z, n_segments: int):
         raise ValueError("profile needs >= 3 matching (r, z) samples")
     if r[0] != 0.0 or r[-1] != 0.0 or np.any(r[1:-1] <= 0.0):
         raise ValueError("profile must be 0 at the ends and positive inside")
-    s = int(n_segments)
-    if s < 3:
-        raise ValueError("need at least 3 segments")
+    s = integer("n_segments", n_segments, ValueError, 3)
 
     theta = 2.0 * np.pi * np.arange(s) / s
     cos_t, sin_t = np.cos(theta), np.sin(theta)
@@ -265,8 +264,7 @@ def decimate(mesh: Mesh, target_vertices: int, seed) -> Mesh:
     normal or produce a near-degenerate face are skipped. Stops early when
     no collapsible edge is left.
     """
-    if target_vertices < 4:
-        raise ValueError("cannot decimate below a tetrahedron")
+    integer("target_vertices", target_vertices, ValueError, 4)  # a tetrahedron
     verts = mesh.vertices.copy()
     faces = mesh.faces.copy()
     rng = np.random.default_rng(seed)

@@ -31,14 +31,16 @@ mesh vertex order; every accuracy sums ``_count_correct``'s rows.
 from __future__ import annotations
 
 import json
-import math
+from collections import Counter
 from dataclasses import dataclass, field, fields, asdict
+from math import inf
 
 import numpy as np
 
 from .autodiff import ParameterSet, Tape, adam_step
 from .binio import Sections, array_to_str, read_container, str_to_array, write_container
 from .cache import CACHE_KIND, FeatureCache
+from .checks import integer, real
 from .model import ModelConfig, init_params, model_forward, parameter_shapes
 
 CHECKPOINT_KIND = "meshpool-checkpoint-3"  # 3: records the feature kind it was trained on
@@ -96,8 +98,8 @@ def record_from_cache(name: str, cache: FeatureCache, category: int,
     ``labels`` are given in mesh vertex order."""
     n = cache.n_vertices
     labels = None if labels is None else np.asarray(labels, dtype=np.int64)
-    if labels is not None and len(labels) != n:
-        raise TrainingError(f"{name}: {len(labels)} labels for {n} vertices")
+    if labels is not None and labels.shape != (n,):
+        raise TrainingError(f"{name}: labels of shape {labels.shape} for {n} vertices")
     masks = [np.asarray(m, dtype=np.int64) for m in cache.level_masks]
     for level, mask in enumerate(masks):
         if mask.shape != (n,):
@@ -127,22 +129,17 @@ class TrainConfig:
     verbose: bool = False
 
     def __post_init__(self):
-        """Raises TrainingError naming the first field that breaks its rule;
-        a count must be a Python or numpy int, not a bool or float."""
+        """Raises TrainingError naming the first field that breaks its rule."""
         for name, least in (("epochs", 0), ("batch_size", 1), ("checkpoint_every", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise TrainingError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise TrainingError(f"{name} must be at least {least}, got {value!r}")
-        for name, bad, rule in (
-                ("lr", not (math.isfinite(self.lr) and self.lr > 0), "finite and above 0"),
-                ("checkpoint_every", self.checkpoint_every > 0 and not self.checkpoint_path,
-                 "0 without a checkpoint_path"),
-                ("early_stop_train_accuracy", self.early_stop_train_accuracy is not None
-                 and not 0 <= self.early_stop_train_accuracy <= 1, "None or in [0, 1]")):
-            if bad:
-                raise TrainingError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+            setattr(self, name, integer(name, getattr(self, name), TrainingError, least))
+        self.lr = real("lr", self.lr, TrainingError, "finite and above 0", lambda x: 0 < x < inf)
+        if self.checkpoint_every > 0 and not self.checkpoint_path:
+            raise TrainingError(f"checkpoint_every must be 0 without a checkpoint_path, "
+                                f"got {self.checkpoint_every!r}")
+        if self.early_stop_train_accuracy is not None:
+            self.early_stop_train_accuracy = real(
+                "early_stop_train_accuracy", self.early_stop_train_accuracy, TrainingError,
+                "None or in [0, 1]", lambda x: 0 <= x <= 1)
 
 
 @dataclass
@@ -276,7 +273,7 @@ def train(records, config: ModelConfig, train_config: TrainConfig,
 class ClassificationReport:
     accuracy: float
     per_category_accuracy: dict
-    confusion: np.ndarray  # confusion[truth, prediction]
+    confusion: dict  # {true id: {predicted id: count}}, nonzero cells in ascending ids
 
 
 @dataclass
@@ -295,11 +292,11 @@ def _by_category(counts: dict):
 
 
 def evaluate_classification(params, config: ModelConfig, records) -> ClassificationReport:
-    confusion = np.zeros((config.num_categories, config.num_categories), dtype=np.int64)
-    counts = {}
+    confusion, counts = {}, {}
     for record, pred, truth in _scored(params, config, records):
-        confusion[truth, pred] += 1
+        confusion.setdefault(int(truth[0]), Counter())[int(pred[0])] += 1
         counts.setdefault(record.category, []).append(_count_correct(pred, truth))
+    confusion = {true: dict(sorted(confusion[true].items())) for true in sorted(confusion)}
     return ClassificationReport(*_by_category(counts), confusion)
 
 
@@ -332,8 +329,7 @@ def split_dataset(records, test_fraction: float = 0.25, seed: int = 0, groups=No
     something else (for example mesh resolution). Every stratum with more
     than one member contributes at least one test sample.
     """
-    if not 0.0 <= test_fraction < 1.0:
-        raise ValueError("test_fraction must be in [0, 1)")
+    real("test_fraction", test_fraction, ValueError, "in [0, 1)", lambda x: 0 <= x < 1)
     if groups is None:
         groups = [r.category for r in records]
     if len(groups) != len(records):
@@ -422,11 +418,8 @@ def load_checkpoint(path, expected_config: ModelConfig = None):
     size = sum(int(np.prod(shape)) for shape in shapes.values())
     value, m, v = (sections.array(name, np.float64, (size,))
                    for name in ("value", "adam_m", "adam_v"))
-    step, epoch, train_seed = (int(sections.array(name, np.int64, (1,))[0])
-                               for name in ("adam_t", "epoch", "train_seed"))
-    for name, count, least in (("adam_t", step, 0), ("epoch", epoch, -1),
-                               ("train_seed", train_seed, 0)):
-        if count < least:
-            raise CheckpointError(f"{path}: section {name} holds {count}, "
-                                  f"expected at least {least}")
+    step, epoch, train_seed = (
+        integer(f"{path}: section {name}", sections.array(name, np.int64, (1,)).item(),
+                CheckpointError, least)
+        for name, least in (("adam_t", 0), ("epoch", -1), ("train_seed", 0)))
     return ParameterSet(shapes, value, m, v, step), config, epoch, train_seed

@@ -399,9 +399,9 @@ def test_params_store_python_ints_and_keep_the_default_fingerprint():
     (dict(cluster_counts=8),
      "cluster_counts must be a non-empty list of integers of at least 1, got 8"),
     # a raw ARPACK SystemError in preprocess_mesh
-    (dict(n_eigenvectors=8.0), "n_eigenvectors must be an integer of at least 0, got 8.0"),
-    (dict(n_eigenvectors=-1), "n_eigenvectors must be an integer of at least 0, got -1"),
-    (dict(n_eigenvectors=True), "n_eigenvectors must be an integer of at least 0, got True"),
+    (dict(n_eigenvectors=8.0), "n_eigenvectors must be an integer, got 8.0"),
+    (dict(n_eigenvectors=-1), "n_eigenvectors must be at least 0, got -1"),
+    (dict(n_eigenvectors=True), "n_eigenvectors must be an integer, got True"),
 ], ids=["float-count", "bool-count", "no-counts", "zero-count", "bare-count",
         "float-eigs", "negative-eigs", "bool-eigs"])
 def test_params_reject_settings_that_are_not_counts(settings, message):

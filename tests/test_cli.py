@@ -421,22 +421,23 @@ def _config_edit(**fields):
     ("train --lr nan", {}, "lr must be finite and above 0, got nan"),
     ("train --checkpoint-every -1", {}, "checkpoint_every must be at least 0, got -1"),
     ("train --seed -1", {}, "seed must be at least 0, got -1"),
-    ("preprocess --eigs -1", {}, "n_eigenvectors must be an integer of at least 0, got -1"),
+    ("preprocess --eigs -1", {}, "n_eigenvectors must be at least 0, got -1"),
     ("train --early-stop nan", {}, "early_stop_train_accuracy must be None or in [0, 1], got nan"),
     ("train --early-stop 1.5", {}, "early_stop_train_accuracy must be None or in [0, 1], got 1.5"),
     ("eval", dict(checkpoint=lambda a: dict(a, epoch=np.array([-5], dtype=np.int64))),
-     "section epoch holds -5, expected at least -1"),
+     "section epoch must be at least -1, got -5"),
     ("eval", dict(checkpoint=_config_edit(head_hidden=[])),
-     "checkpoint config has a bad value (head_hidden must be a size, or a non-empty list"),
+     "checkpoint config has a bad value (head_hidden must be a non-empty list of integers "
+     "of at least 1, got [])"),
     # a float size was a TypeError traceback, a float cluster count silently truncated
     ("eval", dict(checkpoint=_config_edit(in_dim=14.0)),
      "checkpoint config has a bad value (in_dim must be an integer, got 14.0)"),
     ("eval", dict(checkpoint=_config_edit(cluster_counts=[6.7, 3])),
-     "checkpoint config has a bad value (cluster_counts must be a list of integers, "
-     "got [6.7, 3])"),
+     "checkpoint config has a bad value (cluster_counts must be a non-empty list of integers "
+     "of at least 1, got [6.7, 3])"),
     ("train", dict(manifest={"task": "classification", "num_labels": "3", "samples": [
         {"name": "ball", "obj": "ball.obj", "category": 0, "split": "train"}]}),
-     "'num_labels' must be an integer of at least 0, got '3'"),
+     "'num_labels' must be an integer, got '3'"),
     ("eval", dict(dirs=["model.ckpt"]), "Is a directory"),
     ("preprocess", dict(dirs=["cache/ball.mpc"]), "Is a directory"),
     ("preprocess", dict(manifest={"task": "classification", "samples": [
@@ -475,16 +476,11 @@ def test_bad_inputs_exit_1_with_one_error_line(tmp_path, command, dataset, messa
     (lambda m: m["samples"][0].pop("split"), "sample 0 has no 'split'"),
     (lambda m: m["samples"].append("ball.obj"), "sample 1 has no 'name'"),
     (lambda m: m["samples"][0].update(split="tset"), "sample 0 has split 'tset'"),
-    (lambda m: m.update(num_labels="3"),
-     "'num_labels' must be an integer of at least 0, got '3'"),
-    (lambda m: m.update(num_categories=None),
-     "'num_categories' must be an integer of at least 0, got None"),
-    (lambda m: m.update(num_labels=1.5),
-     "'num_labels' must be an integer of at least 0, got 1.5"),
-    (lambda m: m.update(num_labels=True),
-     "'num_labels' must be an integer of at least 0, got True"),
-    (lambda m: m.update(num_categories=-1),
-     "'num_categories' must be an integer of at least 0, got -1"),
+    (lambda m: m.update(num_labels="3"), "'num_labels' must be an integer, got '3'"),
+    (lambda m: m.update(num_categories=None), "'num_categories' must be an integer, got None"),
+    (lambda m: m.update(num_labels=1.5), "'num_labels' must be an integer, got 1.5"),
+    (lambda m: m.update(num_labels=True), "'num_labels' must be an integer, got True"),
+    (lambda m: m.update(num_categories=-1), "'num_categories' must be at least 0, got -1"),
     (lambda m: m["samples"][0].update(obj=5), "sample 0 'obj' must be a string, got 5"),
     (lambda m: m["samples"][0].update(labels=7), "sample 0 'labels' must be a string, got 7"),
     (lambda m: m["samples"][0].update(category=[0]), "sample 0 'category' must be an integer"),
@@ -625,9 +621,9 @@ def test_cli_error_paths(tmp_path, capsys):
     (["--seed", "-2"], "--seed must be at least 0, got -2"),
     (["--count", "-1"], "--count must be at least 1, got -1"),
     (["--count", "0"], "--count must be at least 1, got 0"),
-    (["--test-fraction", "1.5"], "--test-fraction must be in [0, 1), got 1.5"),
-    (["--test-fraction", "nan"], "--test-fraction must be in [0, 1), got nan"),
-    (["--test-fraction", "-0.1"], "--test-fraction must be in [0, 1), got -0.1"),
+    (["--test-fraction", "1.5"], "test_fraction must be in [0, 1), got 1.5"),
+    (["--test-fraction", "nan"], "test_fraction must be in [0, 1), got nan"),
+    (["--test-fraction", "-0.1"], "test_fraction must be in [0, 1), got -0.1"),
 ], ids=["seed-minus-2", "count-minus-1", "count-0", "test-fraction-1.5", "test-fraction-nan",
         "test-fraction-minus-0.1"])
 def test_synth_rejects_a_negative_seed_or_count(tmp_path, capsys, flags, message):
@@ -635,6 +631,23 @@ def test_synth_rejects_a_negative_seed_or_count(tmp_path, capsys, flags, message
     assert main(["synth", "--output", str(out), *flags]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not out.exists()  # rejected before anything is written
+
+
+@pytest.mark.parametrize("edit,reason", [
+    # each ended `train` with a numpy message that named no file
+    (lambda lines: [f"{line} 0" for line in lines], "2 columns, expected one integer per line"),
+    (lambda lines: ["1.5"] + lines[1:], "could not convert string '1.5' to int64"),
+], ids=["second-column", "float-entry"])
+def test_a_bad_label_file_is_named_on_the_error_line(tmp_path, capsys, edit, reason):
+    data = tmp_path / "seg"
+    main(["synth", "--output", str(data), "--task", "segmentation", "--count", "4"])
+    sample = json.loads((data / "manifest.json").read_text())["samples"][0]
+    labels = data / sample["labels"]
+    labels.write_text("\n".join(edit(labels.read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    assert main(["train", "--input", str(data), "--epochs", "1"] + SMALL) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {labels}: {reason}")
 
 
 def test_export_level_out_of_range(tmp_path, capsys):
@@ -646,7 +659,7 @@ def test_export_level_out_of_range(tmp_path, capsys):
     code = main(["export", "--input", str(obj), "--output", str(tmp_path / "x.ply"),
                  "--what", "clusters", "--level", "5"] + SMALL)
     assert code == 1
-    assert "level" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == ["error: --level must be in [0, 1], got 5"]
 
 
 def test_eval_and_export_follow_the_checkpoint(tmp_path, capsys):

@@ -48,7 +48,8 @@ def test_config_validation():
     for field, value in (("in_dim", 0), ("corr_width", 0), ("head_final", -1),
                          ("cluster_counts", ()), ("cluster_counts", (4, 0)),
                          ("update_widths", ()), ("head_hidden", [8, 0])):
-        with pytest.raises(ValueError, match=f"^{field} must be a.* of at least 1"):
+        with pytest.raises(ValueError, match=f"^{field} must be (a non-empty list of integers "
+                                             "of )?at least 1, got"):
             ModelConfig(**{field: value})
 
 
@@ -95,9 +96,12 @@ def test_configs_compare_by_value():
     ("head_hidden", None, "a list of integers"),
 ])
 def test_config_rejects_counts_that_are_not_integers(field, value, what):
+    """``what`` is the kind of value the field takes; a list must also be
+    non-empty, with every entry at least 1."""
     with pytest.raises(ValueError) as info:
         ModelConfig(**{field: value})
-    assert str(info.value) == f"{field} must be {what}, got {value!r}"
+    rule = "a non-empty list of integers of at least 1" if what == "a list of integers" else what
+    assert str(info.value) == f"{field} must be {rule}, got {value!r}"
 
 
 def test_init_params_matches_declared_shapes():
@@ -148,7 +152,7 @@ def test_forward_validation():
         model_forward(Tape(), params, TINY, feats[:, :4], masks, category=0)
     with pytest.raises(ValueError, match="category"):
         model_forward(Tape(), params, TINY, feats, masks)
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match=r"^category must be in \[0, 1\], got 7$"):
         model_forward(Tape(), params, TINY, feats, masks, category=7)
 
 

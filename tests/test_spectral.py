@@ -262,7 +262,8 @@ def test_divisive_splits_both_kinds_of_ties():
 
 def test_divisive_validation():
     pts = np.random.default_rng(6).standard_normal((10, 3))
-    with pytest.raises(ValueError, match=r"cluster count 0 not in \[1, 10\]"):
+    with pytest.raises(ValueError, match=r"^cluster_counts must be a non-empty list of integers "
+                                         r"of at least 1, got \(0,\)$"):
         build_hierarchy(pts, (0,), np.ones(len(pts)))[0]
     with pytest.raises(ValueError, match="more clusters than vertices"):
         build_hierarchy(pts, (11,), np.ones(len(pts)))[0]

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 
 import meshpool
 from meshpool.binio import array_to_str, read_container, str_to_array, write_container
-from meshpool.model import ModelConfig, init_params, parameter_shapes
+from meshpool.model import MAX_CLASSES, ModelConfig, init_params, parameter_shapes
 from meshpool.training import (
     CheckpointError,
     _shape_iou,
@@ -155,11 +157,17 @@ def test_train_validation_errors():
     (dict(checkpoint_every=1.0, checkpoint_path="m.ckpt"),
      "checkpoint_every must be an integer, got 1.0"),
     (dict(checkpoint_every=1), "checkpoint_every must be 0 without a checkpoint_path, got 1"),
+    # a bare TypeError, or lr 1.0 and a stop at accuracy 1
+    (dict(lr="0.1"), "lr must be a number, got '0.1'"),
+    (dict(lr=True), "lr must be a number, got True"),
+    (dict(early_stop_train_accuracy="1"), "early_stop_train_accuracy must be a number, got '1'"),
+    (dict(early_stop_train_accuracy=True), "early_stop_train_accuracy must be a number, got True"),
 ], ids=["float-epochs", "bool-epochs", "float-batch", "float-seed", "float-every",
-        "every-without-path"])
+        "every-without-path", "string-lr", "bool-lr", "string-early-stop", "bool-early-stop"])
 def test_train_config_rejects_a_setting_train_cannot_use(settings, message):
     """Each of these passed the config and then died inside ``train`` with a
-    TypeError, trained one epoch, or saved no checkpoint."""
+    TypeError, trained one epoch, saved no checkpoint or ran at a bool's
+    value."""
     with pytest.raises(TrainingError) as info:
         TrainConfig(**settings)
     assert str(info.value) == message
@@ -168,6 +176,8 @@ def test_train_config_rejects_a_setting_train_cannot_use(settings, message):
 def test_train_config_takes_numpy_integers():
     cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int32(3), seed=np.int64(1))
     assert (cfg.epochs, cfg.batch_size, cfg.seed) == (2, 3, 1)
+    cfg = TrainConfig(lr=np.float32(0.5), early_stop_train_accuracy=1)
+    assert type(cfg.lr) is float and type(cfg.early_stop_train_accuracy) is float
 
 
 @pytest.mark.parametrize("category", [2, -1])
@@ -198,8 +208,11 @@ def test_record_from_cache_checks_labels():
     assert len(rec.level_masks) == 1 and list(rec.level_masks[0]) == [0, 1, 1, 2, 2]
     assert np.array_equal(rec.features, cache.features[rec.order])
     assert np.array_equal(rec.labels, np.asarray(labels)[rec.order])
-    with pytest.raises(TrainingError, match="labels"):
+    with pytest.raises(TrainingError, match=r"^m: labels of shape \(2,\) for 5 vertices$"):
         record_from_cache("m", cache, 1, labels=[0, 1])
+    # a second column has the right length, and broke the loss much later
+    with pytest.raises(TrainingError, match=r"^m: labels of shape \(5, 2\) for 5 vertices$"):
+        record_from_cache("m", cache, 1, labels=np.zeros((5, 2)))
 
 
 def test_record_from_cache_rejects_levels_that_do_not_nest():
@@ -263,8 +276,7 @@ def test_classification_report_structure():
                                   early_stop_train_accuracy=1.0))
     report = evaluate_classification(params, CLS_CONFIG, records)
     assert report.accuracy == 1.0
-    assert report.confusion.sum() == len(records)
-    assert np.trace(report.confusion) == len(records)
+    assert report.confusion == {0: {0: 4}, 1: {1: 4}}
     assert report.per_category_accuracy == {0: 1.0, 1: 1.0}
 
 
@@ -340,10 +352,38 @@ def test_classification_report_lists_categories_in_ascending_id(monkeypatch):
     report = evaluate_classification(None, config, records)
     assert list(report.per_category_accuracy.items()) == [(0, 0.5), (2, 1.0), (3, 0.5)]
     assert report.accuracy == 3 / 5
-    expected = np.zeros((4, 4), dtype=np.int64)
-    for truth, pred in ((3, 3), (0, 1), (2, 2), (0, 0), (3, 0)):
-        expected[truth, pred] += 1
-    assert np.array_equal(report.confusion, expected)
+    # only the nonzero cells, true and then predicted ids ascending
+    assert report.confusion == {0: {0: 1, 1: 1}, 2: {2: 1}, 3: {0: 1, 3: 1}}
+    assert [(true, list(row)) for true, row in report.confusion.items()] == [
+        (0, [0, 1]), (2, [2]), (3, [0, 3])]
+
+
+MOST_CLASSES_CONFIG = replace(CLS_CONFIG, num_categories=MAX_CLASSES)
+
+
+def test_classification_confusion_is_sized_by_the_records(monkeypatch):
+    """At the most categories a config allows, a dense confusion would be
+    65536 x 65536 int64 cells (32 GiB); the map holds the cells it needs."""
+    _fixed_predictions(monkeypatch, {"s0": [MAX_CLASSES - 1], "s1": [7]})
+    records = [SampleRecord("s0", None, [], MAX_CLASSES - 1), SampleRecord("s1", None, [], 3)]
+    report = evaluate_classification(None, MOST_CLASSES_CONFIG, records)
+    assert report.confusion == {3: {7: 1}, MAX_CLASSES - 1: {MAX_CLASSES - 1: 1}}
+    assert report.accuracy == 0.5
+    assert report.per_category_accuracy == {3: 0.0, MAX_CLASSES - 1: 1.0}
+
+
+def test_classification_eval_at_the_most_categories_stays_small():
+    records = toy_cls_records(n_samples=2)
+    params = init_params(MOST_CLASSES_CONFIG, seed=0)  # 8 x 65536 output weights, 4 MiB
+    tracemalloc.start()
+    try:
+        report = evaluate_classification(params, MOST_CLASSES_CONFIG, records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+    assert sum(n for row in report.confusion.values() for n in row.values()) == 2
+    assert set(report.confusion) == {0, 1} and report.per_category_accuracy.keys() == {0, 1}
 
 
 def test_forward_logits_shapes():
@@ -447,20 +487,21 @@ def _edit_config_json(arrays, edit):
     (lambda a: _edit_config_json(a, lambda c: c.update(task="regression")),
      "checkpoint config has a bad value (unknown task 'regression')"),
     (lambda a: _edit_config_json(a, lambda c: c.update(update_widths=8)),
-     "checkpoint config has a bad value (update_widths must be a list of integers, got 8)"),
+     "checkpoint config has a bad value (update_widths must be a non-empty list of integers "
+     "of at least 1, got 8)"),
     (lambda a: _edit_config_json(a, lambda c: c.update(num_categories=2**70)),
      f"checkpoint config has a bad value (num_categories must be in [0, 65536], got {2**70})"),
     (lambda a: _edit_config_json(a, lambda c: c.update(head_hidden=[])),
-     "checkpoint config has a bad value (head_hidden must be a size, or a non-empty list of "
-     "sizes, of at least 1, got ())"),
+     "checkpoint config has a bad value (head_hidden must be a non-empty list of integers "
+     "of at least 1, got [])"),
     (lambda a: _edit_config_json(a, lambda c: c.update(update_widths=[])),
-     "checkpoint config has a bad value (update_widths must be a size, or a non-empty list of "
-     "sizes, of at least 1, got ())"),
+     "checkpoint config has a bad value (update_widths must be a non-empty list of integers "
+     "of at least 1, got [])"),
     (lambda a: _edit_config_json(a, lambda c: c.update(in_dim=14.0)),
      "checkpoint config has a bad value (in_dim must be an integer, got 14.0)"),
     (lambda a: _edit_config_json(a, lambda c: c.update(cluster_counts=[6.7, 3])),
-     "checkpoint config has a bad value (cluster_counts must be a list of integers, "
-     "got [6.7, 3])"),
+     "checkpoint config has a bad value (cluster_counts must be a non-empty list of integers "
+     "of at least 1, got [6.7, 3])"),
     (lambda a: _edit_config_json(a, lambda c: c.update(corr_width="64")),
      "checkpoint config has a bad value (corr_width must be an integer, got '64')"),
     (lambda a: _edit_config_json(a, lambda c: c.update(num_labels=True)),
@@ -487,11 +528,11 @@ def _edit_config_json(arrays, edit):
     (lambda a: a.update(kind=str_to_array("meshpool-checkpoint")),
      "older checkpoint kind 'meshpool-checkpoint'; retrain with this version"),
     (lambda a: a.update(epoch=np.array([-5], dtype=np.int64)),
-     "section epoch holds -5, expected at least -1"),
+     "section epoch must be at least -1, got -5"),
     (lambda a: a.update(adam_t=np.array([-1], dtype=np.int64)),
-     "section adam_t holds -1, expected at least 0"),
+     "section adam_t must be at least 0, got -1"),
     (lambda a: a.update(train_seed=np.array([-7], dtype=np.int64)),
-     "section train_seed holds -7, expected at least 0"),
+     "section train_seed must be at least 0, got -7"),
     (lambda a: a.update(feature_kind=str_to_array("meshpool-cache-0")),
      "checkpoint names feature kind 'meshpool-cache-0', this version builds "
      f"{CACHE_KIND!r}; retrain with this version"),
