@@ -44,7 +44,10 @@ How the tape works:
   is summed over fixed ``GRAD_CHUNK``-row chunks in row order, so trained
   weights do not depend on the BLAS thread count.
 - Every op allocates its output afresh and the output tensor owns it, so
-  a result stays valid for as long as the caller holds it.
+  a result stays valid for as long as the caller holds it. The one
+  exception is ``dense`` on a tape built on a ``StepMemory``: its output
+  is a block of the memory's one array, valid until the next tape is
+  built on that memory.
 - Max-pool backward adds its routed cells into an existing input
   gradient; only an input without one gets a zeroed array. ``adam_step``
   walks the flat parameter arrays in ``ADAM_CHUNK`` slices with one
@@ -175,16 +178,47 @@ def _accumulate(t: Tensor, g: np.ndarray, rows=None) -> None:
         t.grad += g
 
 
+class StepMemory:
+    """One flat float64 array that the ``dense`` outputs of successive
+    tapes reuse, so training does not free and fault in the same N-row
+    arrays every step. ``take`` hands out the next C-contiguous block, at a
+    64-byte offset, or ``np.empty`` past the array's end. A tape built on
+    the memory restarts it, growing the array to the total the last step
+    asked for, so a block is valid until the next tape on the memory."""
+
+    __slots__ = ("_array", "_used")
+
+    def __init__(self):
+        self._array = np.empty(0)
+        self._used = 0  # elements asked for since the last restart
+
+    def restart(self) -> None:
+        if self._used > len(self._array):
+            self._array = np.empty(self._used)
+        self._used = 0
+
+    def take(self, n: int, w: int) -> np.ndarray:
+        start, size = self._used, n * w
+        self._used += -(-size // 8) * 8  # 8 float64s: the next block is 64-byte aligned
+        if self._used > len(self._array):
+            return np.empty((n, w))
+        return self._array[start:start + size].reshape(n, w)
+
+
 class Tape:
     """Ordered record of executed ops; one backward pass per tape.
 
     With ``record=False`` the tape only computes forwards (inference) and
-    ``backward`` is an error. The records are the tape's only state: a
-    cluster op builds the segments of its mask when it runs.
+    ``backward`` is an error; with a ``memory``, ``dense`` writes into it.
+    The records are the tape's only state: a cluster op builds the segments
+    of its mask when it runs.
     """
 
-    def __init__(self, record: bool = True):
+    def __init__(self, record: bool = True, memory: StepMemory = None):
         self.record = bool(record)
+        self.memory = memory
+        if memory is not None:
+            memory.restart()
         self._records = []  # (output tensor, backward closure)
 
     def _emit(self, data, backward) -> Tensor:
@@ -268,7 +302,8 @@ class Tape:
         the input is the split matrix ``[x, cluster[mask]]``: x multiplies
         W's leading rows at N rows, the cluster part multiplies W's trailing
         rows (plus b) at p rows, and that product is scattered onto x's.
-        The bias, scatter and ReLU work in place on the fresh x @ W product.
+        The bias, scatter and ReLU work in place on the x @ W product, which
+        is a fresh array or, on a tape with a memory, the memory's next block.
         """
         kc = 0 if cluster is None else cluster.data.shape[-1]
         if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.shape != w.data.shape[1:]
@@ -278,7 +313,8 @@ class Tape:
                              f"+ {b.data.shape}")
         n, k = x.data.shape
         wx = w.data[:k]
-        out = np.matmul(x.data, wx)
+        out = np.matmul(x.data, wx, out=None if self.memory is None
+                        else self.memory.take(n, wx.shape[1]))
         if cluster is None:
             out += b.data
         else:

@@ -36,6 +36,9 @@ def real(name: str, value, error, rule: str, holds) -> float:
     """Rule ``a number``, then ``rule``: the words for what ``holds`` tests."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise error(f"{name} must be a number, got {value!r}")
-    if not holds(float(value)):
-        raise error(f"{name} must be {rule}, got {value!r}")
-    return float(value)
+    try:
+        if holds(float(value)):
+            return float(value)
+    except OverflowError:  # an int past the float range meets no rule
+        pass
+    raise error(f"{name} must be {rule}, got {value!r}")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -141,9 +142,13 @@ def _walk_manifest(dataset_dir: Path, manifest: dict, params: PreprocessParams, 
 def _read_labels(path: Path) -> np.ndarray:
     """A label file's one integer per line; raises ValueError naming the file."""
     try:
-        labels = np.loadtxt(path, dtype=np.int64, ndmin=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # numpy warns on a file without data
+            labels = np.loadtxt(path, dtype=np.int64, ndmin=1)
         if labels.ndim != 1:
             raise ValueError(f"{labels.shape[1]} columns, expected one integer per line")
+    except UserWarning:
+        raise ValueError(f"{path}: no labels") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return labels

@@ -7,10 +7,12 @@ gradient accumulation over single-mesh tapes (each backward seeded with
 updates the whole flat parameter set. Because the only mutable state is
 that set's values, Adam moments and step count, a checkpoint written after
 epoch e and resumed reproduces the uninterrupted run bit for bit. Each
-mesh-step builds a fresh ``Tape``; its outputs and gradients are ordinary
-arrays that are freed once the step no longer holds them. A
-``TrainConfig`` checks its settings when it is made, so a bad one fails
-before any record is loaded.
+mesh-step builds a fresh ``Tape`` on the call's one ``StepMemory``: its
+dense-layer outputs are blocks of that memory, valid until the next step's
+tape is built (the step reads its logits before then), and every other
+output and gradient is an ordinary array freed once the step no longer
+holds it. A ``TrainConfig`` checks its settings when it is made, so a bad
+one fails before any record is loaded.
 
 Records built from a cache (``record_from_cache``) are cluster-contiguous:
 their vertices are stably sorted by (coarsest cluster id, ..., finest
@@ -37,7 +39,7 @@ from math import inf
 
 import numpy as np
 
-from .autodiff import ParameterSet, Tape, adam_step
+from .autodiff import ParameterSet, StepMemory, Tape, adam_step
 from .binio import Sections, array_to_str, read_container, str_to_array, write_container
 from .cache import CACHE_KIND, FeatureCache
 from .checks import integer, real
@@ -233,6 +235,7 @@ def train(records, config: ModelConfig, train_config: TrainConfig,
     if params is None:
         params = init_params(config, cfg.seed)
     history = []
+    memory = StepMemory()
     for epoch in range(start_epoch, cfg.epochs):
         rng = np.random.default_rng([cfg.seed, epoch])
         order = rng.permutation(len(records))
@@ -241,7 +244,7 @@ def train(records, config: ModelConfig, train_config: TrainConfig,
             batch = order[start:start + cfg.batch_size]
             for idx in batch:
                 record, truth = records[idx], truths[idx]
-                tape = Tape()
+                tape = Tape(memory=memory)
                 logits = model_forward(tape, params, config, record.features,
                                        record.level_masks, category=record.category)
                 loss = tape.softmax_cross_entropy(logits, truth)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from meshpool.autodiff import (ADAM_CHUNK, GRAD_CHUNK, ParameterSet, Tape, Tensor, _Segments,
-                               adam_step)
+from meshpool.autodiff import (ADAM_CHUNK, GRAD_CHUNK, ParameterSet, StepMemory, Tape, Tensor,
+                               _Segments, adam_step)
 
 from conftest import central_diff, fd_op_check, max_rel_err
 
@@ -524,9 +524,10 @@ def unfused_dense(tape, x, w_parts, b, relu, cluster=None, mask=None):
     return tape.relu(h) if relu else h
 
 
+@pytest.mark.parametrize("memory", [False, True], ids=["fresh", "memory"])
 @pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
 @pytest.mark.parametrize("split", [False, True], ids=["tensor", "split"])
-def test_dense_bit_identical_to_unfused_ops(split, relu):
+def test_dense_bit_identical_to_unfused_ops(split, relu, memory):
     x, w, b, part = dense_inputs(41, split)
     cluster, mask = part or (None, None)
     k = x.shape[1]
@@ -539,9 +540,16 @@ def test_dense_bit_identical_to_unfused_ops(split, relu):
         if cluster is not None:
             leaves["cluster"] = Tensor(cluster)
         c = leaves.get("cluster")
+        if fused and memory:
+            # a first step sizes the memory, so this one writes into its array
+            step_memory = StepMemory()
+            Tape(memory=step_memory).dense(Tensor(x), Tensor(w), Tensor(b), relu,
+                                           None if c is None else Tensor(cluster), mask)
+            tape = Tape(memory=step_memory)
         if fused:
             leaves["w"] = Tensor(w)
             out = tape.dense(leaves["x"], leaves["w"], leaves["b"], relu, c, mask)
+            assert out.data.flags.owndata == (not memory)
         else:
             w_parts = [Tensor(w)] if c is None else [Tensor(w[:k]), Tensor(w[k:])]
             out = unfused_dense(tape, leaves["x"], w_parts, leaves["b"], relu, c, mask)
@@ -582,6 +590,36 @@ def test_weight_gradients_sum_fixed_row_chunks():
             tape, wt = Tape(), Tensor(w)
             tape.backward(op(tape, wt))
             assert np.array_equal(wt.grad, expected)
+
+
+def test_a_step_memory_hands_its_blocks_to_the_next_tape():
+    """A block is a view of the memory's array, reused by the next tape; a
+    step past the array gets arrays of its own, and the next tape has room."""
+    x, w, b, _ = dense_inputs(46, False)
+    w2, b2 = np.random.default_rng(47).standard_normal((5, 3)), np.zeros(3)
+    memory = StepMemory()
+
+    def step(rows, tape):
+        h = tape.dense(Tensor(rows), Tensor(w), Tensor(b), True)
+        return h.data, tape.dense(h, Tensor(w2), Tensor(b2), False).data
+
+    def in_memory(rows):
+        got = step(rows, Tape(memory=memory))
+        want = step(rows, Tape())
+        assert all(np.array_equal(g, v) for g, v in zip(got, want))
+        return got, [not g.flags.owndata for g in got]  # a block is a view
+
+    first, blocks = in_memory(x)
+    assert blocks == [False, False]  # an empty memory: every output falls back
+    second, blocks = in_memory(x)
+    assert blocks == [True, True]
+    third, _ = in_memory(x)
+    assert all(np.shares_memory(s, t) for s, t in zip(second, third))
+    assert not any(np.shares_memory(s, t) for s, t in zip(first, third))
+    _, blocks = in_memory(np.vstack([x, x + 1.0]))
+    assert blocks == [False, False]  # past the end of the array
+    _, blocks = in_memory(np.vstack([x, x - 1.0]))
+    assert blocks == [True, True]  # the array grew to the larger step
 
 
 def test_record_free_dense_records_nothing():

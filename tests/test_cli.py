@@ -237,9 +237,10 @@ def test_export_without_cache_dir_writes_only_the_ply(tmp_path, capsys):
 
 
 def _run_meshpool(*args):
-    """Run ``python`` with ``args`` in a fresh process importing this checkout."""
+    """Run ``python`` with ``args`` in a fresh process importing this checkout,
+    where any warning is an error (pyproject's filter reaches only this one)."""
     src = str(Path(meshpool.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, PYTHONWARNINGS="error", PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
@@ -648,6 +649,20 @@ def test_a_bad_label_file_is_named_on_the_error_line(tmp_path, capsys, edit, rea
     assert main(["train", "--input", str(data), "--epochs", "1"] + SMALL) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {labels}: {reason}")
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+def test_a_label_file_without_labels_is_one_error_line_naming_it(tmp_path, text):
+    # numpy warned, and the error line named the sample, not the file
+    data = tmp_path / "seg"
+    main(["synth", "--output", str(data), "--task", "segmentation", "--count", "4"])
+    sample = json.loads((data / "manifest.json").read_text())["samples"][0]
+    labels = data / sample["labels"]
+    labels.write_text(text)
+    proc = _run_meshpool("-m", "meshpool", "train", "--input", str(data), "--epochs", "1",
+                         *SMALL)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"error: {labels}: no labels"], proc.stderr
 
 
 def test_export_level_out_of_range(tmp_path, capsys):

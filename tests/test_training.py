@@ -104,6 +104,29 @@ def test_training_is_deterministic():
     assert not params_equal(params_a, params_c)
 
 
+def test_training_on_a_step_memory_matches_fresh_arrays(monkeypatch):
+    """Dense outputs in the reused memory, which grows mid-run when a larger
+    mesh follows a smaller one, train the same state as fresh arrays."""
+    from meshpool import training
+
+    records = toy_seg_records(n_samples=2, n=12) + toy_seg_records(n_samples=2, n=40, seed=1)
+    cfg = TrainConfig(epochs=3, seed=1, batch_size=2)
+    first = np.random.default_rng([cfg.seed, 0]).permutation(len(records))[0]
+    assert len(records[first].features) == 12  # the smaller mesh sizes the memory first
+
+    def digest():
+        params, _ = train(records, SEG_CONFIG, cfg)
+        return hashlib.sha256(b"".join(a.tobytes() for a in (params.data, params.m, params.v)))
+
+    class FreshTape(training.Tape):
+        def __init__(self, record=True, memory=None):
+            super().__init__(record)
+
+    with_memory = digest().hexdigest()
+    monkeypatch.setattr(training, "Tape", FreshTape)
+    assert digest().hexdigest() == with_memory
+
+
 def test_verbose_prints_one_line_per_epoch_and_changes_no_result(capsys):
     records = toy_cls_records()
     digests = []
