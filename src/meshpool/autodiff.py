@@ -4,19 +4,22 @@ The pooling networks run a fused dense layer, matmul, transpose, concat,
 cluster max pooling, scatter, global max pooling and a log-sum-exp-stable
 softmax cross-entropy; ``add``, ``scale``, ``bias_add``, ``relu`` and
 ``cluster_mean_pool`` stay for the benchmark tracer and the tests only,
-until ROADMAP item 3. Forward results are recorded on an explicit tape;
+until ROADMAP item 1 (the benchmark change that teaches
+``perfbench/tracer.py`` to time ``dense``). Forward results are recorded on
+an explicit tape;
 ``Tape.backward`` replays the records in exact reverse execution order and
 accumulates gradients additively at fan-out points. All reductions have a
 fixed order, so identical inputs give bit-identical outputs.
 
 How the tape works:
 
-- On a recording tape every op records a backward closure, and backward
-  gives every input of every op its gradient, leaves included. The one
-  switch is ``Tape(record=False)``, which runs record-free forwards for
-  inference: no op records a closure, and state that only backward uses
-  (ReLU masks, max pool argmax rows, softmax probabilities) is never
-  computed.
+- Every tape records: each op appends its output and a backward closure,
+  and backward gives every input of every op its gradient, leaves
+  included. State that only backward uses (ReLU masks, max pool argmax
+  rows, softmax probabilities) is computed inside the closures, so a
+  forward costs the same whether backward runs or not. Inference drops
+  its tape without calling backward, which frees every output the caller
+  does not hold.
 - The first gradient that reaches a tensor is adopted as its gradient
   array instead of being added to zeros. An op copies a gradient only
   where adopting it would make two tensors share one gradient array.
@@ -206,16 +209,14 @@ class StepMemory:
 
 
 class Tape:
-    """Ordered record of executed ops; one backward pass per tape.
+    """Ordered record of executed ops; at most one backward pass per tape.
 
-    With ``record=False`` the tape only computes forwards (inference) and
-    ``backward`` is an error; with a ``memory``, ``dense`` writes into it.
-    The records are the tape's only state: a cluster op builds the segments
-    of its mask when it runs.
+    With a ``memory``, ``dense`` writes into it. The records are the tape's
+    only state: a cluster op builds the segments of its mask when it runs.
+    A tape dropped without backward frees its records with it.
     """
 
-    def __init__(self, record: bool = True, memory: StepMemory = None):
-        self.record = bool(record)
+    def __init__(self, memory: StepMemory = None):
         self.memory = memory
         if memory is not None:
             memory.restart()
@@ -223,8 +224,7 @@ class Tape:
 
     def _emit(self, data, backward) -> Tensor:
         out = Tensor(data)
-        if self.record:
-            self._records.append((out, backward))
+        self._records.append((out, backward))
         return out
 
     def backward(self, loss: Tensor, seed: float = 1.0) -> None:
@@ -233,8 +233,6 @@ class Tape:
         Gradients of the tape's own outputs are consumed on the way and
         read None afterwards.
         """
-        if not self.record:
-            raise RuntimeError("backward on a tape that records nothing")
         loss.grad = np.full_like(loss.data, float(seed))
         for out, fn in reversed(self._records):
             if out.grad is not None:

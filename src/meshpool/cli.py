@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cache import PreprocessParams, get_features
+from .cache import PreprocessParams, get_features, load_cache, preprocess_mesh
 from .checks import integer
 from .mesh import load_obj, write_obj
 from .model import TASKS, ModelConfig
@@ -139,14 +139,17 @@ def _walk_manifest(dataset_dir: Path, manifest: dict, params: PreprocessParams, 
             yield entry, get_features(mesh, params, cache_dir / f"{entry['name']}.mpc")
 
 
-def _read_labels(path: Path) -> np.ndarray:
-    """A label file's one integer per line; raises ValueError naming the file."""
+def _read_labels(path: Path, n: int) -> np.ndarray:
+    """A label file's one integer per line, one line for each of ``n``
+    vertices; raises ValueError naming the file."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # numpy warns on a file without data
             labels = np.loadtxt(path, dtype=np.int64, ndmin=1)
         if labels.ndim != 1:
             raise ValueError(f"{labels.shape[1]} columns, expected one integer per line")
+        if len(labels) != n:
+            raise ValueError(f"{len(labels)} labels for {n} vertices")
     except UserWarning:
         raise ValueError(f"{path}: no labels") from None
     except ValueError as exc:
@@ -159,7 +162,8 @@ def _sample_records(dataset_dir: Path, manifest: dict, params: PreprocessParams,
     """SampleRecords of the requested splits, with their label files."""
     records = {split: [] for split in splits}
     for entry, cache in _walk_manifest(dataset_dir, manifest, params, splits):
-        labels = _read_labels(dataset_dir / entry["labels"]) if entry.get("labels") else None
+        labels = (_read_labels(dataset_dir / entry["labels"], cache.n_vertices)
+                  if entry.get("labels") else None)
         records[entry["split"]].append(
             record_from_cache(entry["name"], cache, entry["category"], labels))
     return records
@@ -308,21 +312,30 @@ def _cmd_eval(args) -> int:
 # ---- export -----------------------------------------------------------
 
 
+def _export_features(obj_path: Path, mesh, params: PreprocessParams):
+    """The features of ``mesh``: from the dataset cache ``preprocess`` writes
+    beside a synth OBJ when that cache is valid for this mesh and ``params``,
+    otherwise computed in memory. Export writes no cache: the file it looks
+    up may belong to another sample of the manifest."""
+    try:
+        return load_cache(obj_path.parent / "cache" / f"{obj_path.stem}.mpc",
+                          mesh=mesh, params=params)
+    except (FileNotFoundError, ValueError):  # ValueError covers container + mismatch errors
+        return preprocess_mesh(mesh, params)
+
+
 def _cmd_export(args) -> int:
     obj_path = Path(args.input)
     mesh = load_obj(obj_path)
-    # reuse the dataset cache that `preprocess` writes beside a synth OBJ
-    cache_dir = obj_path.parent / "cache"
-    cache_path = cache_dir / f"{obj_path.stem}.mpc" if cache_dir.is_dir() else None
     if args.what == "clusters":
-        cache = get_features(mesh, _params_from_args(args), cache_path)
+        cache = _export_features(obj_path, mesh, _params_from_args(args))
         level = integer("--level", args.level, ValueError, 0, len(cache.level_masks) - 1)
         ids = cache.level_masks[level]
     else:
         if not args.model:
             raise ValueError("--model is required to export predicted labels")
         params, config, _, _ = load_checkpoint(args.model)
-        cache = get_features(mesh, _checkpoint_params(args, config), cache_path)
+        cache = _export_features(obj_path, mesh, _checkpoint_params(args, config))
         record = record_from_cache(obj_path.stem, cache, args.category)
         # one row for classification: every vertex shows the shape's class
         ids = np.broadcast_to(predict(params, config, record), mesh.n_vertices)

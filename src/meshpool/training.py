@@ -176,14 +176,14 @@ def _in_mesh_order(rows: np.ndarray, record: SampleRecord, config: ModelConfig) 
 
 
 def forward_logits(params, config: ModelConfig, record: SampleRecord) -> np.ndarray:
-    """Inference-only forward pass on a record-free tape; per-vertex logits
-    come back in the mesh's vertex order.
+    """Inference-only forward pass; per-vertex logits come back in the
+    mesh's vertex order.
 
-    No op records a backward closure or keeps state that only backward
-    needs, so eval, export and the early-stop pass pay for the forward
-    alone. The logits are bit-identical to a recording forward's.
+    The tape is dropped without backward, freeing every output but the
+    logits. State that only backward needs lives in the backward closures,
+    so eval, export and the early-stop pass pay for the forward alone.
     """
-    logits = model_forward(Tape(record=False), params, config, record.features,
+    logits = model_forward(Tape(), params, config, record.features,
                            record.level_masks, category=record.category).data
     return _in_mesh_order(logits, record, config)
 

@@ -300,26 +300,8 @@ def test_matmul_shape_validation():
 
 
 # ---------------------------------------------------------------------------
-# lean tape: record-free forwards, adopted gradients
+# lean tape: adopted gradients
 # ---------------------------------------------------------------------------
-
-def test_record_free_tape_matches_recording_forward():
-    rng = np.random.default_rng(33)
-    x, w = rng.standard_normal((6, 4)), rng.standard_normal((4, 3))
-    mask = small_mask(rng, 6, 2)
-
-    def run(tape):
-        h = tape.relu(tape.matmul(Tensor(x), Tensor(w)))
-        return tape.cluster_max_pool(h, mask, 2), tape.cluster_mean_pool(h, mask, 2)
-
-    free = Tape(record=False)
-    outs = run(free)
-    assert free._records == []
-    for got, want in zip(outs, run(Tape())):
-        assert np.array_equal(got.data, want.data)
-    with pytest.raises(RuntimeError, match="records nothing"):
-        free.backward(outs[0])
-
 
 def test_adopted_gradients_never_alias():
     # add hands one gradient to both inputs: the second must get a copy, or
@@ -620,15 +602,6 @@ def test_a_step_memory_hands_its_blocks_to_the_next_tape():
     assert blocks == [False, False]  # past the end of the array
     _, blocks = in_memory(np.vstack([x, x - 1.0]))
     assert blocks == [True, True]  # the array grew to the larger step
-
-
-def test_record_free_dense_records_nothing():
-    x, w, b, (cluster, mask) = dense_inputs(43, True)
-    free = Tape(record=False)
-    out = free.dense(Tensor(x), Tensor(w), Tensor(b), True, Tensor(cluster), mask)
-    assert free._records == []
-    want = Tape().dense(Tensor(x), Tensor(w), Tensor(b), True, Tensor(cluster), mask)
-    assert np.array_equal(out.data, want.data)
 
 
 def test_later_tapes_leave_a_leaf_gradient_alone():

@@ -78,7 +78,7 @@ def _export(tmp_path, field, value):
 def _forward(tmp_path, field, value):
     rng = np.random.default_rng(0)
     masks = [np.arange(6) % 2]
-    model_forward(Tape(record=False), init_params(TINY_SEG, seed=0), TINY_SEG,
+    model_forward(Tape(), init_params(TINY_SEG, seed=0), TINY_SEG,
                   rng.standard_normal((6, 4)), masks, category=value)
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ import meshpool
 from meshpool.autodiff import Tape
 from meshpool.binio import array_to_str, read_container, str_to_array, write_container
 from meshpool.cache import CacheMismatchError, PreprocessParams, load_cache
-from meshpool.cli import load_manifest, main
+from meshpool.cli import build_parser, load_manifest, main
 from meshpool.mesh import load_obj, write_obj
 from meshpool.model import ModelConfig, init_params, model_forward
 from meshpool.ply import label_colors
@@ -236,6 +237,25 @@ def test_export_without_cache_dir_writes_only_the_ply(tmp_path, capsys):
     assert set(data.iterdir()) == before
 
 
+def test_export_leaves_another_samples_cache_alone(tmp_path, capsys):
+    # export looks up <OBJ dir>/cache/<stem>.mpc, which here is the cache of
+    # the sample named after this OBJ's stem, not of the OBJ's own sample;
+    # export overwrote it with this mesh's features
+    data = tmp_path / "seg"
+    main(["synth", "--output", str(data), "--task", "segmentation",
+          "--count", "4", "--seed", "1"])
+    manifest = json.loads((data / "manifest.json").read_text())
+    first, second = manifest["samples"][:2]
+    obj = data / first["obj"]
+    first["name"], second["name"] = "first", obj.stem
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["train", "--input", str(data), "--epochs", "1"] + SMALL) == 0
+    before = _cache_stamps(data / "cache")
+    assert main(["export", "--input", str(obj), "--output", str(tmp_path / "l.ply"),
+                 "--what", "labels", "--model", str(data / "model.ckpt")]) == 0
+    assert _cache_stamps(data / "cache") == before
+
+
 def _run_meshpool(*args):
     """Run ``python`` with ``args`` in a fresh process importing this checkout,
     where any warning is an error (pyproject's filter reaches only this one)."""
@@ -283,6 +303,19 @@ def test_cli_import_leaves_out_scipy_optimize(tmp_path):
         ["eval", "--input", str(data), "--model", ckpt],
         ["export", "--input", obj, "--output", str(tmp_path / "seg.ply"),
          "--what", "labels", "--model", ckpt]) == [[], [], [], []]
+
+
+def test_readme_quickstart_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Quickstart", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("meshpool ")]
+    assert {argv[1] for argv in commands} == {"synth", "preprocess", "train", "eval", "export"}
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README Quickstart line does not parse: {shlex.join(argv)}")
 
 
 def test_every_exported_name_resolves():
@@ -594,7 +627,7 @@ def test_fuzzed_manifests_load_or_raise_value_errors(tmp_path, capsys):
 def test_checkpoint_of_other_features_is_refused_before_preprocessing(tmp_path, capsys,
                                                                       command):
     data = tmp_path / "data"
-    # with a cache directory present, export too would write a cache there
+    # with a cache directory present, eval and train would write caches there
     _ball_dataset(data, checkpoint=lambda a: dict(
         a, feature_kind=str_to_array("meshpool-cache-0")), dirs=["cache"])
     ckpt = data / "model.ckpt"
@@ -638,7 +671,9 @@ def test_synth_rejects_a_negative_seed_or_count(tmp_path, capsys, flags, message
     # each ended `train` with a numpy message that named no file
     (lambda lines: [f"{line} 0" for line in lines], "2 columns, expected one integer per line"),
     (lambda lines: ["1.5"] + lines[1:], "could not convert string '1.5' to int64"),
-], ids=["second-column", "float-entry"])
+    # named the sample: "dumbbell_a_000: labels of shape (3,) for 254 vertices"
+    (lambda lines: lines[:3], "3 labels for "),
+], ids=["second-column", "float-entry", "three-lines"])
 def test_a_bad_label_file_is_named_on_the_error_line(tmp_path, capsys, edit, reason):
     data = tmp_path / "seg"
     main(["synth", "--output", str(data), "--task", "segmentation", "--count", "4"])
@@ -721,7 +756,7 @@ def test_export_labels_colours_vertices_in_mesh_order(tmp_path):
                  "--model", str(ckpt)]) == 0
     params, config, _, _ = load_checkpoint(ckpt)
     cache = load_cache(data / "cache" / f"{obj.stem}.mpc")
-    logits = model_forward(Tape(record=False), params, config, cache.features,
+    logits = model_forward(Tape(), params, config, cache.features,
                            cache.level_masks, category=0).data
     want = np.argmax(logits, axis=1)
     assert len(np.unique(want)) > 1  # a constant prediction would hide the order

@@ -303,7 +303,7 @@ def test_layout_record_predicts_in_mesh_order(task, dumbbell_cache):
     assert not np.array_equal(record.order, np.arange(cache.n_vertices))
 
     def mesh_forward():
-        return model_forward(Tape(record=False), params, config, cache.features,
+        return model_forward(Tape(), params, config, cache.features,
                              cache.level_masks, category=category).data
 
     if task == "segmentation":  # centre the logits so the prediction varies
@@ -336,9 +336,9 @@ def test_split_weights_match_finite_differences(task):
         saved = params[name].value.data
         params[name].value.data = w
         try:
-            logits = model_forward(Tape(record=False), params, config, feats, masks,
+            logits = model_forward(Tape(), params, config, feats, masks,
                                    category=category)
-            return float(Tape(record=False).softmax_cross_entropy(logits, labels).data)
+            return float(Tape().softmax_cross_entropy(logits, labels).data)
         finally:
             params[name].value.data = saved
 

@@ -119,8 +119,8 @@ def test_training_on_a_step_memory_matches_fresh_arrays(monkeypatch):
         return hashlib.sha256(b"".join(a.tobytes() for a in (params.data, params.m, params.v)))
 
     class FreshTape(training.Tape):
-        def __init__(self, record=True, memory=None):
-            super().__init__(record)
+        def __init__(self, memory=None):
+            super().__init__()
 
     with_memory = digest().hexdigest()
     monkeypatch.setattr(training, "Tape", FreshTape)
