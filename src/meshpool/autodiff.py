@@ -46,11 +46,12 @@ How the tape works:
 - A weight gradient (``x.T @ g`` in ``matmul`` and ``dense`` backward)
   is summed over fixed ``GRAD_CHUNK``-row chunks in row order, so trained
   weights do not depend on the BLAS thread count.
-- Every op allocates its output afresh and the output tensor owns it, so
-  a result stays valid for as long as the caller holds it. The one
-  exception is ``dense`` on a tape built on a ``StepMemory``: its output
-  is a block of the memory's one array, valid until the next tape is
-  built on that memory.
+- Every op but ``dense`` allocates its output afresh and the output
+  tensor owns it, so a result stays valid for as long as the caller holds
+  it. ``dense`` writes into the tape's ``StepMemory``: a tape built
+  without one gets a fresh memory, whose blocks are fresh arrays, and on
+  a memory that training passes from tape to tape a block is valid until
+  the next tape is built on it.
 - Max-pool backward adds its routed cells into an existing input
   gradient; only an input without one gets a zeroed array. ``adam_step``
   walks the flat parameter arrays in ``ADAM_CHUNK`` slices with one
@@ -110,19 +111,22 @@ class ParameterSet(dict):
 
 
 ADAM_CHUNK = 1 << 15  # elements per slice of the flat arrays in adam_step
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's published defaults
 
 
-def adam_step(params: ParameterSet, lr=7e-4, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
-    """One Adam update of every parameter, with bias correction; zeroes the
-    gradients afterwards.
+def adam_step(params: ParameterSet, lr: float) -> None:
+    """One Adam update of every parameter at learning rate ``lr``, with bias
+    correction; zeroes the gradients afterwards.
 
     Updates the flat moments and values in place, ``ADAM_CHUNK`` elements
     at a time, with the same operations in the same order on every element
     as m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g,
-    value -= lr m_hat / (sqrt(v_hat) + eps), so the results are
-    bit-identical to that textbook form. One chunk-sized temporary serves
-    every term, and the spent gradient holds the update.
+    value -= lr m_hat / (sqrt(v_hat) + eps), with beta1, beta2 and eps the
+    module's ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``, so the
+    results are bit-identical to that textbook form. One chunk-sized
+    temporary serves every term, and the spent gradient holds the update.
     """
+    beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     params.step += 1
     correct1, correct2 = 1.0 - beta1**params.step, 1.0 - beta2**params.step
     size = len(params.data)
@@ -211,15 +215,15 @@ class StepMemory:
 class Tape:
     """Ordered record of executed ops; at most one backward pass per tape.
 
-    With a ``memory``, ``dense`` writes into it. The records are the tape's
-    only state: a cluster op builds the segments of its mask when it runs.
-    A tape dropped without backward frees its records with it.
+    ``dense`` writes into ``memory``, a fresh ``StepMemory`` unless one is
+    given. The records are the tape's only other state: a cluster op
+    builds the segments of its mask when it runs. A tape dropped without
+    backward frees its records with it.
     """
 
     def __init__(self, memory: StepMemory = None):
-        self.memory = memory
-        if memory is not None:
-            memory.restart()
+        self.memory = StepMemory() if memory is None else memory
+        self.memory.restart()
         self._records = []  # (output tensor, backward closure)
 
     def _emit(self, data, backward) -> Tensor:
@@ -301,7 +305,7 @@ class Tape:
         W's leading rows at N rows, the cluster part multiplies W's trailing
         rows (plus b) at p rows, and that product is scattered onto x's.
         The bias, scatter and ReLU work in place on the x @ W product, which
-        is a fresh array or, on a tape with a memory, the memory's next block.
+        is the next block of the tape's memory.
         """
         kc = 0 if cluster is None else cluster.data.shape[-1]
         if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.shape != w.data.shape[1:]
@@ -311,8 +315,7 @@ class Tape:
                              f"+ {b.data.shape}")
         n, k = x.data.shape
         wx = w.data[:k]
-        out = np.matmul(x.data, wx, out=None if self.memory is None
-                        else self.memory.take(n, wx.shape[1]))
+        out = np.matmul(x.data, wx, out=self.memory.take(n, wx.shape[1]))
         if cluster is None:
             out += b.data
         else:
@@ -339,18 +342,18 @@ class Tape:
 
         return self._emit(out, backward)
 
-    def concat(self, parts, axis: int = 1) -> Tensor:
+    def concat(self, parts) -> Tensor:
+        """The parts' columns side by side."""
         parts = list(parts)
         if not parts:
             raise ValueError("concat of nothing")
-        sizes = [p.data.shape[axis] for p in parts]
-        splits = np.cumsum(sizes)[:-1]
+        splits = np.cumsum([p.data.shape[1] for p in parts])[:-1]
 
         def backward(g):
-            for p, piece in zip(parts, np.split(g, splits, axis=axis)):
+            for p, piece in zip(parts, np.split(g, splits, axis=1)):
                 _accumulate(p, piece)
 
-        return self._emit(np.concatenate([p.data for p in parts], axis=axis), backward)
+        return self._emit(np.concatenate([p.data for p in parts], axis=1), backward)
 
     def cluster_max_pool(self, x: Tensor, mask: np.ndarray, p: int) -> Tensor:
         """Columnwise max over each cluster's rows.

@@ -75,7 +75,7 @@ def preprocess_mesh(mesh: Mesh, params: PreprocessParams) -> FeatureCache:
     basis = solve_eigs(op, params.n_eigenvectors)
     positions = normalize_positions(mesh.vertices)
     return FeatureCache(
-        features=build_input_features(positions, normals, basis, params.n_eigenvectors),
+        features=build_input_features(positions, normals, basis),
         eigenvalues=basis.eigenvalues.copy(),
         level_masks=build_hierarchy(positions, params.cluster_counts, areas=op.areas),
         cluster_counts=params.cluster_counts,
@@ -136,14 +136,12 @@ def load_cache(path, mesh: Mesh = None, params: PreprocessParams = None) -> Feat
     return cache
 
 
-def get_features(mesh: Mesh, params: PreprocessParams, cache_path=None) -> FeatureCache:
+def get_features(mesh: Mesh, params: PreprocessParams, cache_path) -> FeatureCache:
     """Load the cache when present and valid, otherwise compute and save it."""
-    if cache_path is not None:
-        try:
-            return load_cache(cache_path, mesh=mesh, params=params)
-        except (FileNotFoundError, ValueError):
-            pass  # recompute below; ValueError covers container + mismatch errors
+    try:
+        return load_cache(cache_path, mesh=mesh, params=params)
+    except (FileNotFoundError, ValueError):
+        pass  # recompute below; ValueError covers container + mismatch errors
     cache = preprocess_mesh(mesh, params)
-    if cache_path is not None:
-        save_cache(cache_path, cache)
+    save_cache(cache_path, cache)
     return cache

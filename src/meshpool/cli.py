@@ -54,13 +54,15 @@ def _parse_clusters(text: str):
 
 
 def _add_preprocess_flags(p: argparse.ArgumentParser) -> None:
-    # None when not given: eval and export then take the checkpoint's values
+    # None when not given: PreprocessParams' defaults then apply, and export
+    # --what labels, which follows its checkpoint, refuses either flag
+    defaults = PreprocessParams()
     p.add_argument("--eigs", type=int, default=None,
-                   help="number of eigenvector feature columns (default 16, "
-                        "or the checkpoint's for eval and export)")
+                   help=f"number of eigenvector feature columns "
+                        f"(default {defaults.n_eigenvectors})")
     p.add_argument("--clusters", type=_parse_clusters, default=None,
-                   help="comma separated cluster counts (default 16,8, "
-                        "or the checkpoint's for eval and export)")
+                   help=f"comma separated cluster counts "
+                        f"(default {','.join(map(str, defaults.cluster_counts))})")
 
 
 def _params_from_args(args) -> PreprocessParams:
@@ -70,17 +72,10 @@ def _params_from_args(args) -> PreprocessParams:
     return PreprocessParams(**{k: v for k, v in given.items() if v is not None})
 
 
-def _checkpoint_params(args, config: ModelConfig) -> PreprocessParams:
-    """The preprocessing a checkpoint's model was trained on. Explicit
-    --eigs/--clusters must agree with it."""
-    params = PreprocessParams(n_eigenvectors=config.in_dim - 6,
-                              cluster_counts=config.cluster_counts)
-    for flag, given, expected in (("--eigs", args.eigs, params.n_eigenvectors),
-                                  ("--clusters", args.clusters, params.cluster_counts)):
-        if given is not None and given != expected:
-            given, expected = (",".join(map(str, np.atleast_1d(v))) for v in (given, expected))
-            raise CheckpointError(f"{flag} {given} disagrees with the checkpoint's {expected}")
-    return params
+def _checkpoint_params(config: ModelConfig) -> PreprocessParams:
+    """The preprocessing a checkpoint's model was trained on."""
+    return PreprocessParams(n_eigenvectors=config.in_dim - 6,
+                            cluster_counts=config.cluster_counts)
 
 
 def load_manifest(dataset_dir: Path) -> dict:
@@ -139,9 +134,10 @@ def _walk_manifest(dataset_dir: Path, manifest: dict, params: PreprocessParams, 
             yield entry, get_features(mesh, params, cache_dir / f"{entry['name']}.mpc")
 
 
-def _read_labels(path: Path, n: int) -> np.ndarray:
+def _read_labels(path: Path, n: int, num_labels) -> np.ndarray:
     """A label file's one integer per line, one line for each of ``n``
-    vertices; raises ValueError naming the file."""
+    vertices, each in [0, num_labels) unless that is None; raises
+    ValueError naming the file."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # numpy warns on a file without data
@@ -150,6 +146,8 @@ def _read_labels(path: Path, n: int) -> np.ndarray:
             raise ValueError(f"{labels.shape[1]} columns, expected one integer per line")
         if len(labels) != n:
             raise ValueError(f"{len(labels)} labels for {n} vertices")
+        if num_labels is not None and (labels.min() < 0 or labels.max() >= num_labels):
+            raise ValueError(f"label outside [0, {num_labels})")
     except UserWarning:
         raise ValueError(f"{path}: no labels") from None
     except ValueError as exc:
@@ -158,11 +156,13 @@ def _read_labels(path: Path, n: int) -> np.ndarray:
 
 
 def _sample_records(dataset_dir: Path, manifest: dict, params: PreprocessParams,
-                    splits=SPLITS):
-    """SampleRecords of the requested splits, with their label files."""
+                    config: ModelConfig, splits=SPLITS):
+    """SampleRecords of the requested splits, with their label files, whose
+    labels a segmentation ``config`` must have room for."""
+    num_labels = config.num_labels if config.task == "segmentation" else None
     records = {split: [] for split in splits}
     for entry, cache in _walk_manifest(dataset_dir, manifest, params, splits):
-        labels = (_read_labels(dataset_dir / entry["labels"], cache.n_vertices)
+        labels = (_read_labels(dataset_dir / entry["labels"], cache.n_vertices, num_labels)
                   if entry.get("labels") else None)
         records[entry["split"]].append(
             record_from_cache(entry["name"], cache, entry["category"], labels))
@@ -275,7 +275,7 @@ def _cmd_train(args) -> int:
         checkpoint_path=str(out_path), checkpoint_every=args.checkpoint_every,
         verbose=args.verbose,
     )
-    records = _sample_records(dataset_dir, manifest, params_pre)
+    records = _sample_records(dataset_dir, manifest, params_pre, config)
     params, history = train(records["train"], config, train_config,
                             params=params, start_epoch=start_epoch)
     final_epoch = history[-1].epoch if history else start_epoch - 1
@@ -300,9 +300,11 @@ def _cmd_eval(args) -> int:
     dataset_dir = Path(args.input)
     manifest = load_manifest(dataset_dir)
     params, config, epoch, _ = load_checkpoint(args.model)
-    params_pre = _checkpoint_params(args, config)
+    if config.task != manifest["task"]:
+        raise CheckpointError(f"{args.model}: checkpoint trained for {config.task}, "
+                              f"dataset {dataset_dir} is for {manifest['task']}")
     splits = SPLITS if args.split == "all" else (args.split,)
-    records = _sample_records(dataset_dir, manifest, params_pre, splits=splits)
+    records = _sample_records(dataset_dir, manifest, _checkpoint_params(config), config, splits)
     result = {"checkpoint": str(args.model), "trained_epochs": epoch + 1,
               **_split_results(params, config, records)}
     print(json.dumps(result, indent=2))
@@ -326,6 +328,9 @@ def _export_features(obj_path: Path, mesh, params: PreprocessParams):
 
 def _cmd_export(args) -> int:
     obj_path = Path(args.input)
+    if args.what == "labels" and (args.eigs, args.clusters) != (None, None):
+        raise ValueError("--eigs and --clusters apply to --what clusters only; "
+                         "labels follow the checkpoint")
     mesh = load_obj(obj_path)
     if args.what == "clusters":
         cache = _export_features(obj_path, mesh, _params_from_args(args))
@@ -335,7 +340,7 @@ def _cmd_export(args) -> int:
         if not args.model:
             raise ValueError("--model is required to export predicted labels")
         params, config, _, _ = load_checkpoint(args.model)
-        cache = _export_features(obj_path, mesh, _checkpoint_params(args, config))
+        cache = _export_features(obj_path, mesh, _checkpoint_params(config))
         record = record_from_cache(obj_path.stem, cache, args.category)
         # one row for classification: every vertex shows the shape's class
         ids = np.broadcast_to(predict(params, config, record), mesh.n_vertices)
@@ -373,9 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="checkpoint path (default INPUT/model.ckpt)")
     p.add_argument("--seed", type=int, default=None,
                    help="training seed (default 0, or the checkpoint's with --resume)")
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--lr", type=float, default=7e-4)
-    p.add_argument("--batch", type=int, default=8)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
     p.add_argument("--early-stop", type=float, default=None,
                    help="stop once train accuracy reaches this value")
     p.add_argument("--checkpoint-every", type=int, default=0,
@@ -389,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="dataset directory")
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--split", choices=SPLITS + ("all",), default="test")
-    _add_preprocess_flags(p)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("export", help="write a colored PLY for one mesh")

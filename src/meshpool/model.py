@@ -151,7 +151,7 @@ def _pool(tape: Tape, x, mask, p):
     if isinstance(x, Tensor):
         return pool(x, mask, p)
     return tape.concat([pool(x.vertex, mask, p),
-                        pool(tape.cluster_scatter(x.cluster, x.mask), mask, p)], axis=1)
+                        pool(tape.cluster_scatter(x.cluster, x.mask), mask, p)])
 
 
 def pooling_block_forward(tape: Tape, params, config: ModelConfig, level: int,
@@ -203,6 +203,6 @@ def model_forward(tape: Tape, params, config: ModelConfig, features,
     if config.task == "segmentation":
         onehot = np.zeros((1, config.num_categories))
         onehot[0, category] = 1.0
-        summary = tape.concat([head_in, Tensor(onehot)], axis=1)
+        summary = tape.concat([head_in, Tensor(onehot)])
         head_in = SplitFeatures(h, summary, np.zeros(h.data.shape[0], dtype=np.int64))
     return _mlp_forward(tape, params, "head.out", head_in, 2, final_relu=False)

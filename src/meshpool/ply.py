@@ -24,12 +24,12 @@ def label_colors(labels) -> np.ndarray:
     return PALETTE[labels % len(PALETTE)]
 
 
-def write_ply(path, mesh: Mesh, colors=None) -> None:
-    """ASCII PLY; ``colors`` is an optional (N, 3) uint8 array."""
-    if colors is not None:
-        colors = np.asarray(colors)
-        if colors.shape != (mesh.n_vertices, 3):
-            raise ValueError(f"colors must be ({mesh.n_vertices}, 3)")
+def write_ply(path, mesh: Mesh, colors) -> None:
+    """ASCII PLY with a color per vertex; ``colors`` is an (N, 3) uint8
+    array, such as ``label_colors`` gives."""
+    colors = np.asarray(colors)
+    if colors.shape != (mesh.n_vertices, 3):
+        raise ValueError(f"colors must be ({mesh.n_vertices}, 3)")
     lines = [
         "ply",
         "format ascii 1.0",
@@ -37,20 +37,15 @@ def write_ply(path, mesh: Mesh, colors=None) -> None:
         "property float x",
         "property float y",
         "property float z",
-    ]
-    if colors is not None:
-        lines += ["property uchar red", "property uchar green", "property uchar blue"]
-    lines += [
+        "property uchar red",
+        "property uchar green",
+        "property uchar blue",
         f"element face {mesh.n_faces}",
         "property list uchar int vertex_indices",
         "end_header",
     ]
-    for i, (x, y, z) in enumerate(mesh.vertices):
-        row = f"{x:.9g} {y:.9g} {z:.9g}"
-        if colors is not None:
-            r, g, b = colors[i]
-            row += f" {r} {g} {b}"
-        lines.append(row)
+    for (x, y, z), (r, g, b) in zip(mesh.vertices, colors):
+        lines.append(f"{x:.9g} {y:.9g} {z:.9g} {r} {g} {b}")
     for a, b, c in mesh.faces:
         lines.append(f"3 {a} {b} {c}")
     with open(path, "w") as fh:

@@ -160,24 +160,17 @@ def normalize_positions(vertices: np.ndarray) -> np.ndarray:
     return centered / np.linalg.norm(extent)
 
 
-def build_input_features(
-    positions: np.ndarray,
-    normals: np.ndarray,
-    basis: SpectralBasis,
-    n_eigenvectors: int = 16,
-) -> np.ndarray:
-    """Per-vertex input matrix: [xyz(3), normal(3), |eigenvector|(n_eig)].
+def build_input_features(positions: np.ndarray, normals: np.ndarray,
+                         basis: SpectralBasis) -> np.ndarray:
+    """Per-vertex input matrix: [xyz(3), normal(3), |eigenvector|(k)].
 
     ``positions`` are the normalized vertex positions
     (``normalize_positions``), the same ones the hierarchy is built on.
-    The eigenvector columns are the lowest-frequency nonconstant modes;
-    taking their absolute values makes them independent of the solver's
-    arbitrary sign choices.
+    The eigenvector columns are the basis's k nonconstant modes, every
+    column but the first; taking their absolute values makes them
+    independent of the solver's arbitrary sign choices.
     """
-    needed = 1 + n_eigenvectors
-    if basis.n_modes < needed:
-        raise ValueError(f"basis has {basis.n_modes} modes, need {needed}")
-    return np.hstack([positions, normals, np.abs(basis.eigenvectors[:, 1:needed])])
+    return np.hstack([positions, normals, np.abs(basis.eigenvectors[:, 1:])])
 
 
 def _weighted_median_side(t: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -416,7 +416,11 @@ def load_checkpoint(path, expected_config: ModelConfig = None):
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: checkpoint config has a bad value ({exc})") from exc
     if expected_config is not None and config != expected_config:
-        raise CheckpointError(f"{path}: checkpoint built for a different architecture")
+        name = next(f.name for f in fields(ModelConfig)
+                    if getattr(config, f.name) != getattr(expected_config, f.name))
+        raise CheckpointError(f"{path}: checkpoint built for a different architecture "
+                              f"({name} {getattr(config, name)!r}, this run asks for "
+                              f"{getattr(expected_config, name)!r})")
     shapes = parameter_shapes(config)
     size = sum(int(np.prod(shape)) for shape in shapes.values())
     value, m, v = (sections.array(name, np.float64, (size,))

@@ -170,7 +170,7 @@ def test_criterion_4_gradient_suite(criterion_report):
             [rng.standard_normal((5, 4)), rng.standard_normal(4)])),
         ("relu", True, lambda: fd_op_check(lambda t, x: t.relu(x), [x_off])),
         ("concat", True, lambda: fd_op_check(
-            lambda t, a, b: t.concat([a, b], axis=1),
+            lambda t, a, b: t.concat([a, b]),
             [rng.standard_normal((4, 2)), rng.standard_normal((4, 3))])),
         ("cluster_max_pool", False, lambda: fd_op_check(
             lambda t, x: t.cluster_max_pool(x, mask9, 3), [spaced((9, 4))])),

@@ -511,12 +511,6 @@ def test_get_features_recomputes_on_params_change(tmp_path, bumpy, small_params)
     assert load_cache(path).params_fingerprint == other.fingerprint()
 
 
-def test_get_features_without_cache_path(bumpy, small_params):
-    cache = get_features(bumpy, small_params)
-    assert isinstance(cache, FeatureCache)
-    assert cache.features.shape[1] == 14
-
-
 def test_load_cache_rejects_other_kinds_and_missing_sections(tmp_path, bumpy, small_params,
                                                              bumpy_cache):
     path = tmp_path / "c.mpc"

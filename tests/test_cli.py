@@ -67,7 +67,7 @@ def test_segmentation_pipeline(tmp_path, capsys):
     assert [h["epoch"] for h in history] == [0, 1]
 
     assert main(["eval", "--input", str(data), "--model", str(ckpt),
-                 "--split", "all"] + SMALL) == 0
+                 "--split", "all"]) == 0
     result = read_json_tail(capsys)
     assert result["trained_epochs"] == 2
     assert set(result) >= {"train", "test"}
@@ -81,8 +81,7 @@ def test_segmentation_pipeline(tmp_path, capsys):
 
     labels_ply = tmp_path / "labels.ply"
     assert main(["export", "--input", str(obj), "--output", str(labels_ply),
-                 "--what", "labels", "--model", str(ckpt), "--category", "0"]
-                + SMALL) == 0
+                 "--what", "labels", "--model", str(ckpt), "--category", "0"]) == 0
     assert "property uchar red" in labels_ply.read_text()
 
 
@@ -106,7 +105,7 @@ def test_classification_pipeline(tmp_path, capsys):
     assert (data / "model.ckpt").exists()
 
     assert main(["eval", "--input", str(data), "--model", str(data / "model.ckpt"),
-                 "--split", "test"] + SMALL) == 0
+                 "--split", "test"]) == 0
     result = read_json_tail(capsys)
     assert "confusion" in result["test"]
 
@@ -221,8 +220,7 @@ def test_train_seed_leaves_caches_untouched(tmp_path, capsys):
     assert len(before) == 4
     assert main(["train", "--input", str(data), "--seed", "3", "--epochs", "1"]
                 + SMALL) == 0
-    assert main(["eval", "--input", str(data), "--model", str(data / "model.ckpt")]
-                + SMALL) == 0
+    assert main(["eval", "--input", str(data), "--model", str(data / "model.ckpt")]) == 0
     assert _cache_stamps(data / "cache") == before
 
 
@@ -728,19 +726,60 @@ def test_eval_and_export_follow_the_checkpoint(tmp_path, capsys):
     assert main(["export", "--input", str(obj), "--output", str(tmp_path / "l.ply"),
                  "--model", str(ckpt)]) == 0
     assert _cache_stamps(data / "cache") == before
-    # explicit flags that disagree with the checkpoint are an error
+    # eval has no preprocessing flags, and export --what labels refuses them
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["eval", "--input", str(data), "--model", str(ckpt),
+                                   "--eigs", "8"])
     capsys.readouterr()
-    assert main(["eval", "--input", str(data), "--model", str(ckpt), "--eigs", "16"]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "--eigs 16 disagrees with the checkpoint's 8" in err
-    assert main(["export", "--input", str(obj), "--output", str(tmp_path / "x.ply"),
-                 "--model", str(ckpt), "--clusters", "6,2"]) == 1
-    assert "--clusters 6,2 disagrees with the checkpoint's 6,3" in capsys.readouterr().err
-    # agreeing flags are accepted, and clusters export keeps following the flags
-    assert main(["eval", "--input", str(data), "--model", str(ckpt)] + SMALL) == 0
+    for flags in (["--eigs", "8"], ["--clusters", "6,3"]):
+        assert main(["export", "--input", str(obj), "--output", str(tmp_path / "x.ply"),
+                     "--model", str(ckpt)] + flags) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --eigs and --clusters apply to --what clusters only; "
+            "labels follow the checkpoint"]
+    assert not (tmp_path / "x.ply").exists()
+    # clusters export keeps following the flags
     assert main(["export", "--input", str(obj), "--output", str(tmp_path / "c.ply"),
                  "--what", "clusters"] + SMALL) == 0
     assert _cache_stamps(data / "cache") == before
+
+
+def test_eval_refuses_a_checkpoint_of_the_other_task(tmp_path, capsys):
+    # a classification checkpoint printed a classification report for
+    # dumbbells; the reverse failed on a sphere "without labels"
+    seg, cls = tmp_path / "seg", tmp_path / "cls"
+    main(["synth", "--output", str(seg), "--task", "segmentation", "--count", "4"])
+    main(["synth", "--output", str(cls), "--task", "classification", "--count", "1"])
+    for data in (seg, cls):
+        assert main(["train", "--input", str(data), "--epochs", "1"] + SMALL) == 0
+    before = {data: _cache_stamps(data / "cache") for data in (seg, cls)}
+    capsys.readouterr()
+    for data, ckpt, trained, wanted in ((seg, cls / "model.ckpt", "classification",
+                                         "segmentation"),
+                                        (cls, seg / "model.ckpt", "segmentation",
+                                         "classification")):
+        assert main(["eval", "--input", str(data), "--model", str(ckpt)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {ckpt}: checkpoint trained for {trained}, dataset {data} is for {wanted}"]
+    assert {data: _cache_stamps(data / "cache") for data in (seg, cls)} == before
+
+
+def test_a_label_outside_the_label_range_stops_train_before_training(tmp_path, capsys):
+    # train used to train and write its checkpoint, then fail at the test
+    # split's evaluation with "dumbbell_a_000: label outside [0, 3)"
+    data = tmp_path / "seg"
+    main(["synth", "--output", str(data), "--task", "segmentation", "--count", "4",
+          "--seed", "1"])
+    sample = next(e for e in json.loads((data / "manifest.json").read_text())["samples"]
+                  if e["split"] == "test")
+    labels = data / sample["labels"]
+    labels.write_text("7\n" + labels.read_text().split("\n", 1)[1])
+    capsys.readouterr()
+    assert main(["train", "--input", str(data), "--epochs", "1"] + SMALL) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {labels}: label outside [0, 3)"]
+    assert not (data / "model.ckpt").exists()
+    assert not (data / "model.history.json").exists()
 
 
 def test_export_labels_colours_vertices_in_mesh_order(tmp_path):

@@ -220,16 +220,16 @@ def reference_forward(tape, params, config, feats, masks, category=None):
         pooled = pool(x, mask, p)
         psi = pool(mlp(f"block{level}.corr", x, 1), mask, p)
         mixed = tape.matmul(tape.matmul(psi, tape.transpose(psi)), pooled)
-        x = tape.concat([updated, tape.cluster_scatter(mixed, mask)], axis=1)
+        x = tape.concat([updated, tape.cluster_scatter(mixed, mask)])
     h = mlp("head.mlp", x, len(config.head_hidden))
     pooled = tape.global_max_pool(h)
     if config.task == "classification":
         return mlp("head.out", pooled, 2, final_relu=False)
     onehot = np.zeros((1, config.num_categories))
     onehot[0, category] = 1.0
-    summary = tape.concat([pooled, Tensor(onehot)], axis=1)
+    summary = tape.concat([pooled, Tensor(onehot)])
     spread = tape.cluster_scatter(summary, np.zeros(len(feats), dtype=np.int64))
-    return mlp("head.out", tape.concat([h, spread], axis=1), 2, final_relu=False)
+    return mlp("head.out", tape.concat([h, spread]), 2, final_relu=False)
 
 
 def _loss_and_grads(forward, params, config, feats, masks, category, labels):

@@ -16,18 +16,13 @@ def test_label_colors_wrap_palette():
         label_colors([-1, 0])
 
 
-def test_write_ply_plain_and_colored(tmp_path, tetra):
-    plain = tmp_path / "plain.ply"
-    write_ply(plain, tetra)
-    lines = plain.read_text().splitlines()
-    assert lines[0] == "ply"
-    assert f"element vertex {tetra.n_vertices}" in lines
-    assert f"element face {tetra.n_faces}" in lines
-    assert "property uchar red" not in lines
-
+def test_write_ply_colored(tmp_path, tetra):
     colored = tmp_path / "colored.ply"
     write_ply(colored, tetra, label_colors(np.array([0, 1, 2, 0])))
     lines = colored.read_text().splitlines()
+    assert lines[0] == "ply"
+    assert f"element vertex {tetra.n_vertices}" in lines
+    assert f"element face {tetra.n_faces}" in lines
     assert "property uchar red" in lines
     header_end = lines.index("end_header")
     vertex_rows = lines[header_end + 1: header_end + 1 + tetra.n_vertices]

@@ -192,10 +192,9 @@ def test_normalize_positions_properties(bumpy):
 
 def test_eigenvector_features_skip_constant(bumpy, bumpy_basis):
     pos, normals = normalize_positions(bumpy.vertices), compute_vertex_normals(bumpy)
-    feats = build_input_features(pos, normals, bumpy_basis, 16)
+    feats = build_input_features(pos, normals, bumpy_basis)
+    assert bumpy_basis.n_modes == 17
     assert np.array_equal(feats[:, 6:], np.abs(bumpy_basis.eigenvectors[:, 1:17]))
-    with pytest.raises(ValueError, match="basis has 17 modes, need 18"):
-        build_input_features(pos, normals, bumpy_basis, 17)
 
 
 def test_build_input_features_layout(bumpy, bumpy_basis):

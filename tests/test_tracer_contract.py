@@ -5,6 +5,7 @@ module and name, so a rename in ``src/`` would otherwise surface only when
 the benchmark runs with ``--trace 1``.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -17,6 +18,9 @@ from meshpool.autodiff import Tape
 from meshpool.model import ModelConfig
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+WORKLOADS_PATH = TRACER_PATH.with_name("workloads.py")
+# names the workloads import from meshpool and call directly
+CALLED_MODULES = ("cache", "training", "synth", "mesh", "spectral")
 
 # a one-block classifier on 4-vertex records, small enough to train in a test
 TINY_CLS = ModelConfig(in_dim=4, cluster_counts=(2,), update_widths=(4,), corr_width=3,
@@ -125,3 +129,45 @@ def test_train_builds_its_epoch_stats_and_tapes_through_the_module(monkeypatch):
     _, history = training.train(records, TINY_CLS, training.TrainConfig(epochs=2, batch_size=2))
     assert len(history) == 2
     assert built == {"stats": 2, "tapes": 6}
+
+
+def _workload_calls():
+    """(line, name, callable, positional count, keyword names) of every
+    call in ``perfbench/workloads.py`` on a ``CALLED_MODULES`` module or on
+    ``ModelConfig``; a call that unpacks ``*args`` or ``**kwargs`` is left
+    out, since its arguments are not known before it runs."""
+    calls = []
+    for node in ast.walk(ast.parse(WORKLOADS_PATH.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id in CALLED_MODULES):
+            name = f"{func.value.id}.{func.attr}"
+            target = getattr(importlib.import_module(f"meshpool.{func.value.id}"), func.attr, None)
+        elif isinstance(func, ast.Name) and func.id == "ModelConfig":
+            name, target = "ModelConfig", ModelConfig
+        else:
+            continue
+        keywords = [kw.arg for kw in node.keywords]
+        if None in keywords or any(isinstance(a, ast.Starred) for a in node.args):
+            continue
+        calls.append((node.lineno, name, target, len(node.args), keywords))
+    return calls
+
+
+def test_every_workload_call_binds_to_the_signature_it_calls():
+    # the benchmark calls meshpool positionally and by keyword; a call that
+    # no longer binds would otherwise fail only when the benchmark runs
+    calls = _workload_calls()
+    assert {"cache.get_features", "training.train", "ModelConfig"} <= {c[1] for c in calls}
+    broken = []
+    for line, name, target, n_positional, keywords in calls:
+        if not callable(target):
+            broken.append(f"workloads.py:{line}: {name} is not a meshpool callable")
+            continue
+        try:
+            inspect.signature(target).bind(*[None] * n_positional, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            broken.append(f"workloads.py:{line}: {name}: {exc}")
+    assert broken == []

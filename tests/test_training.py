@@ -479,7 +479,8 @@ def test_checkpoint_rejects_other_architecture(tmp_path):
     params = init_params(CLS_CONFIG, seed=0)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, params, CLS_CONFIG, epoch=0, train_seed=0)
-    with pytest.raises(CheckpointError, match="architecture"):
+    with pytest.raises(CheckpointError, match="architecture .task 'classification', "
+                                              "this run asks for 'segmentation'.$"):
         load_checkpoint(path, expected_config=SEG_CONFIG)
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "missing.ckpt")
